@@ -18,7 +18,9 @@ import (
 //	(5) descriptor population is O(resident frames + regions);
 //	    frame accounting balances exactly;
 //	(1) history back-pointers are mutually consistent and the history
-//	    object is among its owner's children.
+//	    object is among its owner's children;
+//	(7) no reverse map holds a (context, va) twice, and its backing
+//	    array beyond len is zeroed.
 func (p *PVM) CheckInvariants() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -60,6 +62,9 @@ func (p *PVM) checkInvariantsLocked() error {
 			}
 			if !pg.pnode.Linked() && pg.pin == 0 {
 				return fmt.Errorf("cache %p page %#x neither policy-linked nor pinned", c, pg.off)
+			}
+			if err := checkRmap(pg); err != nil {
+				return err
 			}
 			for st := pg.stubs; st != nil; st = st.nextForPage {
 				if st.src != pg {
@@ -232,6 +237,25 @@ func (p *PVM) checkInvariantsLocked() error {
 			if !found {
 				return fmt.Errorf("region %#x not registered on its cache", uint64(r.addr))
 			}
+		}
+	}
+	return nil
+}
+
+// checkRmap verifies invariant (7) for one page. Entries of destroyed
+// contexts are not errors: they stay until the page's next rmap scan
+// (addMapping, invalidateMappings or protectMappings) drops them.
+func checkRmap(pg *page) error {
+	for i, m := range pg.rmap {
+		for _, o := range pg.rmap[:i] {
+			if o == m {
+				return fmt.Errorf("page %#x of %p maps (%p, %#x) twice", pg.off, pg.cache, m.ctx, uint64(m.va))
+			}
+		}
+	}
+	for _, m := range pg.rmap[len(pg.rmap):cap(pg.rmap)] {
+		if m.ctx != nil {
+			return fmt.Errorf("page %#x of %p keeps context %p beyond its rmap", pg.off, pg.cache, m.ctx)
 		}
 	}
 	return nil

@@ -203,7 +203,7 @@ func (m *MachVM) HandleFault(ctx *mcontext, va gmi.VA, access gmi.Prot) error {
 		}
 		pg.dirty = true
 		ctx.space.Map(pva, pg.frame, r.prot)
-		pg.rmap = append(pg.rmap, mmapping{ctx: ctx, va: pva})
+		pg.addMapping(ctx, pva)
 		m.lru.push(pg)
 		return nil
 	}
@@ -220,7 +220,7 @@ func (m *MachVM) HandleFault(ctx *mcontext, va gmi.VA, access gmi.Prot) error {
 		prot &^= gmi.ProtWrite
 	}
 	ctx.space.Map(pva, pg.frame, prot)
-	pg.rmap = append(pg.rmap, mmapping{ctx: ctx, va: pva})
+	pg.addMapping(ctx, pva)
 	m.lru.push(pg)
 	return nil
 }
@@ -410,7 +410,7 @@ func (r *mregion) LockInMemory() error {
 			prot &^= gmi.ProtWrite
 		}
 		r.ctx.space.Map(va, pg.frame, prot)
-		pg.rmap = append(pg.rmap, mmapping{ctx: r.ctx, va: va})
+		pg.addMapping(r.ctx, va)
 	}
 	r.locked = true
 	return nil

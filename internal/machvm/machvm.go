@@ -332,11 +332,35 @@ func (m *MachVM) freePage(pg *mpage) {
 
 func (m *MachVM) invalidateMappings(pg *mpage) {
 	for _, mp := range pg.rmap {
+		if mp.ctx.destroyed {
+			continue
+		}
 		if f, _, ok := mp.ctx.space.Lookup(mp.va); ok && f == pg.frame {
 			mp.ctx.space.Unmap(mp.va)
 		}
 	}
+	clear(pg.rmap)
 	pg.rmap = pg.rmap[:0]
+}
+
+// addMapping records a translation installed for pg (m.mu held). Like the
+// PVM's, the duplicate scan drops entries of destroyed contexts and zeroes
+// the vacated slots, so the list names only live mappers.
+func (pg *mpage) addMapping(ctx *mcontext, va gmi.VA) {
+	live := pg.rmap[:0]
+	dup := false
+	for _, mp := range pg.rmap {
+		if mp.ctx.destroyed {
+			continue
+		}
+		dup = dup || (mp.ctx == ctx && mp.va == va)
+		live = append(live, mp)
+	}
+	clear(pg.rmap[len(live):])
+	pg.rmap = live
+	if !dup {
+		pg.rmap = append(pg.rmap, mmapping{ctx: ctx, va: va})
+	}
 }
 
 // protectRange write-protects the resident pages of obj in [lo, hi): the
@@ -351,11 +375,15 @@ func (m *MachVM) protectRange(obj *vmObject, lo, hi int64) {
 		}
 		live := pg.rmap[:0]
 		for _, mp := range pg.rmap {
+			if mp.ctx.destroyed {
+				continue
+			}
 			if f, cur, ok := mp.ctx.space.Lookup(mp.va); ok && f == pg.frame {
 				mp.ctx.space.Protect(mp.va, cur&^gmi.ProtWrite)
 				live = append(live, mp)
 			}
 		}
+		clear(pg.rmap[len(live):])
 		pg.rmap = live
 	}
 }

@@ -188,3 +188,45 @@ func TestMachObjectAccounting(t *testing.T) {
 		t.Fatalf("frames leaked: %d/%d", m.Memory().FreeFrames(), m.Memory().TotalFrames())
 	}
 }
+
+// TestMachRmapBoundedByLiveMappers checks the comparator's reverse map the
+// way core's is checked: a refault of the same (ctx, va) adds no entry,
+// and a stream of short-lived mappers leaves only live ones, with no
+// vacated slot still pointing at a dead context.
+func TestMachRmapBoundedByLiveMappers(t *testing.T) {
+	m := newTestVM(t, 16)
+	c := m.TempCacheCreate()
+	keeper, _ := m.ContextCreate()
+	mustRegion(t, keeper, base, pg, gmi.ProtRW, c, 0)
+	buf := make([]byte, 1)
+	if err := keeper.Read(base, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := keeper.Write(base, []byte{0x5A}); err != nil {
+		t.Fatal(err)
+	}
+	shared := c.(*mcache).obj.pages[0]
+	requireRmap := func(live int) {
+		t.Helper()
+		if n := len(shared.rmap); n > live {
+			t.Fatalf("rmap holds %d entries for %d live mappers", n, live)
+		}
+		for _, mp := range shared.rmap[len(shared.rmap):cap(shared.rmap)] {
+			if mp.ctx != nil {
+				t.Fatalf("rmap slot beyond len still holds context %p", mp.ctx)
+			}
+		}
+	}
+	requireRmap(1)
+	for i := 0; i < 200; i++ {
+		ctx, _ := m.ContextCreate()
+		mustRegion(t, ctx, base, pg, gmi.ProtRead, c, 0)
+		if err := ctx.Read(base, buf); err != nil || buf[0] != 0x5A {
+			t.Fatalf("mapper %d read %#x: %v", i, buf[0], err)
+		}
+		requireRmap(2)
+		if err := ctx.Destroy(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
