@@ -276,10 +276,13 @@ func (p *PVM) migratePageToStubs(pg *page) {
 }
 
 // dropPage frees a resident page outright; p.mu held. The caller has
-// dealt with stub readers and history preservation.
+// dealt with stub readers and history preservation, and has waited out
+// any push: once waitBusy releases the lock, the pusher may drop the
+// page itself, so only the caller, by looking the page up again, can
+// tell whether there is still something to drop.
 func (p *PVM) dropPage(pg *page) {
-	for pg.busy {
-		p.waitBusy(pg, nil)
+	if pg.busy {
+		panic("core: dropPage on a page being pushed out")
 	}
 	p.invalidateMappings(pg)
 	p.unlinkPage(pg)
@@ -360,6 +363,12 @@ func (p *PVM) freeCache(c *cache) {
 
 	for c.pageHead != nil {
 		pg := c.pageHead
+		if pg.busy {
+			// The pusher settles the page (drops it, or leaves it
+			// resident) before the wait returns; re-read the list.
+			p.waitBusy(pg, nil)
+			continue
+		}
 		if pg.stubs != nil {
 			p.migratePageToStubs(pg)
 		} else {

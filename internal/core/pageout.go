@@ -263,10 +263,10 @@ func (p *PVM) evictBatchAsync(max int) (int, error) {
 // dropPageInto unlinks a resident page exactly like dropPage but hands
 // the frame to the caller instead of freeing it, so batch eviction can
 // return a whole pass's frames in one phys.FreeBatch depot transaction.
-// p.mu held.
+// p.mu held; the page must not be busy (see dropPage).
 func (p *PVM) dropPageInto(pg *page, frames *[]*phys.Frame) {
-	for pg.busy {
-		p.waitBusy(pg, nil)
+	if pg.busy {
+		panic("core: dropPageInto on a page being pushed out")
 	}
 	p.invalidateMappings(pg)
 	p.unlinkPage(pg)

@@ -308,6 +308,18 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 						errs <- fmt.Errorf("worker %d flush: %w", w, err)
 						return
 					}
+					// Re-pull from the first page, so a read-ahead cluster
+					// covers the whole aligned cluster: the shape
+					// fault-around can promote.
+					head := make([]byte, 64)
+					if err := ctx.Read(cbase, head); err != nil {
+						errs <- fmt.Errorf("worker %d head read: %w", w, err)
+						return
+					}
+					if !bytes.Equal(head, model[:64]) {
+						errs <- fmt.Errorf("worker %d head content diverged round %d", w, r)
+						return
+					}
 				case 11: // write back, keep cached
 					if err := c.Sync(0, pages*pg); err != nil {
 						errs <- fmt.Errorf("worker %d sync: %w", w, err)
