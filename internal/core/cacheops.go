@@ -344,6 +344,9 @@ func (c *cache) SetProtection(off, size int64, prot gmi.Prot) error {
 		if pg == nil {
 			continue
 		}
+		if prot&gmi.ProtWrite == 0 {
+			pg.revokes++
+		}
 		pg.granted &= prot
 		if prot&gmi.ProtRead == 0 {
 			p.invalidateMappings(pg)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"chorusvm/internal/gmi"
 	"chorusvm/internal/seg"
@@ -162,6 +163,60 @@ func TestSourceWriteWithLockedCopy(t *testing.T) {
 	}
 	if err := r.Unlock(); err != nil {
 		t.Fatal(err)
+	}
+	check(t, p)
+}
+
+// gatedWriteSegment holds its first getWriteAccess upcall open until
+// release is closed.
+type gatedWriteSegment struct {
+	*seg.Segment
+	entered, release chan struct{}
+	calls            int
+}
+
+func (g *gatedWriteSegment) GetWriteAccess(c gmi.Cache, off, size int64) error {
+	if g.calls++; g.calls == 1 {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Segment.GetWriteAccess(c, off, size)
+}
+
+// TestWriteGrantRevokedDuringUpcall: a segment that withholds write
+// access (setProtection) while its own getWriteAccess answer is on the
+// way back — a coherence manager downgrading a page it has just granted
+// — must win. The write asks again instead of proceeding on the stale
+// grant.
+func TestWriteGrantRevokedDuringUpcall(t *testing.T) {
+	p, _ := newTestPVM(t, 16)
+	inner := seg.NewSegment("f", pg, p.Clock())
+	inner.Grant = gmi.ProtRead | gmi.ProtExec
+	g := &gatedWriteSegment{Segment: inner, entered: make(chan struct{}), release: make(chan struct{})}
+	c := p.CacheCreate(g)
+	ctx, _ := p.ContextCreate()
+	mustRegion(t, ctx, base, pg, gmi.ProtRW, c, 0)
+	mustRead(t, ctx, base, 1)
+
+	wrote := make(chan error, 1)
+	go func() { wrote <- ctx.Write(base, []byte{7}) }()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("write never asked for write access")
+	}
+	if err := c.SetProtection(0, pg, gmi.ProtRead|gmi.ProtExec); err != nil {
+		t.Fatal(err)
+	}
+	close(g.release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if g.calls != 2 {
+		t.Fatalf("getWriteAccess upcalls = %d, want 2 (the revoked grant asked again)", g.calls)
+	}
+	if got := mustRead(t, ctx, base, 1); got[0] != 7 {
+		t.Fatalf("read %#x after the write, want 0x07", got[0])
 	}
 	check(t, p)
 }

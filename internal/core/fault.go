@@ -812,6 +812,7 @@ func (p *PVM) breakOwnForWrite(c *cache, off int64, pg *page, span *obs.FaultSpa
 		} else {
 			seg := c.seg
 			pg.pin++ // hold the page across the upcall
+			revokes := pg.revokes
 			span.Mark(obs.StageResolve)
 			p.mu.Unlock()
 			start := p.obs.Clock()
@@ -823,7 +824,12 @@ func (p *PVM) breakOwnForWrite(c *cache, off int64, pg *page, span *obs.FaultSpa
 			if err != nil {
 				return true, err
 			}
-			pg.granted |= gmi.ProtWrite
+			if pg.revokes == revokes {
+				// Otherwise the segment withheld write access after
+				// granting it (a coherence downgrade); the restarted
+				// fault asks again.
+				pg.granted |= gmi.ProtWrite
+			}
 			return true, nil
 		}
 	}

@@ -449,12 +449,13 @@ func (p *PVM) SetPolicy(name string) error {
 }
 
 // migrateShardLocked drains policy shard i coldest-first into next and
-// swaps it in; p.mu held exclusively. A full-length sweep returns every
-// linked node: reference bits only spare a page within one scan, and
-// nothing concurrent can re-set them under the exclusive lock.
+// swaps it in; p.mu held exclusively. Drain also returns the victims a
+// reclaim pass still holds while their push-out is in flight: a sweep
+// alone skips them, and the pass would later remove or requeue them in
+// the new instance, where they were never linked.
 func (p *PVM) migrateShardLocked(i int, next policy.Replacer) {
 	old := p.pol.Shard(i)
-	nodes := old.SelectVictims(nil, old.Len(), func(*policy.Node) bool { return true })
+	nodes := old.Drain(nil)
 	p.polBase = p.polBase.Add(old.Stats())
 	for _, n := range nodes {
 		n.Reset()
@@ -482,7 +483,7 @@ func (p *PVM) SetPolicyShards(n int) error {
 	}
 	for i := 0; i < p.pol.NumShards(); i++ {
 		old := p.pol.Shard(i)
-		nodes := old.SelectVictims(nil, old.Len(), func(*policy.Node) bool { return true })
+		nodes := old.Drain(nil)
 		p.polBase = p.polBase.Add(old.Stats())
 		for _, nd := range nodes {
 			nd.Reset()

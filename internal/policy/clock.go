@@ -116,6 +116,22 @@ func (c *Clock) SelectVictims(dst []*Node, max int, usable func(*Node) bool) []*
 	return dst
 }
 
+// Drain implements Replacer.
+func (c *Clock) Drain(dst []*Node) []*Node {
+	var held []*Node
+	c.mu.Lock()
+	for n := c.hand; n != nil; {
+		if n.sel {
+			held = append(held, n)
+		}
+		if n = n.next; n == c.hand {
+			break
+		}
+	}
+	c.mu.Unlock()
+	return append(c.SelectVictims(dst, len(dst)+c.Len(), anyNode), held...)
+}
+
 // Requeue implements Replacer: the failed victim keeps its ring slot but
 // gets its reference bit back, buying it a full lap while other
 // candidates are tried.

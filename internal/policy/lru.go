@@ -117,6 +117,10 @@ func (l *LRU) Requeue(n *Node) { l.OnTouch(n) }
 // abandoned victim already sits where the original scan left it.
 func (l *LRU) Unselect(n *Node) {}
 
+// Drain implements Replacer: LRU selection leaves no mark, so the full
+// sweep already returns every node.
+func (l *LRU) Drain(dst []*Node) []*Node { return l.SelectVictims(dst, len(dst)+l.Len(), anyNode) }
+
 // Len implements Replacer: a lock-free load (see counters).
 func (l *LRU) Len() int { return int(l.ctr.n.Load()) }
 

@@ -168,11 +168,22 @@ type Replacer interface {
 	// selectable again. Used when reclaim progresses by other means (a
 	// segmentCreate upcall) before acting on the victim.
 	Unselect(n *Node)
+	// Drain appends every linked node to dst and returns it, for moving
+	// the population into another Replacer: first what a full sweep
+	// SelectVictims(dst, len(dst)+Len(), all) appends, coldest first,
+	// then the nodes an earlier selection still holds (victims whose
+	// eviction is in flight), which a sweep skips. The Replacer is
+	// abandoned afterwards; the caller Resets each node before
+	// reinserting it.
+	Drain(dst []*Node) []*Node
 	// Len returns the number of linked nodes.
 	Len() int
 	// Stats returns the cumulative counters.
 	Stats() Stats
 }
+
+// anyNode is the usable filter of a draining sweep.
+func anyNode(*Node) bool { return true }
 
 // Names lists the valid policy names, in flag-help order.
 func Names() []string { return []string{"lru", "clock", "2q"} }

@@ -302,6 +302,43 @@ func TestTwoQRequeueClears(t *testing.T) {
 	}
 }
 
+// TestDrainReturnsHeldVictims: a victim selected by an earlier sweep
+// (its push-out in flight) is skipped by later sweeps, but Drain must
+// still return it, or a migration would leave it behind.
+func TestDrainReturnsHeldVictims(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			r, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				r.OnInsert(mk(i))
+			}
+			r.OnTouch(r.SelectVictims(nil, 2, all)[0]) // one second-chance too
+			got := ids(r.Drain(nil))
+			seen := map[int]bool{}
+			for _, id := range got {
+				seen[id] = true
+			}
+			if len(got) != 5 || len(seen) != 5 {
+				t.Fatalf("Drain = %v, want each of the 5 nodes once", got)
+			}
+		})
+	}
+	s, err := NewSharded("2q", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		s.OnInsert(mkh(i, uint32(i)))
+	}
+	s.SelectVictims(nil, 3, all)
+	if got := s.Drain(nil); len(got) != 8 {
+		t.Fatalf("sharded Drain = %v, want all 8 nodes", ids(got))
+	}
+}
+
 func TestWSEstimator(t *testing.T) {
 	var e WSEstimator
 	if e.Estimate() != 0 {

@@ -109,6 +109,14 @@ func (s *Sharded) Requeue(n *Node) { s.shardFor(n).Requeue(n) }
 // Unselect implements Replacer.
 func (s *Sharded) Unselect(n *Node) { s.shardFor(n).Unselect(n) }
 
+// Drain implements Replacer: shard by shard.
+func (s *Sharded) Drain(dst []*Node) []*Node {
+	for _, r := range s.shards {
+		dst = r.Drain(dst)
+	}
+	return dst
+}
+
 // SelectVictims implements Replacer; see the type comment for the
 // proportional round-robin + bounded work-stealing schedule.
 func (s *Sharded) SelectVictims(dst []*Node, max int, usable func(*Node) bool) []*Node {

@@ -156,6 +156,21 @@ func (t *TwoQ) SelectVictims(dst []*Node, max int, usable func(*Node) bool) []*N
 	return dst
 }
 
+// Drain implements Replacer.
+func (t *TwoQ) Drain(dst []*Node) []*Node {
+	var held []*Node
+	t.mu.Lock()
+	for _, l := range []*nodeList{&t.a1, &t.am} {
+		for n := l.tail; n != nil; n = n.prev {
+			if n.sel {
+				held = append(held, n)
+			}
+		}
+	}
+	t.mu.Unlock()
+	return append(t.SelectVictims(dst, len(dst)+t.Len(), anyNode), held...)
+}
+
 // Requeue implements Replacer: the failed victim moves to the head of its
 // queue, the FIFO/LRU equivalent of the original requeue-at-MRU.
 func (t *TwoQ) Requeue(n *Node) {
