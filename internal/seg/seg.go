@@ -45,10 +45,14 @@ func NewStore(pageSize int, clock *cost.Clock) *Store {
 // NewStoreOn creates a backing store over an arbitrary backend. The
 // store owns the backend from here on (Close closes it).
 func NewStoreOn(b store.Backend, clock *cost.Clock) *Store {
+	return newStore(b, store.Options{}, clock)
+}
+
+func newStore(b store.Backend, o store.Options, clock *cost.Clock) *Store {
 	return &Store{
 		pageSize: b.PageSize(),
 		clock:    clock,
-		eng:      store.NewEngine(b, store.Options{}),
+		eng:      store.NewEngine(b, o),
 	}
 }
 
@@ -156,7 +160,12 @@ func NewSegment(name string, pageSize int, clock *cost.Clock) *Segment {
 // NewSegmentOn creates a mapper over its own Store wrapping the given
 // backend. The segment owns the backend (Release/Close reach it).
 func NewSegmentOn(name string, b store.Backend, clock *cost.Clock) *Segment {
-	s := &Segment{store: NewStoreOn(b, clock), name: name, Grant: gmi.ProtRWX}
+	return NewSegmentWith(name, b, store.Options{}, clock)
+}
+
+// NewSegmentWith is NewSegmentOn with its store's engine built from o.
+func NewSegmentWith(name string, b store.Backend, o store.Options, clock *cost.Clock) *Segment {
+	s := &Segment{store: newStore(b, o, clock), name: name, Grant: gmi.ProtRWX}
 	s.retry = store.DefaultPolicy()
 	eng := s.store.Engine()
 	s.retry.OnRetry = func(attempt int, backoff time.Duration, err error) {
