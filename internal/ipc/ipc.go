@@ -76,9 +76,9 @@ func (k *Kernel) SetTracer(t *obs.Tracer) { k.tr = t }
 // message is a queued message: its body lives in a transit slot (or inline
 // for tiny control messages).
 type message struct {
-	slot   int64
+	slot   int64 // transit slot offset; -1 for an inline body
 	size   int64
-	inline []byte // used instead of a slot when small
+	inline []byte // used instead of a slot when small (nil when empty)
 	reply  *Port
 }
 
@@ -217,7 +217,7 @@ func (p *Port) Receive(dst gmi.Cache, off int64, max int64) (int64, *Port, error
 		k.releaseMsg(m)
 		return 0, nil, errBadReceive
 	}
-	if m.inline != nil {
+	if m.slot < 0 {
 		if err := dst.WriteAt(off, m.inline); err != nil {
 			return 0, nil, err
 		}
@@ -246,7 +246,7 @@ func (p *Port) ReceiveBytes() ([]byte, *Port, error) {
 	k := p.k
 	k.clock.Charge(cost.EvIPCRecv, 1)
 	start := k.tr.Clock()
-	if m.inline != nil {
+	if m.slot < 0 {
 		k.tr.Span(obs.KindIPCRecv, obs.OpIPCRecv, int64(p.id), m.size, start)
 		return m.inline, m.reply, nil
 	}

@@ -165,6 +165,26 @@ func TestCallServe(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCallEmptyReply answers a call with an empty body, the mapper
+// protocol's failure reply. It travels inline like any small message and
+// must reach the caller as an empty reply, not be mistaken for a
+// transit-slot body.
+func TestCallEmptyReply(t *testing.T) {
+	k, _ := newKernel(t)
+	server := k.AllocPort("server")
+	go server.Serve(func(req []byte) []byte { return nil })
+	defer server.Destroy()
+	for i := 0; i < 2*k.nslots+1; i++ {
+		resp, err := server.Call([]byte("req"))
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if len(resp) != 0 {
+			t.Fatalf("call %d: reply %q, want empty", i, resp)
+		}
+	}
+}
+
 func TestPortDestroy(t *testing.T) {
 	k, _ := newKernel(t)
 	p := k.AllocPort("dying")

@@ -124,7 +124,9 @@ func (m *Mapper) CreateSegment() Capability {
 }
 
 // Preload writes initial content into a segment (installing program
-// binaries, test fixtures); it bypasses IPC, as a tool would.
+// binaries, test fixtures); it bypasses IPC, as a tool would. A store
+// that refuses the write (closed, or a latched writeback failure) is
+// reported.
 func (m *Mapper) Preload(c Capability, off int64, data []byte) error {
 	m.mu.Lock()
 	st, ok := m.stores[c.Key]
@@ -132,8 +134,7 @@ func (m *Mapper) Preload(c Capability, off int64, data []byte) error {
 	if !ok {
 		return ErrBadCapability
 	}
-	st.WriteAt(off, data)
-	return nil
+	return st.WriteAt(off, data)
 }
 
 // StorePages reports the page count held for a capability (tests).
@@ -146,7 +147,10 @@ func (m *Mapper) StorePages(c Capability) int {
 	return 0
 }
 
-// handle serves one mapper request.
+// handle serves one mapper request. A store failure answers with an
+// empty reply, which the client reports as ErrMapperFailed: a failed
+// read's buffer holds unspecified bytes and must not travel back as page
+// content.
 func (m *Mapper) handle(req []byte) []byte {
 	op, key, off, size, data, ok := decodeReq(req)
 	if !ok {
@@ -166,13 +170,17 @@ func (m *Mapper) handle(req []byte) []byte {
 			return nil
 		}
 		buf := make([]byte, size)
-		st.ReadAt(off, buf)
+		if err := st.ReadAt(off, buf); err != nil {
+			return nil
+		}
 		return buf
 	case mapOpWrite:
 		if st == nil {
 			return nil
 		}
-		st.WriteAt(off, data)
+		if err := st.WriteAt(off, data); err != nil {
+			return nil
+		}
 		return []byte{0}
 	}
 	return nil

@@ -2,6 +2,7 @@ package nucleus
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"chorusvm/internal/core"
@@ -85,6 +86,45 @@ func TestMapperProtocol(t *testing.T) {
 	copy(check, buf)
 	if !bytes.Equal(check, mod) {
 		t.Fatal("sync did not reach the mapper store")
+	}
+}
+
+// TestMapperReportsStoreFailure closes a segment's store behind the
+// mapper: a read through the mapper port must fail with ErrMapperFailed
+// instead of answering with the unread buffer as page content, and
+// writes must fail the same way.
+func TestMapperReportsStoreFailure(t *testing.T) {
+	s := newSite(t)
+	m := NewMapper(s, "files")
+	cap := m.CreateSegment()
+	if err := m.Preload(cap, 0, pattern(0x31, pg)); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	st := m.stores[cap.Key]
+	m.mu.Unlock()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ms := &mapperSegment{cap: cap}
+	c, err := s.SegMgr.Acquire(cap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.SegMgr.Release(cap)
+	if err := ms.PullIn(c, 0, pg, gmi.ProtRead); !errors.Is(err, ErrMapperFailed) {
+		t.Fatalf("PullIn from a closed store = %v, want ErrMapperFailed", err)
+	}
+	resp, err := cap.Port.Call(encodeReq(mapOpWrite, cap.Key, 0, pg, pattern(0x32, pg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp) != 0 {
+		t.Fatalf("write to a closed store answered %v, want an empty reply", resp)
+	}
+	if err := m.Preload(cap, 0, pattern(0x33, pg)); err == nil {
+		t.Fatal("Preload into a closed store succeeded")
 	}
 }
 

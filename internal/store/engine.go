@@ -261,7 +261,9 @@ func (e *Engine) pageLocked(po int64) []byte {
 // Read fills buf from [off, off+len(buf)), coherently with pending
 // writeback, and verifies each full page that has a recorded checksum.
 // It does not retry transient backend failures — the seg upcall layer
-// owns read retries — but ErrCorrupt is never retried anywhere.
+// owns read retries — but ErrCorrupt is never retried anywhere. On
+// error the contents of buf are unspecified, as with io.ReaderAt: a
+// page that failed its checksum may already sit in it.
 func (e *Engine) Read(off int64, buf []byte) error {
 	start := e.tr.Clock()
 	e.mu.Lock()
@@ -290,12 +292,17 @@ func (e *Engine) Read(off int64, buf []byte) error {
 			}
 			// Backend read, lock released; one page at a time so
 			// checksums can be verified on exactly the unit they were
-			// recorded for. A Write to this page that lands meanwhile
-			// records the checksum of content the backend may not hold
-			// yet, so the page is looked up again.
+			// recorded for. A full page is read straight into the
+			// caller's buffer; only a partial one needs a page of its
+			// own. A Write to this page that lands meanwhile records the
+			// checksum of content the backend may not hold yet, so the
+			// page is looked up again (and the slice overwritten).
 			sum, ok := e.sums[po]
 			e.mu.Unlock()
-			pg := make([]byte, e.ps)
+			pg := buf[bufOff : bufOff+n]
+			if n < e.ps {
+				pg = make([]byte, e.ps)
+			}
 			err := e.b.ReadAt(po, pg)
 			e.mu.Lock()
 			if err != nil {
@@ -308,7 +315,9 @@ func (e *Engine) Read(off int64, buf []byte) error {
 				e.st.Corruptions++
 				return corruptAt("engine", po)
 			}
-			copy(buf[bufOff:bufOff+n], pg[b:b+n])
+			if n < e.ps {
+				copy(buf[bufOff:bufOff+n], pg[b:b+n])
+			}
 			return nil
 		}
 	})
@@ -340,9 +349,10 @@ type asyncRead struct {
 // ReadAsync queues a coherent read of [off, off+size) and returns
 // immediately; a worker goroutine performs the read — with the engine's
 // retry policy, since there is no caller left to retry — and invokes fn
-// exactly once with the result. fn runs on the worker (or, if the engine
-// is already closed, on the calling goroutine) and must not call back
-// into the engine's blocking entry points.
+// exactly once with the result; data is meaningful only when err is nil.
+// fn runs on the worker (or, if the engine is already closed, on the
+// calling goroutine) and must not call back into the engine's blocking
+// entry points.
 //
 // This is the device half of the pager submit/complete protocol: the seg
 // driver turns a gmi.PageRequest into one ReadAsync and completes the

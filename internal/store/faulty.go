@@ -17,9 +17,10 @@ type FaultConfig struct {
 	Seed int64
 	// Prob is the per-operation probability of a transient failure.
 	Prob float64
-	// MaxConsecutive caps back-to-back injected failures (default 3),
-	// guaranteeing forward progress under any retry policy that tries
-	// more times than the cap.
+	// MaxConsecutive (default 3) caps back-to-back injected failures of
+	// one operation (the same kind at the same offset), guaranteeing
+	// forward progress under any retry policy that tries more times than
+	// the cap, however many callers share the wrapper.
 	MaxConsecutive int
 	// Latency, when nonzero, is slept with probability LatencyProb per
 	// operation: the device's occasional slow path.
@@ -37,7 +38,7 @@ type Faulty struct {
 
 	mu     sync.Mutex
 	rng    *rand.Rand
-	consec int
+	consec map[faultOp]int // back-to-back failures injected per operation
 
 	injected atomic.Uint64
 	spikes   atomic.Uint64
@@ -45,25 +46,41 @@ type Faulty struct {
 
 var _ Backend = (*Faulty)(nil)
 
+// faultOp identifies one operation for the consecutive-failure cap: a
+// caller retrying it repeats the same kind at the same offset.
+type faultOp struct {
+	kind string
+	off  int64
+}
+
 // NewFaulty wraps b with seeded, deterministic fault injection.
 func NewFaulty(b Backend, cfg FaultConfig) *Faulty {
 	if cfg.MaxConsecutive <= 0 {
 		cfg.MaxConsecutive = 3
 	}
-	return &Faulty{Backend: b, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Faulty{
+		Backend: b,
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		consec:  make(map[faultOp]int),
+	}
 }
 
 // trip decides, under the seeded stream, whether this operation fails or
 // stalls. The consecutive-failure cap guarantees any retry policy with
-// Attempts > MaxConsecutive eventually gets through.
+// Attempts > MaxConsecutive eventually gets through. It is counted per
+// operation: with one count for the whole wrapper, another caller's
+// success would reset it between a retrying caller's attempts, and that
+// caller could fail past the cap.
 func (f *Faulty) trip(op string, off int64) error {
+	k := faultOp{op, off}
 	f.mu.Lock()
-	fail := f.cfg.Prob > 0 && f.rng.Float64() < f.cfg.Prob && f.consec < f.cfg.MaxConsecutive
+	fail := f.cfg.Prob > 0 && f.rng.Float64() < f.cfg.Prob && f.consec[k] < f.cfg.MaxConsecutive
 	spike := f.cfg.Latency > 0 && f.cfg.LatencyProb > 0 && f.rng.Float64() < f.cfg.LatencyProb
 	if fail {
-		f.consec++
+		f.consec[k]++
 	} else {
-		f.consec = 0
+		delete(f.consec, k)
 	}
 	f.mu.Unlock()
 	if spike {

@@ -78,6 +78,26 @@ func TestFaultyConsecutiveCapGuaranteesProgress(t *testing.T) {
 	}
 }
 
+// TestFaultyCapIsPerOperation interleaves the retries of two callers.
+// Each one's attempts must get through by the cap, however the other's
+// attempts fall in between: a success of one caller must not reset the
+// other's count.
+func TestFaultyCapIsPerOperation(t *testing.T) {
+	f := NewFaulty(NewMem(psTest), FaultConfig{Seed: 1, Prob: 1, MaxConsecutive: 3})
+	buf := make([]byte, psTest)
+	var done [2]bool
+	for attempt := 1; attempt <= 4; attempt++ {
+		for c := range done {
+			if !done[c] {
+				done[c] = f.WriteAt(int64(c)*psTest, buf) == nil
+			}
+		}
+	}
+	if !done[0] || !done[1] {
+		t.Fatalf("callers got through: %v; want both by their 4th attempt (cap 3)", done)
+	}
+}
+
 func TestFaultyRecoversUnderDefaultPolicy(t *testing.T) {
 	// The invariant the whole subsystem leans on: the default retry policy
 	// tries more times (6) than the default consecutive cap (3), so a

@@ -215,10 +215,13 @@ func (f *File) ReadAt(off int64, buf []byte) error {
 	if f.closed {
 		return ErrClosed
 	}
-	scratch := make([]byte, f.ps)
+	var scratch []byte // only a partial page needs one
 	return forEachPage(f.ps, off, int64(len(buf)), func(po, b, bufOff, n int64) error {
 		if n == f.ps {
 			return f.readPage(po, buf[bufOff:bufOff+n])
+		}
+		if scratch == nil {
+			scratch = make([]byte, f.ps)
 		}
 		if err := f.readPage(po, scratch); err != nil {
 			return err
@@ -235,12 +238,15 @@ func (f *File) WriteAt(off int64, data []byte) error {
 	if f.closed {
 		return ErrClosed
 	}
-	scratch := make([]byte, f.ps)
+	var scratch []byte // only a partial page needs one
 	return forEachPage(f.ps, off, int64(len(data)), func(po, b, bufOff, n int64) error {
 		if n == f.ps {
 			return f.writePage(po, data[bufOff:bufOff+n])
 		}
 		// Partial page: read-modify-write the whole slot.
+		if scratch == nil {
+			scratch = make([]byte, f.ps)
+		}
 		if err := f.readPage(po, scratch); err != nil {
 			return err
 		}

@@ -96,12 +96,18 @@ func (z *Flate) ReadAt(off int64, buf []byte) error {
 	if z.closed {
 		return ErrClosed
 	}
-	scratch := make([]byte, z.ps)
+	var scratch []byte // only a partial page needs one
 	return forEachPage(z.ps, off, int64(len(buf)), func(po, b, bufOff, n int64) error {
 		blob, ok := z.pages[po]
 		if !ok {
 			clear(buf[bufOff : bufOff+n])
 			return nil
+		}
+		if n == z.ps {
+			return z.decompressPage(po, blob, buf[bufOff:bufOff+n])
+		}
+		if scratch == nil {
+			scratch = make([]byte, z.ps)
 		}
 		if err := z.decompressPage(po, blob, scratch); err != nil {
 			return err

@@ -38,7 +38,8 @@ type Backend interface {
 	// PageSize returns the page size the backend allocates in.
 	PageSize() int
 
-	// ReadAt fills buf from [off, off+len(buf)), zero for holes.
+	// ReadAt fills buf from [off, off+len(buf)), zero for holes. On
+	// error the contents of buf are unspecified, as with io.ReaderAt.
 	ReadAt(off int64, buf []byte) error
 
 	// WriteAt stores data at [off, off+len(data)), materializing pages

@@ -274,4 +274,24 @@ func testEngine(t *testing.T, b store.Backend) {
 	if got := b.Pages(); got != 4 {
 		t.Fatalf("backend Pages() = %d after Flush, want 4", got)
 	}
+
+	// An unaligned read from the drained backend: a partial head, two
+	// full pages read straight into the caller's buffer, a partial tail.
+	off, n := int64(PageSize-100), 2*PageSize+200
+	before := e.StatsSnapshot()
+	check(off, n)
+	if d := e.StatsSnapshot().Delta(before); d.QueueHits != 0 || d.PrefetchHits != 0 {
+		t.Fatalf("unaligned read served from memory (%+v), want the backend", d)
+	}
+
+	// Corrupt the middle, full page behind the engine's back: the direct
+	// read must still be checked against the engine's recorded checksum.
+	evil := append([]byte(nil), model[PageSize:2*PageSize]...)
+	evil[17] ^= 0xFF
+	if err := b.WriteAt(PageSize, evil); err != nil {
+		t.Fatalf("backend WriteAt: %v", err)
+	}
+	if err := e.Read(off, make([]byte, n)); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("Read over a corrupted full page = %v, want ErrCorrupt", err)
+	}
 }
