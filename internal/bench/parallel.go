@@ -47,6 +47,11 @@ func (l *latencySegment) SubmitPull(r *gmi.PageRequest) {
 	}()
 }
 
+// syncOnly exposes nothing of a segment but gmi.Segment. Hiding
+// SubmitPull opts the segment out of the gmi.Pager protocol, so the PVM
+// drives every fill through the blocking PullIn upcall.
+type syncOnly struct{ gmi.Segment }
+
 // ParallelResult is one row of the parallel fault-throughput table.
 type ParallelResult struct {
 	Workers   int
@@ -93,8 +98,9 @@ type ParallelOptions struct {
 	// pre-warms the pre-zeroed pool before the measured interval, so the
 	// faults take the pool-hit path instead of zeroing synchronously.
 	FramePool bool
-	// SyncPager forces every fill through the synchronous PullIn upcall —
-	// the pre-submit/complete baseline, kept for the protocol ablation.
+	// SyncPager hides each worker segment's SubmitPull (syncOnly), so
+	// every fill takes the synchronous PullIn upcall — the
+	// pre-submit/complete baseline, kept for the protocol ablation.
 	SyncPager bool
 	// ReadAhead clusters each fill over up to this many contiguous pages
 	// (0 or 1 disables clustering).
@@ -157,7 +163,6 @@ func ParallelFaultThroughputOpts(o ParallelOptions) ParallelResult {
 		Clock:            clock,
 		SegAlloc:         seg.NewSwapAllocatorOn(pageSize, clock, o.Store.Factory(pageSize)),
 		Tracer:           o.Tracer,
-		SyncPagers:       o.SyncPager,
 		ReadAheadPages:   o.ReadAhead,
 		FaultAroundPages: o.FaultAround,
 		PromotePages:     o.Promote,
@@ -213,7 +218,11 @@ func ParallelFaultThroughputOpts(o ParallelOptions) ParallelResult {
 					panic(err)
 				}
 			}
-			c = p.CacheCreate(s)
+			var cs gmi.Segment = s
+			if o.SyncPager {
+				cs = syncOnly{s}
+			}
+			c = p.CacheCreate(cs)
 		}
 		base := benchBase + gmi.VA(int64(i)*size*2)
 		reg, err := ctx.RegionCreate(base, size, gmi.ProtRW, c, 0)

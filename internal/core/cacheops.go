@@ -230,22 +230,13 @@ func (p *PVM) writeBack(c *cache, off, size int64, release bool) error {
 				continue
 			}
 			if pg.dirty {
+				var err error
 				if c.seg == nil {
-					if p.segalloc == nil {
-						return gmi.ErrNoSegment
-					}
-					p.mu.Unlock()
-					seg, err := p.segalloc.SegmentCreate(c)
-					p.mu.Lock()
-					if err != nil {
-						return err
-					}
-					if c.seg == nil {
-						c.seg, c.segOwned = seg, true
-					}
-					continue
+					err = p.assignSwap(c)
+				} else {
+					err = p.pushPages([]*page{pg})[0]
 				}
-				if err := p.pushPage(pg); err != nil {
+				if err != nil {
 					return err
 				}
 				continue

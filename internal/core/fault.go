@@ -289,7 +289,7 @@ func (p *PVM) fastFaultOnce(ctx *context, va gmi.VA, access gmi.Prot, span *obs.
 			*worked = true
 			return p.fastZeroFill(ctx, r, pva, c, off, key, sh, access, span)
 		}
-		if pager, ok := c.seg.(gmi.Pager); ok && !p.syncPagers {
+		if pager, ok := c.seg.(gmi.Pager); ok {
 			// Submit/complete protocol: park on the stub, a completion
 			// publishes the cluster (submit.go). Read-ahead stays on the
 			// fast path here — each neighbour key is stubbed under its
@@ -707,7 +707,7 @@ func (p *PVM) bringIn(c *cache, off int64, access gmi.Prot, span *obs.FaultSpan)
 	p.clock.Charge(cost.EvGlobalMapOp, count)
 
 	seg := c.seg
-	if pager, ok := seg.(gmi.Pager); ok && !p.syncPagers {
+	if pager, ok := seg.(gmi.Pager); ok {
 		// Submit/complete protocol from the exclusive tier: the
 		// completion installs through the FillUp machinery (no frame
 		// reservation travels with it), we just park on the primary stub

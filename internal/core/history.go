@@ -6,6 +6,7 @@ import (
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
 	"chorusvm/internal/obs"
+	"chorusvm/internal/phys"
 )
 
 // This file implements the history-object machinery of section 4.2:
@@ -281,13 +282,22 @@ func (p *PVM) migratePageToStubs(pg *page) {
 // page itself, so only the caller, by looking the page up again, can
 // tell whether there is still something to drop.
 func (p *PVM) dropPage(pg *page) {
+	p.mem.Free(p.unlinkResident(pg))
+}
+
+// unlinkResident takes a resident page out of memory — mappings, global
+// map, cache list, policy — and hands its frame to the caller, who frees
+// it (reclaim returns a whole pass's frames in one phys.FreeBatch). p.mu
+// held; the page must not be busy (see dropPage).
+func (p *PVM) unlinkResident(pg *page) *phys.Frame {
 	if pg.busy {
-		panic("core: dropPage on a page being pushed out")
+		panic("core: dropping a page being pushed out")
 	}
 	p.invalidateMappings(pg)
 	p.unlinkPage(pg)
-	p.mem.Free(pg.frame)
+	f := pg.frame
 	pg.frame = nil
+	return f
 }
 
 // detachStubEntry removes a per-page stub from the global map and the

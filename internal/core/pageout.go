@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +50,7 @@ func (p *PVM) reserveFrames(k int) (release func(), err error) {
 			}, nil
 		}
 		p.reserveMu.Unlock()
-		progress, err := p.evictOne()
+		progress, err := p.evictStep()
 		if err != nil {
 			return nil, err
 		}
@@ -59,10 +60,10 @@ func (p *PVM) reserveFrames(k int) (release func(), err error) {
 	}
 }
 
-// usableSync vets a policy candidate for the synchronous reclaim path.
-// It runs under the policy's internal mutex and only reads page fields,
-// which are stable under the exclusive structural lock the caller holds.
-func (p *PVM) usableSync(n *policy.Node) bool {
+// usable vets a policy candidate for reclaim. It runs under the policy's
+// internal mutex and only reads page fields, which are stable under the
+// exclusive structural lock the caller holds.
+func (p *PVM) usable(n *policy.Node) bool {
 	pg := n.Owner.(*page)
 	if pg.pin > 0 || pg.busy {
 		return false
@@ -73,245 +74,205 @@ func (p *PVM) usableSync(n *policy.Node) bool {
 	return true
 }
 
-// usableBatch additionally excludes dirty pages whose cache still needs a
-// swap segment: the batch path cannot issue segmentCreate (the synchronous
-// fallback does).
-func (p *PVM) usableBatch(n *policy.Node) bool {
-	pg := n.Owner.(*page)
-	return pg.pin == 0 && !pg.busy && !(pg.dirty && pg.cache.seg == nil)
-}
-
-// evictOne makes one unit of reclaim progress: freeing a clean victim,
-// pushing out a dirty one, or assigning a swap segment to a cache that
-// needs one. A victim whose pushOut fails is requeued at the back of the
-// eviction order and the scan restarts, so one page with a broken backing
-// store cannot wedge reclaim while other candidates remain; the first
-// such error is reported only when a whole pass makes no progress.
-// Returns false when nothing can be reclaimed. p.mu held; may be released
-// around upcalls.
-func (p *PVM) evictOne() (bool, error) {
-	var firstErr error
-	// Each failed push moves its victim off the victim slot, so the
-	// number of restarts is bounded by the queue length at entry (plus
-	// churn from the released lock, hence the slack).
-	fails, limit := 0, p.pol.Len()+1
-	for fails <= limit {
-		var buf [1]*policy.Node
-		start := p.obs.Clock()
-		sel := p.pol.SelectVictims(buf[:0], 1, p.usableSync)
-		p.obs.Span(obs.KindPolicyWait, obs.OpPolicyWait, 0, int64(len(sel)), start)
-		if len(sel) == 0 {
-			break
-		}
-		pg := sel[0].Owner.(*page)
-		c := pg.cache
-		if !pg.dirty {
-			noteEvict(c, pg.off, p.pageSize)
-			p.moveStubsToRemote(pg)
-			p.dropPage(pg)
-			atomic.AddUint64(&p.stats.Evictions, 1)
-			p.obs.Emit(obs.KindEvict, int64(c.id), pg.off)
-			return true, nil
-		}
-		if c.seg == nil {
-			// segmentCreate upcall: declare the unilaterally created
-			// cache to the upper layer so it can be swapped out. The
-			// victim is not acted on — the next pass pushes it — so the
-			// selection is abandoned in place.
-			p.pol.Unselect(&pg.pnode)
-			p.mu.Unlock()
-			start := p.obs.Clock()
-			seg, err := p.segalloc.SegmentCreate(c)
-			p.obs.Span(obs.KindSegCreate, obs.OpPushOut, int64(c.id), 0, start)
-			p.mu.Lock()
-			if err != nil {
-				return false, err
-			}
-			if c.seg == nil {
-				c.seg, c.segOwned = seg, true
-			}
-			return true, nil // progress; the next pass pushes
-		}
-		if err := p.pushPage(pg); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			fails++
-			if pg.frame != nil {
-				// Still resident and dirty: requeue so the other
-				// candidates get their turn before this one is retried.
-				p.pol.Requeue(&pg.pnode)
-			}
-			// pushPage dropped p.mu; the queues may have changed under
-			// us — the next SelectVictims restarts the scan.
-			continue
-		}
-		noteEvict(c, pg.off, p.pageSize)
-		if pg.frame != nil {
-			p.moveStubsToRemote(pg)
-			p.dropPage(pg)
-		}
-		atomic.AddUint64(&p.stats.Evictions, 1)
-		p.obs.Emit(obs.KindEvict, int64(c.id), pg.off)
-		return true, nil
-	}
-	return false, firstErr
-}
-
-// evictBatchAsync reclaims up to max frames in one policy pass, issuing
-// the dirty victims' pushOut upcalls concurrently instead of one at a
-// time: the store engine underneath coalesces the resulting writes into
-// batches, so the daemon's reclaim throughput is no longer bounded by
-// one device round-trip per page. Clean victims are dropped inline.
-// Dirty pages in caches that still need a swap segment are skipped (the
-// synchronous fallback issues segmentCreate). p.mu held exclusively;
-// released while the pushes are in flight — every in-flight page is
-// marked busy first, so concurrent faulters block on the page, not on
-// stale state.
-func (p *PVM) evictBatchAsync(max int) (int, error) {
-	type victim struct {
-		pg  *page
-		c   *cache
-		off int64
-		seg gmi.Segment
-	}
-	evicted := 0
-	var victims []victim
-	var frames []*phys.Frame // freed in whole-batch depot transactions
-	selStart := p.obs.Clock()
-	sel := p.pol.SelectVictims(nil, max, p.usableBatch)
-	p.obs.Span(obs.KindPolicyWait, obs.OpPolicyWait, 0, int64(len(sel)), selStart)
+// evict is the reclaim pass: it selects up to max victims in one policy
+// scan and makes one unit of progress per clean victim freed, per dirty
+// victim pushed out and dropped, and per cache assigned a swap segment.
+// Dirty victims whose cache has no segment yet are not acted on: the
+// selection is abandoned in place and the cache gets its segment (one
+// segmentCreate upcall, however many of its pages were selected), so a
+// later pass pushes them. The dirty victims' pushOut upcalls are issued
+// concurrently (see pushPages) and the store engine underneath
+// coalesces their writes; a victim whose push fails is requeued at the
+// back of the eviction order. Returns the progress made, the number of
+// victims whose push failed, and the first error. p.mu held
+// exclusively; released around the upcalls.
+func (p *PVM) evict(max int) (done, failed int, err error) {
+	start := p.obs.Clock()
+	sel := p.pol.SelectVictims(nil, max, p.usable)
+	p.obs.Span(obs.KindPolicyWait, obs.OpPolicyWait, 0, int64(len(sel)), start)
+	var (
+		frames []*phys.Frame // freed in whole-pass depot transactions
+		dirty  []*page
+		noSeg  []*cache
+	)
 	for _, n := range sel {
 		pg := n.Owner.(*page)
-		c := pg.cache
-		if !pg.dirty {
-			noteEvict(c, pg.off, p.pageSize)
-			p.moveStubsToRemote(pg)
-			p.dropPageInto(pg, &frames)
-			atomic.AddUint64(&p.stats.Evictions, 1)
-			p.obs.Emit(obs.KindEvict, int64(c.id), pg.off)
-			evicted++
-			continue
+		switch {
+		case !pg.dirty:
+			frames = p.evictPage(pg, frames)
+			done++
+		case pg.cache.seg == nil:
+			p.pol.Unselect(n)
+			noSeg = append(noSeg, pg.cache)
+		default:
+			dirty = append(dirty, pg)
 		}
-		pg.busy = true
-		pg.busyDone = make(chan struct{})
-		p.protectMappings(pg, gmi.ProtRead|gmi.ProtExec|gmi.ProtSystem)
-		atomic.AddUint64(&p.stats.PushOuts, 1)
-		p.clock.Charge(cost.EvPushOut, 1)
-		victims = append(victims, victim{pg, c, pg.off, c.seg})
 	}
 	// Return the clean victims' frames before (possibly) blocking on the
 	// pushes: allocators waiting on FreeFrames see them immediately.
 	p.mem.FreeBatch(frames)
 	frames = frames[:0]
-	if len(victims) == 0 {
-		return evicted, nil
+	if len(dirty) > 1 {
+		atomic.AddUint64(&p.stats.AsyncBatches, 1)
 	}
-	atomic.AddUint64(&p.stats.AsyncBatches, 1)
+	if len(dirty) > 0 {
+		for i, perr := range p.pushPages(dirty) {
+			pg := dirty[i]
+			if perr != nil {
+				if err == nil {
+					err = perr
+				}
+				failed++
+				if pg.frame != nil {
+					// Stays dirty and resident; requeue so the next pass
+					// picks other candidates instead of re-selecting a
+					// victim whose backing store keeps failing.
+					p.pol.Requeue(&pg.pnode)
+				}
+				continue
+			}
+			frames = p.evictPage(pg, frames)
+			done++
+		}
+		p.mem.FreeBatch(frames)
+	}
+	for _, c := range noSeg {
+		if c.freed || c.seg != nil {
+			// Assigned for an earlier victim of this pass, or settled
+			// while the pushes had p.mu released.
+			continue
+		}
+		if serr := p.assignSwap(c); serr != nil {
+			if err == nil {
+				err = serr
+			}
+			continue
+		}
+		done++
+	}
+	return done, failed, err
+}
 
-	errs := make([]error, len(victims))
+// evictStep makes one unit of reclaim progress with one-victim passes.
+// A victim whose pushOut fails is requeued by the pass and the scan
+// restarts, so one page with a broken backing store cannot wedge reclaim
+// while other candidates remain; the first such error is reported only
+// when no candidate makes progress. Returns false when nothing can be
+// reclaimed. p.mu held; may be released around upcalls.
+func (p *PVM) evictStep() (bool, error) {
+	var firstErr error
+	// Each failed push moves its victim off the victim slot, so the
+	// number of restarts is bounded by the queue length at entry (plus
+	// churn from the released lock, hence the slack).
+	for fails, limit := 0, p.pol.Len()+1; fails <= limit; fails++ {
+		done, failed, err := p.evict(1)
+		if done > 0 {
+			return true, nil
+		}
+		if failed == 0 {
+			return false, cmp.Or(err, firstErr)
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return false, firstErr
+}
+
+// evictPage accounts the eviction of a clean (or just pushed) victim and
+// unlinks it, appending its frame to frames — unless a moveBack already
+// took the page out of memory while it was being pushed. p.mu held.
+func (p *PVM) evictPage(pg *page, frames []*phys.Frame) []*phys.Frame {
+	c := pg.cache
+	noteEvict(c, pg.off, p.pageSize)
+	if pg.frame != nil {
+		p.moveStubsToRemote(pg)
+		frames = append(frames, p.unlinkResident(pg))
+	}
+	atomic.AddUint64(&p.stats.Evictions, 1)
+	p.obs.Emit(obs.KindEvict, int64(c.id), pg.off)
+	return frames
+}
+
+// assignSwap declares a unilaterally created cache (a temporary or a
+// history object) to the upper layer with the segmentCreate upcall, so
+// its dirty pages can be pushed out (section 5.1.2). p.mu held; released
+// around the upcall.
+func (p *PVM) assignSwap(c *cache) error {
+	if p.segalloc == nil {
+		return gmi.ErrNoSegment
+	}
+	p.mu.Unlock()
+	start := p.obs.Clock()
+	seg, err := p.segalloc.SegmentCreate(c)
+	p.obs.Span(obs.KindSegCreate, obs.OpPushOut, int64(c.id), 0, start)
+	p.mu.Lock()
+	if err != nil {
+		return err
+	}
+	if c.seg == nil {
+		c.seg, c.segOwned = seg, true
+	}
+	return nil
+}
+
+// pushPages writes dirty pages back through their segments' pushOut
+// upcalls and returns each page's outcome. Every page is marked busy
+// first: concurrent access blocks, the frame stays stable, and
+// copyBack/moveBack find the data in the global map. The first page is
+// pushed on the calling goroutine and the rest concurrently, so pushing
+// one page costs no goroutine. On success a page still resident (the
+// copyBack path) is clean, and its cache's own segment now holds it.
+// Every page's cache must have a segment. p.mu held; released around
+// the upcalls.
+func (p *PVM) pushPages(pgs []*page) []error {
+	segs := make([]gmi.Segment, len(pgs))
+	for i, pg := range pgs {
+		segs[i] = pg.cache.seg
+		pg.busy = true
+		pg.busyDone = make(chan struct{})
+		// Writers must fault (and block on busy) while the push is in
+		// flight, so the pushed snapshot is coherent.
+		p.protectMappings(pg, gmi.ProtRead|gmi.ProtExec|gmi.ProtSystem)
+		atomic.AddUint64(&p.stats.PushOuts, 1)
+		p.clock.Charge(cost.EvPushOut, 1)
+	}
+
+	errs := make([]error, len(pgs))
+	push := func(i int) {
+		c, off := pgs[i].cache, pgs[i].off
+		start := p.obs.Clock()
+		errs[i] = segs[i].PushOut(c, off, p.pageSize)
+		p.obs.Span(obs.KindPushOut, obs.OpPushOut, int64(c.id), off, start)
+	}
 	p.mu.Unlock()
 	var wg sync.WaitGroup
-	for i, v := range victims {
+	for i := 1; i < len(pgs); i++ {
 		wg.Add(1)
-		go func(i int, v victim) {
+		go func(i int) {
 			defer wg.Done()
-			start := p.obs.Clock()
-			errs[i] = v.seg.PushOut(v.c, v.off, p.pageSize)
-			p.obs.Span(obs.KindPushOut, obs.OpPushOut, int64(v.c.id), v.off, start)
-		}(i, v)
+			push(i)
+		}(i)
 	}
+	push(0)
 	wg.Wait()
 	p.mu.Lock()
 
-	var firstErr error
-	for i, v := range victims {
-		pg := v.pg
+	for i, pg := range pgs {
 		pg.busy = false
 		close(pg.busyDone)
 		pg.busyDone = nil
 		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-			if pg.frame != nil {
-				// Stays dirty and resident; requeue so the next pass
-				// picks other candidates instead of re-selecting a
-				// victim whose backing store keeps failing.
-				p.pol.Requeue(&pg.pnode)
-			}
 			continue
 		}
 		if pg.frame != nil {
-			// copyBack path: the frame stayed; the content is now clean.
 			pg.dirty = false
 		}
-		p.supersedeParent(v.c, v.off)
-		noteEvict(v.c, v.off, p.pageSize)
-		if pg.frame != nil {
-			p.moveStubsToRemote(pg)
-			p.dropPageInto(pg, &frames)
-		}
-		atomic.AddUint64(&p.stats.Evictions, 1)
-		p.obs.Emit(obs.KindEvict, int64(v.c.id), v.off)
-		evicted++
+		// Any parent link at the offset is permanently superseded, so an
+		// eviction cannot resurrect inherited content.
+		p.supersedeParent(pg.cache, pg.off)
 	}
-	p.mem.FreeBatch(frames)
-	return evicted, firstErr
-}
-
-// dropPageInto unlinks a resident page exactly like dropPage but hands
-// the frame to the caller instead of freeing it, so batch eviction can
-// return a whole pass's frames in one phys.FreeBatch depot transaction.
-// p.mu held; the page must not be busy (see dropPage).
-func (p *PVM) dropPageInto(pg *page, frames *[]*phys.Frame) {
-	if pg.busy {
-		panic("core: dropPageInto on a page being pushed out")
-	}
-	p.invalidateMappings(pg)
-	p.unlinkPage(pg)
-	*frames = append(*frames, pg.frame)
-	pg.frame = nil
-}
-
-// pushPage writes one dirty page back through its segment's pushOut
-// upcall. The page is marked busy for the duration: concurrent access
-// blocks, the frame stays stable, and copyBack/moveBack find the data in
-// the global map. p.mu held; released around the upcall.
-func (p *PVM) pushPage(pg *page) error {
-	c, off, seg := pg.cache, pg.off, pg.cache.seg
-	if seg == nil {
-		return gmi.ErrNoSegment
-	}
-	pg.busy = true
-	pg.busyDone = make(chan struct{})
-	// Writers must fault (and block on busy) while the push is in
-	// flight, so the pushed snapshot is coherent.
-	p.protectMappings(pg, gmi.ProtRead|gmi.ProtExec|gmi.ProtSystem)
-	atomic.AddUint64(&p.stats.PushOuts, 1)
-	p.clock.Charge(cost.EvPushOut, 1)
-
-	p.mu.Unlock()
-	start := p.obs.Clock()
-	err := seg.PushOut(c, off, p.pageSize)
-	p.obs.Span(obs.KindPushOut, obs.OpPushOut, int64(c.id), off, start)
-	p.mu.Lock()
-
-	pg.busy = false
-	close(pg.busyDone)
-	pg.busyDone = nil
-	if err != nil {
-		return err
-	}
-	if pg.frame != nil {
-		// copyBack path: the frame stayed; the content is now clean.
-		pg.dirty = false
-	}
-	// The cache's own segment now holds this page: any parent link at
-	// the offset is permanently superseded, so an eviction cannot
-	// resurrect inherited content.
-	p.supersedeParent(c, off)
-	return nil
+	return errs
 }
 
 // moveStubsToRemote converts the per-page stubs threaded on a page about
@@ -398,17 +359,12 @@ func (p *PVM) StartPageoutDaemon(low, high int, interval time.Duration) (stop fu
 			if budget < 1 {
 				budget = 1
 			}
-			// Batch first: dirty victims push out concurrently and the
-			// store engine coalesces their writeback. Zero progress means
-			// the batchable victims ran out (e.g. dirty caches awaiting
-			// swap assignment) — fall back to the synchronous single-page
-			// path, which can issue segmentCreate.
-			evicted, _ := p.evictBatchAsync(budget)
-			for ; evicted < budget && p.mem.FreeFrames() < high; evicted++ {
-				progress, err := p.evictOne()
-				if err != nil || !progress {
+			for evicted := 0; evicted < budget && p.mem.FreeFrames() < high; {
+				done, _, _ := p.evict(budget - evicted)
+				if done == 0 {
 					break
 				}
+				evicted += done
 			}
 			p.mu.Unlock()
 		}
@@ -428,15 +384,17 @@ func (p *PVM) StartPageoutDaemon(low, high int, interval time.Duration) (stop fu
 	}
 }
 
-// PageOut forces up to n pages to be reclaimed; a tool/test hook for the
-// page-out daemon a real kernel would run. Returns how many pages were
-// reclaimed.
+// PageOut forces up to n steps of reclaim, one victim at a time; a
+// tool/test hook for the page-out daemon a real kernel would run. Returns
+// the number of steps taken. A step frees a frame — a clean victim, or a
+// dirty one pushed out — or assigns a swap segment to a temporary cache
+// whose dirty victim needs one, which frees nothing by itself.
 func (p *PVM) PageOut(n int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	done := 0
 	for done < n {
-		progress, err := p.evictOne()
+		progress, err := p.evictStep()
 		if err != nil || !progress {
 			break
 		}

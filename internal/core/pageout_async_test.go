@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"chorusvm/internal/gmi"
+	"chorusvm/internal/leakcheck"
 )
 
 // TestSwapReleasedOnCacheDestroy is the regression test for the swap
@@ -82,6 +84,98 @@ func TestDaemonAsyncBatchEviction(t *testing.T) {
 				t.Fatalf("page %d corrupted under async batch eviction", i)
 			}
 		}
+	}
+	check(t, p)
+}
+
+// dirtyTempPages writes npages pages of a fresh temporary cache, which
+// has no segment until reclaim assigns it one.
+func dirtyTempPages(t *testing.T, p *PVM, npages int) gmi.Context {
+	t.Helper()
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, int64(npages)*pg, gmi.ProtRW, p.TempCacheCreate(), 0)
+	for i := 0; i < npages; i++ {
+		mustWrite(t, ctx, base+gmi.VA(i*pg), pattern(byte(i+1), 64))
+	}
+	return ctx
+}
+
+// TestEvictPassAssignsOneSwapSegment: a multi-victim pass over dirty
+// pages of a temporary cache without a segment makes one segmentCreate
+// upcall — not one per victim — and frees nothing; the next pass pushes
+// the same pages out concurrently.
+func TestEvictPassAssignsOneSwapSegment(t *testing.T) {
+	leakcheck.Check(t)
+	p, swap := newTestPVM(t, 32)
+	const npages = 6
+	ctx := dirtyTempPages(t, p, npages)
+	free := p.Memory().FreeFrames()
+
+	p.mu.Lock()
+	done, failed, err := p.evict(4)
+	p.mu.Unlock()
+	if done != 1 || failed != 0 || err != nil {
+		t.Fatalf("first pass = (%d, %d, %v), want one step (the swap assignment)", done, failed, err)
+	}
+	if got := swap.Created(); got != 1 {
+		t.Fatalf("%d swap segments created, want 1", got)
+	}
+	if got := p.Memory().FreeFrames(); got != free {
+		t.Fatalf("FreeFrames %d -> %d; a swap assignment frees nothing", free, got)
+	}
+	st := p.Stats()
+	if st.PushOuts != 0 || st.AsyncBatches != 0 {
+		t.Fatalf("first pass pushed (PushOuts=%d, AsyncBatches=%d)", st.PushOuts, st.AsyncBatches)
+	}
+
+	p.mu.Lock()
+	done, failed, err = p.evict(4)
+	p.mu.Unlock()
+	if done != 4 || failed != 0 || err != nil {
+		t.Fatalf("second pass = (%d, %d, %v), want 4 pages pushed out", done, failed, err)
+	}
+	st = p.Stats()
+	if st.PushOuts != 4 || st.AsyncBatches != 1 {
+		t.Fatalf("second pass: PushOuts=%d AsyncBatches=%d, want 4 and 1", st.PushOuts, st.AsyncBatches)
+	}
+	if got := p.Memory().FreeFrames(); got != free+4 {
+		t.Fatalf("FreeFrames %d after the push pass, want %d", got, free+4)
+	}
+	if swap.Created() != 1 || swap.Pages() != 4 {
+		t.Fatalf("swap: %d segments, %d pages; want 1 and 4", swap.Created(), swap.Pages())
+	}
+	for i := 0; i < npages; i++ {
+		got, want := mustRead(t, ctx, base+gmi.VA(i*pg), 64), pattern(byte(i+1), 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("page %d corrupted by the push pass", i)
+		}
+	}
+	check(t, p)
+}
+
+// TestPageOutCountsSwapAssignment pins PageOut's return value: a step is
+// a freed frame or a swap assignment, so PageOut(1) on a temporary
+// cache's dirty pages returns 1 with FreeFrames unchanged, and only the
+// next step frees a frame.
+func TestPageOutCountsSwapAssignment(t *testing.T) {
+	p, swap := newTestPVM(t, 32)
+	dirtyTempPages(t, p, 3)
+	free := p.Memory().FreeFrames()
+	if n := p.PageOut(1); n != 1 {
+		t.Fatalf("PageOut(1) = %d, want 1", n)
+	}
+	if got := p.Memory().FreeFrames(); got != free || swap.Created() != 1 {
+		t.Fatalf("after the assignment step: FreeFrames %d -> %d, %d swap segments; want unchanged and 1",
+			free, got, swap.Created())
+	}
+	if n := p.PageOut(1); n != 1 {
+		t.Fatalf("second PageOut(1) = %d, want 1", n)
+	}
+	if got := p.Memory().FreeFrames(); got != free+1 {
+		t.Fatalf("FreeFrames %d after the push step, want %d", got, free+1)
 	}
 	check(t, p)
 }

@@ -25,10 +25,11 @@ func (s *permFailSegment) PushOut(c gmi.Cache, off, size int64) error {
 }
 
 // TestEvictOneSkipsPermanentlyFailingVictim: a dirty victim whose
-// pushOut fails permanently used to wedge reclaim — evictOne returned
-// the error on the first candidate, so the daemon and PageOut made no
-// progress even with plenty of evictable pages behind it. The failing
-// victim must be requeued and the other candidates evicted.
+// pushOut fails permanently used to wedge reclaim — the single-page
+// reclaim step returned the error on the first candidate, so the daemon
+// and PageOut made no progress even with plenty of evictable pages
+// behind it. The failing victim must be requeued and the other
+// candidates evicted.
 func TestEvictOneSkipsPermanentlyFailingVictim(t *testing.T) {
 	leakcheck.Check(t)
 	p, _ := newTestPVM(t, 32)
@@ -150,10 +151,10 @@ func TestAsyncBatchContinuesPastPermanentFailure(t *testing.T) {
 	// A partial batch: the two failing pages sit at the LRU tail, so the
 	// batch picks them plus the two oldest good pages.
 	p.mu.Lock()
-	evicted, batchErr := p.evictBatchAsync(4)
+	evicted, failed, batchErr := p.evict(4)
 	p.mu.Unlock()
-	if evicted != 2 {
-		t.Fatalf("batch evicted %d pages, want 2 (the good ones in the batch)", evicted)
+	if evicted != 2 || failed != 2 {
+		t.Fatalf("batch evicted %d pages and requeued %d, want 2 and 2 (the good and the failing ones in the batch)", evicted, failed)
 	}
 	if !errors.Is(batchErr, gmi.ErrIO) {
 		t.Fatalf("batch error = %v, want the failing victims' ErrIO", batchErr)

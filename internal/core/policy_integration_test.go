@@ -435,7 +435,7 @@ func TestSetPolicyMigrationRace(t *testing.T) {
 }
 
 // TestPolicyUnselectKeepsPosition pins the Unselect contract the
-// segmentCreate path in evictOne depends on: the abandoned candidate is
+// segmentCreate path in the reclaim pass depends on: the abandoned candidate is
 // selectable again immediately, from the same queue position.
 func TestPolicyUnselectKeepsPosition(t *testing.T) {
 	for _, name := range []string{"lru", "clock", "2q"} {
@@ -476,8 +476,8 @@ func TestPolicyUnselectKeepsPosition(t *testing.T) {
 				t.Fatal("node not selectable again after Unselect")
 			}
 			// LRU keeps the abandoned candidate at its queue position, so
-			// it is the very next victim offered (the property evictOne's
-			// segmentCreate path preserved from the old list).
+			// it is the very next victim offered (the property the reclaim
+			// pass's segmentCreate path preserved from the old list).
 			if name == "lru" && again[0] != first[0] {
 				t.Fatalf("lru re-offered %v first, want %v", again[0].Owner, first[0].Owner)
 			}

@@ -77,10 +77,6 @@ type Options struct {
 	// DisableCollapse turns off the working-object collapse garbage
 	// collection (the section 4.2.5 extension), for ablation.
 	DisableCollapse bool
-	// SyncPagers forces every fill through the synchronous PullIn upcall
-	// even when a segment implements gmi.Pager, for ablation of the
-	// submit/complete protocol against the blocking baseline.
-	SyncPagers bool
 	// FaultAroundPages, when >= 2, makes a fault that finds its page
 	// already resident also map that page's resident neighbours from the
 	// same naturally-aligned cluster — one shard trip, one batched MMU
@@ -200,7 +196,7 @@ type Stats struct {
 	FillSubmits   uint64 // async fill requests submitted to pagers
 	FillCompletes uint64 // pager completions processed by the completion queue
 	PushOuts      uint64 // pushOut upcalls issued
-	AsyncBatches  uint64 // concurrent pushOut batches issued by the daemon
+	AsyncBatches  uint64 // reclaim passes that pushed out two or more dirty victims concurrently
 	Evictions     uint64 // frames reclaimed by page-out
 	Collapses     uint64 // working objects collapsed
 	Zombies       uint64 // caches kept as zombies for their descendants
@@ -243,17 +239,16 @@ type Stats struct {
 // gmi.MemoryManager; its caches, contexts and regions implement the
 // corresponding GMI interfaces.
 type PVM struct {
-	clock      *cost.Clock
-	mem        *phys.Memory
-	hw         mmu.MMU
-	segalloc   gmi.SegmentAllocator
-	pageSize   int64
-	pageMask   int64
-	smallMax   int64 // byte threshold for the per-page-stub copy path
-	readAhead  int   // pullIn cluster size in pages
-	copyOnRef  bool
-	collapse   bool
-	syncPagers bool // ablation: ignore gmi.Pager, always block in PullIn
+	clock     *cost.Clock
+	mem       *phys.Memory
+	hw        mmu.MMU
+	segalloc  gmi.SegmentAllocator
+	pageSize  int64
+	pageMask  int64
+	smallMax  int64 // byte threshold for the per-page-stub copy path
+	readAhead int   // pullIn cluster size in pages
+	copyOnRef bool
+	collapse  bool
 
 	// Extent configuration: faultAround is the cluster width in pages (0
 	// off, else a power of two in [2, faultAroundMax]); promote enables
@@ -342,7 +337,6 @@ func New(o Options) *PVM {
 		readAhead:   o.ReadAheadPages,
 		copyOnRef:   o.CopyOnReference,
 		collapse:    !o.DisableCollapse,
-		syncPagers:  o.SyncPagers,
 		faultAround: o.FaultAroundPages,
 		promote:     o.PromotePages,
 		admission:   o.AdmissionControl,

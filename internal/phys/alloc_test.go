@@ -97,6 +97,32 @@ func TestFreeBatch(t *testing.T) {
 	m.FreeBatch(fs[:1])
 }
 
+// TestFreeBatchOfOne: a one-frame batch is an ordinary Free — it goes
+// to a magazine, not the depot, and counts no batch transaction — so a
+// reclaim pass of one victim frees exactly as a single drop does.
+func TestFreeBatchOfOne(t *testing.T) {
+	clock := cost.New()
+	m := NewMemory(16, 4096, clock)
+	f, err := m.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	depot0, mags0, _ := m.Custody()
+	m.FreeBatch([]*Frame{f})
+	depot, mags, _ := m.Custody()
+	if depot != depot0 || mags != mags0+1 {
+		t.Fatalf("custody depot %d->%d, magazines %d->%d; want the frame in a magazine",
+			depot0, depot, mags0, mags)
+	}
+	if st := m.AllocStats(); st.BatchFrees != 0 {
+		t.Fatalf("BatchFrees = %d, want 0", st.BatchFrees)
+	}
+	if m.FreeFrames() != 16 || clock.Count(cost.EvFrameFree) != 1 {
+		t.Fatalf("free %d, EvFrameFree %d; want 16, 1", m.FreeFrames(), clock.Count(cost.EvFrameFree))
+	}
+	m.FreeBatch(nil) // no-op
+}
+
 // TestZeroerStaleBytes is the stale-bytes regression: frames scribbled on
 // by a previous owner and recycled through the pre-zeroed pool must come
 // out of AllocZeroed all-zero, every time, with alloc/free churn racing
@@ -236,75 +262,6 @@ func TestZeroerStartStopIdempotent(t *testing.T) {
 	stop3()
 	if got := m.AllocStats().FramesZeroed; got <= z1 {
 		t.Fatalf("restarted zeroer did no work (%d then %d)", z1, got)
-	}
-}
-
-// TestReclaimSingleFlight: many concurrently starved allocators must
-// produce exactly one reclaimer in flight at a time; waiters ride the
-// winner's flight instead of spinning through their own attempts.
-func TestReclaimSingleFlight(t *testing.T) {
-	const workers = 8
-	m := NewMemory(workers, 4096, cost.New())
-	var held []*Frame
-	for i := 0; i < workers; i++ {
-		f, err := m.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, f)
-	}
-
-	var inFlight, maxInFlight, calls int32
-	var heldMu sync.Mutex
-	m.SetReclaimer(func() bool {
-		n := atomic.AddInt32(&inFlight, 1)
-		defer atomic.AddInt32(&inFlight, -1)
-		for {
-			old := atomic.LoadInt32(&maxInFlight)
-			if n <= old || atomic.CompareAndSwapInt32(&maxInFlight, old, n) {
-				break
-			}
-		}
-		atomic.AddInt32(&calls, 1)
-		time.Sleep(2 * time.Millisecond) // widen the single-flight window
-		heldMu.Lock()
-		defer heldMu.Unlock()
-		if len(held) == 0 {
-			return false
-		}
-		// Free a batch so every waiter's retry can succeed.
-		n2 := len(held)
-		if n2 > workers {
-			n2 = workers
-		}
-		for _, f := range held[:n2] {
-			m.Free(f)
-		}
-		held = held[n2:]
-		return true
-	})
-
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	got := make([]*Frame, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = m.Alloc()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	if mx := atomic.LoadInt32(&maxInFlight); mx != 1 {
-		t.Fatalf("reclaimers in flight peaked at %d, want 1", mx)
-	}
-	for _, f := range got {
-		m.Free(f)
 	}
 }
 

@@ -83,16 +83,11 @@ type Memory struct {
 	clock    *cost.Clock
 	tracer   *obs.Tracer // nil-safe; frame events and the zeroer histogram
 
-	// Depot: the global free list. mu also guards reclaim.
+	// Depot: the global free list.
 	mu       sync.Mutex
 	frames   []Frame
 	freeHead *Frame
 	freeN    int
-	// reclaim, when set, is called (without any pool lock) when an
-	// allocation finds every level empty; it should evict pages and
-	// return true if it freed at least one frame. The PVM installs its
-	// pageout path here.
-	reclaim func() bool
 
 	// avail is the allocation ticket counter: allocatable frames across
 	// all levels (depot + magazines + zero pool, plus frames in transit
@@ -106,13 +101,6 @@ type Memory struct {
 
 	zero zeroPool
 
-	// Single-flight reclaim: one starved allocator runs the reclaimer
-	// while the rest wait on the condition variable instead of piling
-	// concurrent (and redundant) eviction passes on the layer above.
-	recMu     sync.Mutex
-	recCond   *sync.Cond
-	recActive bool
-
 	stats AllocStats
 }
 
@@ -123,7 +111,6 @@ func NewMemory(nframes, pageSize int, clock *cost.Clock) *Memory {
 		panic(fmt.Sprintf("phys: bad geometry %d frames × %d bytes", nframes, pageSize))
 	}
 	m := &Memory{pageSize: pageSize, clock: clock}
-	m.recCond = sync.NewCond(&m.recMu)
 	m.frames = make([]Frame, nframes)
 	backing := make([]byte, nframes*pageSize)
 	for i := range m.frames {
@@ -162,13 +149,6 @@ func (m *Memory) TotalFrames() int { return len(m.frames) }
 // magazine caches and the pre-zeroed pool together (plus any frame
 // momentarily in transit between levels).
 func (m *Memory) FreeFrames() int { return int(atomic.LoadInt64(&m.avail)) }
-
-// SetReclaimer installs the eviction callback used when the pool runs dry.
-func (m *Memory) SetReclaimer(f func() bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.reclaim = f
-}
 
 // SetTracer wires the observability tracer (nil disables; nil-safe).
 func (m *Memory) SetTracer(t *obs.Tracer) { m.tracer = t }
@@ -252,12 +232,14 @@ func (m *Memory) findFrame() *Frame {
 	}
 }
 
-// Alloc returns a free frame, invoking the reclaimer as needed. The frame's
-// contents are whatever the previous owner left (real hardware does not
-// zero frames); callers wanting zeroes use AllocZeroed or Zero.
+// Alloc returns a free frame, or gmi.ErrNoMemory when none is left: the
+// allocator never reclaims — the memory manager above evicts before it
+// allocates. The frame's contents are whatever the previous owner left
+// (real hardware does not zero frames); callers wanting zeroes use
+// AllocZeroed or Zero.
 func (m *Memory) Alloc() (*Frame, error) {
 	if !m.claimAvail() {
-		return m.allocSlow()
+		return nil, gmi.ErrNoMemory
 	}
 	f := m.findFrame()
 	m.clock.Charge(cost.EvFrameAlloc, 1)
@@ -268,8 +250,7 @@ func (m *Memory) Alloc() (*Frame, error) {
 // ascending) — the contiguity hint large-mapping promotion feeds on.
 // Best-effort and depot-only: the depot free list is scanned for a run
 // under its lock; frames cached in magazines or the pre-zeroed pool are
-// not pulled back, and the reclaimer is never invoked. Returns nil (not
-// an error) when no run is available — callers fall back to single
+// not pulled back. Returns nil (not an error) when no run is available — callers fall back to single
 // allocations.
 func (m *Memory) AllocRun(n int) []*Frame {
 	if n <= 0 || n > len(m.frames) {
@@ -342,53 +323,6 @@ func (m *Memory) depotFindRun(n int) []*Frame {
 	return run
 }
 
-// allocSlow is the dry-pool path: every level is empty, so eviction is
-// the only way forward. The reclaimer is single-flighted — one starved
-// caller runs it while the rest wait on the condition variable — and each
-// landing is followed by a fresh ticket claim, for a bounded number of
-// rounds.
-func (m *Memory) allocSlow() (*Frame, error) {
-	for attempt := 0; attempt < 8; attempt++ {
-		m.mu.Lock()
-		reclaim := m.reclaim
-		m.mu.Unlock()
-		if reclaim == nil || !m.reclaimOnce(reclaim) {
-			return nil, gmi.ErrNoMemory
-		}
-		if m.claimAvail() {
-			f := m.findFrame()
-			m.clock.Charge(cost.EvFrameAlloc, 1)
-			return f, nil
-		}
-	}
-	return nil, gmi.ErrNoMemory
-}
-
-// reclaimOnce single-flights the reclaim callback. The caller that finds
-// no reclaim in flight runs it; concurrent starved callers block on the
-// condition variable and return true ("retry your claim") when the flight
-// lands, since whatever it freed is now visible to them.
-func (m *Memory) reclaimOnce(reclaim func() bool) bool {
-	m.recMu.Lock()
-	if m.recActive {
-		for m.recActive {
-			m.recCond.Wait()
-		}
-		m.recMu.Unlock()
-		return true
-	}
-	m.recActive = true
-	m.recMu.Unlock()
-
-	ok := reclaim()
-
-	m.recMu.Lock()
-	m.recActive = false
-	m.recCond.Broadcast()
-	m.recMu.Unlock()
-	return ok
-}
-
 // Free returns the frame to the pool. Freeing a free frame panics: it
 // always indicates an ownership bug in the layer above.
 func (m *Memory) Free(f *Frame) {
@@ -402,10 +336,14 @@ func (m *Memory) Free(f *Frame) {
 }
 
 // FreeBatch returns every frame in one depot transaction — the batched
-// path the pageout daemon uses, so a whole eviction batch costs one depot
-// lock instead of len(fs) magazine round-trips.
+// path reclaim uses, so a whole eviction pass costs one depot lock
+// instead of len(fs) magazine round-trips. A batch of one is an ordinary
+// Free: one depot transaction would buy nothing over one magazine trip.
 func (m *Memory) FreeBatch(fs []*Frame) {
-	if len(fs) == 0 {
+	if len(fs) <= 1 {
+		if len(fs) == 1 {
+			m.Free(fs[0])
+		}
 		return
 	}
 	for _, f := range fs {

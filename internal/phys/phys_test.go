@@ -32,6 +32,9 @@ func TestAllocFreeCycle(t *testing.T) {
 	if _, err := m.Alloc(); err != gmi.ErrNoMemory {
 		t.Fatalf("exhausted pool: got %v", err)
 	}
+	if _, err := m.AllocZeroed(); err != gmi.ErrNoMemory {
+		t.Fatalf("exhausted pool, zeroed: got %v", err)
+	}
 	for _, f := range frames {
 		m.Free(f)
 	}
@@ -53,37 +56,6 @@ func TestDoubleFreePanics(t *testing.T) {
 		}
 	}()
 	m.Free(f)
-}
-
-func TestReclaimer(t *testing.T) {
-	clock := cost.New()
-	m := NewMemory(2, 4096, clock)
-	a, _ := m.Alloc()
-	b, _ := m.Alloc()
-	_ = b
-	calls := 0
-	m.SetReclaimer(func() bool {
-		calls++
-		if calls == 1 {
-			m.Free(a)
-			return true
-		}
-		return false
-	})
-	c, err := m.Alloc()
-	if err != nil {
-		t.Fatalf("alloc with reclaimer: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("reclaimer called %d times", calls)
-	}
-	if c != a {
-		t.Fatal("reclaimed frame not reused")
-	}
-	// Reclaimer that cannot make progress yields ErrNoMemory.
-	if _, err := m.Alloc(); err != gmi.ErrNoMemory {
-		t.Fatalf("got %v", err)
-	}
 }
 
 func TestZeroAndCopyCharge(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"chorusvm/internal/cost"
+	"chorusvm/internal/gmi"
 	"chorusvm/internal/obs"
 )
 
@@ -34,9 +35,8 @@ type zeroPool struct {
 // Starting while one is already running is a no-op returning a no-op
 // stop.
 //
-// The zeroer takes frames only from the depot — never from magazines and
-// never through the reclaimer — so it cannot force an eviction or fight
-// the fault path for its cached frames.
+// The zeroer takes frames only from the depot — never from magazines —
+// so it cannot fight the fault path for its cached frames.
 func (m *Memory) StartZeroer(low, high int) (stop func()) {
 	if high <= 0 || low < 0 || low > high {
 		panic("phys: bad zeroer water marks")
@@ -175,12 +175,7 @@ func (m *Memory) AllocZeroed() (*Frame, error) {
 	if !m.claimAvail() {
 		atomic.AddUint64(&m.stats.ZeroPoolMisses, 1)
 		m.tracer.Emit(obs.KindFramePoolMiss, 0, 0)
-		f, err := m.allocSlow()
-		if err != nil {
-			return nil, err
-		}
-		m.Zero(f)
-		return f, nil
+		return nil, gmi.ErrNoMemory
 	}
 	if f := m.zeroPop(); f != nil {
 		markAllocated(f)

@@ -96,7 +96,7 @@ func (l *LRU) OnHarvest(n *Node, referenced, dirty bool) {
 }
 
 // SelectVictims implements Replacer: scan from the LRU tail, skipping
-// unusable pages in place — the original evictOne/evictBatchAsync walk.
+// unusable pages in place — the PVM reclaim pass's original walk.
 func (l *LRU) SelectVictims(dst []*Node, max int, usable func(*Node) bool) []*Node {
 	l.mu.Lock()
 	defer l.mu.Unlock()
