@@ -709,20 +709,10 @@ func (p *PVM) bringIn(c *cache, off int64, access gmi.Prot, span *obs.FaultSpan)
 	seg := c.seg
 	if pager, ok := seg.(gmi.Pager); ok {
 		// Submit/complete protocol from the exclusive tier: the
-		// completion installs through the FillUp machinery (no frame
-		// reservation travels with it), we just park on the primary stub
-		// with the lock released and let resolveFault re-resolve.
-		mode := access | gmi.ProtRead
-		fc := &fillCompletion{c: c, off: off, count: count, stubs: stubs}
-		req := gmi.NewPageRequest(c, off, int64(count)*p.pageSize, mode,
-			func(data []byte, granted gmi.Prot, err error) {
-				fc.data, fc.err = data, err
-				fc.mode = mode
-				if granted != gmi.ProtNone {
-					fc.mode = granted
-				}
-				p.enqueueCompletion(fc)
-			})
+		// completion installs through the FillUp machinery (no frames
+		// travel with it), we just park on the primary stub with the
+		// lock released and let resolveFault re-resolve.
+		req := p.fillRequest(&fillCompletion{c: c, off: off, count: count, stubs: stubs}, access|gmi.ProtRead)
 		atomic.AddUint64(&p.stats.PullIns, 1)
 		atomic.AddUint64(&p.stats.FillSubmits, 1)
 		p.clock.Charge(cost.EvPullIn, 1)

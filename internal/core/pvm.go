@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -194,7 +193,7 @@ type Stats struct {
 	StubBreaks    uint64 // per-page stubs resolved by copying
 	PullIns       uint64 // pullIn upcalls issued (sync calls + async submissions)
 	FillSubmits   uint64 // async fill requests submitted to pagers
-	FillCompletes uint64 // pager completions processed by the completion queue
+	FillCompletes uint64 // pager completions processed (inline, on the completing goroutine)
 	PushOuts      uint64 // pushOut upcalls issued
 	AsyncBatches  uint64 // reclaim passes that pushed out two or more dirty victims concurrently
 	Evictions     uint64 // frames reclaimed by page-out
@@ -302,21 +301,11 @@ type PVM struct {
 	current     *context
 	nextCacheID uint64
 	// inFlightFrames counts frames allocated but not yet published in any
-	// page list (content being filled outside the lock); the frame
-	// accounting invariant includes them.
+	// page list: content being filled outside the lock, and the frames
+	// fast-path pager fills own from submit to completion (submit.go).
+	// The frame accounting invariant includes them.
 	inFlightFrames int64
 	stats          Stats
-
-	// Completion queue for the async pager protocol (submit.go): compMu
-	// guards the FIFO and the drainer count. It is a leaf lock —
-	// enqueuers hold no PVM lock when they append (completions arrive
-	// from pager goroutines), and drainers acquire p.mu only after
-	// releasing it. Up to compMax drainers run concurrently; each
-	// completion is processed whole by one drainer.
-	compMu      sync.Mutex
-	compQ       []*fillCompletion
-	compWorkers int
-	compMax     int
 
 	// obs receives trace events and latency observations; nil when the
 	// PVM is not instrumented (every probe is nil-safe).
@@ -355,13 +344,6 @@ func New(o Options) *PVM {
 	p.clusterShift += faultAroundShift
 	for i := range p.shards {
 		p.shards[i].m = make(map[pageKey]mapEntry)
-	}
-	// Completion drainers are CPU-bound (page copies + wakeups); scale
-	// them with the machine but keep the pool small — each one that runs
-	// dry exits immediately.
-	p.compMax = runtime.GOMAXPROCS(0)
-	if p.compMax > 8 {
-		p.compMax = 8
 	}
 	p.mem = phys.NewMemory(o.Frames, o.PageSize, o.Clock)
 	p.mem.SetTracer(o.Tracer)

@@ -12,36 +12,61 @@ import (
 
 // This file is the PVM side of the asynchronous pager protocol. A fault
 // on a segment whose driver implements gmi.Pager does not block inside a
-// PullIn upcall: it installs synchronization stubs, submits one
-// gmi.PageRequest covering the whole read-ahead cluster, and parks on the
-// primary stub's channel. The driver completes the request from whatever
-// goroutine its device finishes on; the completion is enqueued here and a
-// drainer publishes the pages, settles the stubs and wakes every context
-// that faulted on them — one device round-trip serves all waiters, and
-// read-ahead pages install without any faulting thread. Each submitted
-// fill also speculates the next cluster with a second, fire-and-forget
-// request that nobody waits on, pipelining sequential reads.
+// PullIn upcall: it installs synchronization stubs, takes a frame for
+// every page of the read-ahead cluster, submits one gmi.PageRequest
+// whose Dst points the driver at those frames, and parks on the primary
+// stub's channel. The driver reads each page straight into its frame and
+// completes the request from whatever goroutine its device finishes on;
+// the completion runs right there, publishing the frames as resident
+// pages, settling the stubs and waking every context that faulted on
+// them — one device round-trip serves all waiters, no page is copied,
+// and read-ahead pages install without any faulting thread. Each
+// submitted fill also speculates the next cluster with a second,
+// fire-and-forget request that nobody waits on, pipelining sequential
+// reads.
 //
-// # Completion-queue ordering rules
+// # Ordering rules for inline completion
 //
-//   - Completions are dequeued FIFO in arrival order and each one is
-//     processed whole by a single drainer goroutine. Up to p.compMax
-//     drainers run concurrently (spawned on demand, each exits when the
-//     queue runs dry), so completions for independent clusters overlap —
-//     one drainer cannot become the publication bottleneck when many
-//     devices finish at once. Concurrency across completions is safe
-//     because two completions never share a stub or a page key: a stub
-//     is installed once per key by exactly one submission, and every
-//     publish or settle is guarded by that key's shard mutex — the same
-//     argument that lets fastZeroFill run on many faulting goroutines.
+//   - Each completion is processed whole, inline, by the goroutine that
+//     calls PageRequest.Complete (exactly once per request). Completions
+//     for independent clusters run concurrently on their drivers'
+//     goroutines. That is safe because two completions never share a
+//     stub or a page key: a stub is installed once per key by exactly
+//     one submission, and every publish or settle is guarded by that
+//     key's shard mutex — the same argument that lets fastZeroFill run
+//     on many faulting goroutines.
 //   - Within one completion, pages publish in reverse cluster order: the
 //     primary (faulted) stub settles last, so when its waiters wake the
 //     whole cluster is already resident. No ordering is promised between
 //     completions; none is needed, since they are key-disjoint.
-//   - A drainer holds no PVM lock while dequeuing and acquires p.mu
-//     (shared or exclusive) only afterwards; enqueuers (pager goroutines)
-//     take only the compMu leaf. Neither direction can deadlock against
-//     fault or pageout paths.
+//   - A completion enters holding no PVM lock and takes p.mu itself —
+//     shared on the fast path, exclusive on the slow path, which may
+//     reserve frames and so evict. It cannot deadlock against the
+//     goroutine it runs on (a store.Engine worker, a mapper goroutine):
+//     no PVM path holds p.mu, in either mode, while it waits for a
+//     driver's goroutine or for a page in transit — waitStub, waitBusy
+//     and the fast fault path release it before they park, upcalls are
+//     issued unlocked, and the one engine call made under p.mu, a dead
+//     cache's swap-segment Release (store.Engine.Truncate), waits only
+//     for backend writes already in progress, never for a worker to take
+//     queued work. The slow path's evictions push out through
+//     store.Engine.Write, which never waits for a worker, and a driver
+//     may even complete synchronously inside SubmitPull, since every
+//     submission is made with no PVM lock held.
+//
+// # Who owns an in-flight frame
+//
+// A fast-path submission turns each stub's frame reservation into a
+// frame at submit time, under p.mu.RLock, and counts it in
+// p.inFlightFrames. From then until the completion publishes or frees
+// it, the frame belongs to the in-flight I/O: only the driver writes its
+// Data. The completion publishes or frees each frame and lowers
+// inFlightFrames while it still holds p.mu (either mode), so the
+// frame-accounting invariant, checked under p.mu exclusive, always sees
+// free + resident + in flight == total; and it does so before settling
+// the page's stub, so a woken waiter never finds the frame in flight. Exclusive-tier submissions
+// (bringIn) carry no frames: their completions install through the
+// FillUp machinery, copying the returned bytes.
 //
 // # Why publishing under RLock is sound
 //
@@ -50,61 +75,37 @@ import (
 // never replaced by other RLock holders (they park on it), and every
 // exclusive-lock mutator is excluded for as long as the RLock is held, so
 // the check "is the map entry still our stub" decides ownership of the
-// key with no further coordination. The frame allocated for the page is
-// private until the shard-locked publish, and the frame-accounting
-// invariant is only checked under p.mu exclusive, which the retained
-// RLock excludes for the whole Alloc-to-publish window.
+// key with no further coordination.
 
 // fillCompletion carries one completed (or failed) fill from a pager
-// driver to the completion drainer. stubs[i] guards the page at
-// off + i*pageSize; release, when non-nil, returns the cluster's
-// non-evicting frame reservation (its presence marks a fast-path
-// submission whose pages may publish under the shared lock).
+// driver's Complete call into the PVM. stubs[i] guards the page at
+// off + i*pageSize. frames, set only on fast-path submissions, are those
+// pages' submit-time frames (their presence lets the pages publish under
+// the shared lock).
 type fillCompletion struct {
-	c       *cache
-	off     int64
-	count   int
-	mode    gmi.Prot
-	stubs   []*syncStub
-	data    []byte
-	err     error
-	release func()
+	c      *cache
+	off    int64
+	count  int
+	mode   gmi.Prot
+	stubs  []*syncStub
+	frames []*phys.Frame
+	data   []byte
+	err    error
 }
 
-// enqueueCompletion appends fc to the completion queue and ensures enough
-// drainers are running: one more is spawned whenever the backlog exceeds
-// the drainers already working it, up to p.compMax. Called from pager
-// goroutines with no PVM lock held.
-func (p *PVM) enqueueCompletion(fc *fillCompletion) {
-	p.compMu.Lock()
-	p.compQ = append(p.compQ, fc)
-	spawn := p.compWorkers < p.compMax && len(p.compQ) > p.compWorkers
-	if spawn {
-		p.compWorkers++
-	}
-	p.compMu.Unlock()
-	if spawn {
-		go p.completionWorker()
-	}
-}
-
-// completionWorker drains the queue FIFO and exits when it empties. Exit
-// and enqueue both happen under compMu, so a completion enqueued
-// concurrently is either seen by a live drainer's next loop or starts a
-// fresh one.
-func (p *PVM) completionWorker() {
-	for {
-		p.compMu.Lock()
-		if len(p.compQ) == 0 {
-			p.compWorkers--
-			p.compMu.Unlock()
-			return
-		}
-		fc := p.compQ[0]
-		p.compQ = p.compQ[1:]
-		p.compMu.Unlock()
-		p.completeFill(fc)
-	}
+// fillRequest builds the PageRequest for fc: its completion callback
+// stamps the outcome and runs completeFill inline, on whatever goroutine
+// the driver finishes on.
+func (p *PVM) fillRequest(fc *fillCompletion, mode gmi.Prot) *gmi.PageRequest {
+	return gmi.NewPageRequest(fc.c, fc.off, int64(fc.count)*p.pageSize, mode,
+		func(data []byte, granted gmi.Prot, err error) {
+			fc.data, fc.err = data, err
+			fc.mode = mode
+			if granted != gmi.ProtNone {
+				fc.mode = granted
+			}
+			p.completeFill(fc)
+		})
 }
 
 // completeFill dispatches one completion: failures settle every stub with
@@ -120,14 +121,13 @@ func (p *PVM) completeFill(fc *fillCompletion) {
 		p.failFill(fc)
 		return
 	}
-	if fc.release != nil {
+	if fc.frames != nil {
 		p.mu.RLock()
 		c := fc.c
 		if !c.freed && !c.destroyed && c.history == nil &&
 			len(c.parents) == 0 && len(c.remoteStubs) == 0 {
 			p.completeFillFast(fc)
 			p.mu.RUnlock()
-			fc.release()
 			return
 		}
 		p.mu.RUnlock()
@@ -135,16 +135,24 @@ func (p *PVM) completeFill(fc *fillCompletion) {
 	p.completeFillSlow(fc)
 }
 
-// failFill settles every stub of a failed fill, stamping the error so the
-// parked submitter reports it; waiters that merely blocked on a stub
-// retry their fault and re-derive the outcome. Runs under RLock plus one
-// shard mutex per key — valid for stubs installed by either tier, since
-// a shard mutex guards its keys in both locking modes.
-func (p *PVM) failFill(fc *fillCompletion) {
-	if fc.release != nil {
-		fc.release()
+// freeFillFrames returns a fill's submit-time frames to the allocator
+// and drops them from the in-flight count; p.mu held in either mode.
+func (p *PVM) freeFillFrames(fc *fillCompletion) {
+	for _, f := range fc.frames {
+		p.mem.Free(f)
 	}
+	atomic.AddInt64(&p.inFlightFrames, -int64(len(fc.frames)))
+	fc.frames = nil
+}
+
+// failFill frees the fill's frames and settles every stub, stamping the
+// error so the parked submitter reports it; waiters that merely blocked
+// on a stub retry their fault and re-derive the outcome. Runs under
+// RLock plus one shard mutex per key — valid for stubs installed by
+// either tier, since a shard mutex guards its keys in both locking modes.
+func (p *PVM) failFill(fc *fillCompletion) {
 	p.mu.RLock()
+	p.freeFillFrames(fc)
 	for i, stub := range fc.stubs {
 		key := pageKey{fc.c, fc.off + int64(i)*p.pageSize}
 		sh := p.shardOf(key)
@@ -164,66 +172,45 @@ func (p *PVM) failFill(fc *fillCompletion) {
 
 // completeFillFast publishes a successful cluster under p.mu.RLock, one
 // shard mutex at a time, in reverse order so the primary stub settles
-// last (waiters wake to a fully resident cluster). The submission's
-// reservation guarantees the allocations; afterResident would be a no-op
-// in the state completeFill verified, so it is skipped, exactly as in
+// last (waiters wake to a fully resident cluster). Each page lands in
+// the frame it was read into; only a driver that returned bytes instead
+// of filling Dst costs a copy. afterResident would be a no-op in the
+// state completeFill verified, so it is skipped, exactly as in
 // fastZeroFill.
 func (p *PVM) completeFillFast(fc *fillCompletion) {
 	c := fc.c
-	// With promotion enabled, try to land the cluster on physically
-	// contiguous frames so a later fault-around pass can promote it to a
-	// large translation. Best-effort: no run, same per-page allocations.
-	var run []*phys.Frame
-	if p.promote && fc.count > 1 {
-		run = p.mem.AllocRun(fc.count)
-	}
 	for i := fc.count - 1; i >= 0; i-- {
 		off := fc.off + int64(i)*p.pageSize
 		stub := fc.stubs[i]
 		key := pageKey{c, off}
 		sh := p.shardOf(key)
-		var f *phys.Frame
-		var err error
-		if run != nil {
-			f = run[i]
-		} else {
-			f, err = p.mem.Alloc()
-		}
-		if err != nil {
-			// Reserved frames make this unreachable; never strand waiters.
-			sh.mu.Lock()
-			if sh.m[key] == mapEntry(stub) {
-				delete(sh.m, key)
-				p.clock.Charge(cost.EvGlobalMapOp, 1)
+		f := fc.frames[i]
+		if fc.data != nil {
+			chunk := fillChunk(fc.data, i, p.pageSize)
+			if int64(len(chunk)) < p.pageSize {
+				p.mem.Zero(f)
 			}
-			if !stub.closed {
-				stub.err = err
-			}
-			p.settleStub(stub)
-			sh.mu.Unlock()
-			continue
+			copy(f.Data, chunk)
 		}
-		chunk := fillChunk(fc.data, i, p.pageSize)
-		if int64(len(chunk)) < p.pageSize {
-			p.mem.Zero(f)
-		}
-		copy(f.Data, chunk)
+		// The cost model charges the paper's fillUp copy, which the
+		// simulated kernel makes whether or not this one does.
 		p.clock.Charge(cost.EvBcopyPage, 1)
 		pg := &page{frame: f, off: off, granted: fc.mode}
 		sh.mu.Lock()
 		if sh.m[key] == mapEntry(stub) {
 			delete(sh.m, key)
 			p.addPage(c, pg)
-			p.settleStub(stub)
-			sh.mu.Unlock()
 		} else {
 			// The key changed hands while the fill was in flight (cache
 			// teardown, an explicit FillUp): whoever replaced the stub
 			// owns the content now.
-			p.settleStub(stub)
-			sh.mu.Unlock()
 			p.mem.Free(f)
 		}
+		// The frame is resident or free before anyone wakes: a woken
+		// waiter never sees it still counted in flight.
+		atomic.AddInt64(&p.inFlightFrames, -1)
+		p.settleStub(stub)
+		sh.mu.Unlock()
 	}
 }
 
@@ -232,15 +219,20 @@ func (p *PVM) completeFillFast(fc *fillCompletion) {
 // rethreading, competing fills), then settles anything the fill did not
 // replace.
 func (p *PVM) completeFillSlow(fc *fillCompletion) {
-	if fc.release != nil {
-		// installFilled reserves per page itself; give the cluster
-		// reservation back first, or reserveFrames could double-count the
-		// same frames and evict needlessly.
-		fc.release()
-		fc.release = nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if fc.frames != nil {
+		// installFilled reserves and fills frames of its own: take the
+		// bytes out of the submit-time frames and give those back first,
+		// or reserveFrames could evict for frames this fill still holds.
+		if fc.data == nil {
+			fc.data = make([]byte, int64(fc.count)*p.pageSize)
+			for i, f := range fc.frames {
+				copy(fc.data[int64(i)*p.pageSize:], f.Data)
+			}
+		}
+		p.freeFillFrames(fc)
+	}
 	c := fc.c
 	var firstErr error
 	if c.freed && !c.reaping {
@@ -343,25 +335,53 @@ func (p *PVM) cancelSpeculation(c *cache, off int64, stubs []*syncStub, releases
 	p.obs.Emit(obs.KindSpecCancel, int64(c.id), off)
 }
 
-// newFillRequest builds the PageRequest for a stub run: its completion
-// callback stamps the fillCompletion and hands it to the queue, from
-// whatever goroutine the driver finishes on.
+// newFillRequest builds the PageRequest for a fast-path stub run,
+// turning the run's frame reservations into the frames the driver reads
+// into (r.Dst); called with p.mu.RLock held.
 func (p *PVM) newFillRequest(c *cache, off int64, mode gmi.Prot, stubs []*syncStub, releases []func()) *gmi.PageRequest {
 	fc := &fillCompletion{c: c, off: off, count: len(stubs), stubs: stubs,
-		release: func() {
-			for _, r := range releases {
-				r()
+		frames: p.allocFillFrames(len(stubs))}
+	for _, r := range releases {
+		r()
+	}
+	req := p.fillRequest(fc, mode)
+	if fc.frames != nil {
+		req.Dst = make([][]byte, len(fc.frames))
+		for i, f := range fc.frames {
+			req.Dst[i] = f.Data
+		}
+	}
+	return req
+}
+
+// allocFillFrames allocates the n frames of a fast-path fill and counts
+// them in flight; p.mu.RLock held, with n frames reserved. With
+// promotion enabled it first tries a physically contiguous run, so a
+// later fault-around pass can promote the cluster to a large
+// translation (best-effort: no run, same per-page allocations). The
+// reservations make allocation failure unreachable; should it happen
+// anyway, the frames taken so far go back and nil is returned — the
+// request then carries no Dst and completes through the slow path.
+func (p *PVM) allocFillFrames(n int) []*phys.Frame {
+	var frames []*phys.Frame
+	if p.promote && n > 1 {
+		frames = p.mem.AllocRun(n)
+	}
+	if frames == nil {
+		frames = make([]*phys.Frame, 0, n)
+		for len(frames) < n {
+			f, err := p.mem.Alloc()
+			if err != nil {
+				for _, f := range frames {
+					p.mem.Free(f)
+				}
+				return nil
 			}
-		}}
-	return gmi.NewPageRequest(c, off, int64(len(stubs))*p.pageSize, mode,
-		func(data []byte, granted gmi.Prot, err error) {
-			fc.data, fc.err = data, err
-			fc.mode = mode
-			if granted != gmi.ProtNone {
-				fc.mode = granted
-			}
-			p.enqueueCompletion(fc)
-		})
+			frames = append(frames, f)
+		}
+	}
+	atomic.AddInt64(&p.inFlightFrames, int64(n))
+	return frames
 }
 
 // fastSubmitPull is the fast path's submit/complete fill: entered from

@@ -11,6 +11,7 @@ import (
 	"chorusvm/internal/gmi"
 	"chorusvm/internal/leakcheck"
 	"chorusvm/internal/seg"
+	"chorusvm/internal/store"
 )
 
 // manualPager wraps a real segment driver but holds every SubmitPull
@@ -327,6 +328,319 @@ func TestFaultCountExactOnSyncPath(t *testing.T) {
 	}
 	if d.PullIns != 1 {
 		t.Fatalf("PullIns=%d, want 1", d.PullIns)
+	}
+	check(t, p)
+}
+
+// waitRequests collects n submitted requests from mp, failing the test
+// if they do not all arrive within the deadline.
+func waitRequests(t *testing.T, mp *manualPager, n int) []*gmi.PageRequest {
+	t.Helper()
+	var reqs []*gmi.PageRequest
+	deadline := time.After(5 * time.Second)
+	for len(reqs) < n {
+		select {
+		case <-mp.arrived:
+			reqs = append(reqs, mp.take()...)
+		case <-deadline:
+			t.Fatalf("got %d submissions, want %d", len(reqs), n)
+		}
+	}
+	if len(reqs) != n {
+		t.Fatalf("got %d submissions, want %d", len(reqs), n)
+	}
+	return reqs
+}
+
+// waitErr returns the outcome sent on done, failing the test on timeout.
+func waitErr(t *testing.T, done <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("fault did not complete")
+		return nil
+	}
+}
+
+// TestFastFillPublishesDstFrame pins the zero-copy fill: a fast-path
+// submission hands the driver the frame its page will live in (r.Dst),
+// that frame is counted in flight — and the frame accounting holds —
+// while the device works, and the completion publishes that very frame.
+func TestFastFillPublishesDstFrame(t *testing.T) {
+	leakcheck.Check(t)
+	p, _ := newTestPVM(t, 64)
+	mp := newManualPager(seg.NewSegment("file", pg, p.Clock()))
+	c := p.CacheCreate(mp)
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, pg, gmi.ProtRW, c, 0)
+
+	buf := make([]byte, pg)
+	done := make(chan error, 1)
+	go func() { done <- ctx.Read(base, buf) }()
+	r := waitRequests(t, mp, 1)[0]
+	if len(r.Dst) != 1 || len(r.Dst[0]) != pg {
+		t.Fatalf("fast-path request carries %d destinations, want one %d-byte page", len(r.Dst), pg)
+	}
+	if n := atomic.LoadInt64(&p.inFlightFrames); n != 1 {
+		t.Fatalf("inFlightFrames=%d while the fill is in flight, want 1", n)
+	}
+	check(t, p)
+
+	want := pattern(0x3C, pg)
+	copy(r.Dst[0], want)
+	dst := &r.Dst[0][0]
+	r.Complete(nil, gmi.ProtRWX, nil)
+	if err := waitErr(t, done); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("read wrong bytes: %v", buf[:8])
+	}
+	p.mu.Lock()
+	got := p.ownPage(c.(*cache), 0)
+	p.mu.Unlock()
+	if got == nil || &got.frame.Data[0] != dst {
+		t.Fatal("the published page does not live in the frame the driver read into")
+	}
+	if n := atomic.LoadInt64(&p.inFlightFrames); n != 0 {
+		t.Fatalf("inFlightFrames=%d after completion, want 0", n)
+	}
+	check(t, p)
+}
+
+// TestFillFramesReturned: a fast-path fill owns its frames from submit
+// time, so a failed completion and a completion that arrives after its
+// cache was destroyed must each give every one of them back — for the
+// demand cluster and the speculative one alike.
+func TestFillFramesReturned(t *testing.T) {
+	for _, destroy := range []bool{false, true} {
+		name := "failed"
+		if destroy {
+			name = "after-destroy"
+		}
+		t.Run(name, func(t *testing.T) {
+			leakcheck.Check(t)
+			p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 4 })
+			mp := newManualPager(seg.NewSegment("file", pg, p.Clock()))
+			c := p.CacheCreate(mp)
+			ctx, err := p.ContextCreate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustRegion(t, ctx, base, 8*pg, gmi.ProtRW, c, 0)
+			free := p.Memory().FreeFrames()
+
+			done := make(chan error, 1)
+			go func() { done <- ctx.Read(base, make([]byte, 8)) }()
+			reqs := waitRequests(t, mp, 2) // demand cluster + speculative next
+			if got := p.Memory().FreeFrames(); got != free-8 {
+				t.Fatalf("FreeFrames=%d with two 4-page fills in flight, want %d", got, free-8)
+			}
+			check(t, p)
+			if destroy {
+				if err := c.Destroy(); err != nil {
+					t.Fatalf("Destroy: %v", err)
+				}
+				for _, r := range reqs {
+					r.Complete(nil, gmi.ProtRWX, nil)
+				}
+			} else {
+				for _, r := range reqs {
+					r.Complete(nil, gmi.ProtNone, gmi.ErrIO)
+				}
+			}
+			if err := waitErr(t, done); err == nil {
+				t.Fatal("fault succeeded on a failed or orphaned fill")
+			}
+			if got := p.Memory().FreeFrames(); got != free {
+				t.Fatalf("FreeFrames=%d after the fills ended, want %d", got, free)
+			}
+			if n := atomic.LoadInt64(&p.inFlightFrames); n != 0 {
+				t.Fatalf("inFlightFrames=%d after the fills ended, want 0", n)
+			}
+			check(t, p)
+		})
+	}
+}
+
+// inlinePager completes every request synchronously, inside SubmitPull,
+// reading into r.Dst when the request carries destinations.
+type inlinePager struct {
+	*seg.Segment
+	withDst, withoutDst atomic.Int64
+}
+
+func (s *inlinePager) SubmitPull(r *gmi.PageRequest) {
+	buf := make([]byte, r.Size)
+	if err := s.Store().ReadAt(r.Off, buf); err != nil {
+		r.Complete(nil, gmi.ProtNone, err)
+		return
+	}
+	if r.Dst == nil {
+		s.withoutDst.Add(1)
+		r.Complete(buf, gmi.ProtRWX, nil)
+		return
+	}
+	s.withDst.Add(1)
+	for i, d := range r.Dst {
+		copy(d, buf[i*pg:])
+	}
+	r.Complete(nil, gmi.ProtRWX, nil)
+}
+
+// TestCompleteInsideSubmitPull: a driver may complete before SubmitPull
+// returns. The completion then runs on the submitting goroutine, so the
+// PVM must submit holding no lock — on the fast tier and on the
+// exclusive tier (a cache with history) alike — and every context
+// faulting the same pages must wake to the right bytes.
+func TestCompleteInsideSubmitPull(t *testing.T) {
+	for _, history := range []bool{false, true} {
+		name := "fast"
+		if history {
+			name = "exclusive"
+		}
+		t.Run(name, func(t *testing.T) {
+			leakcheck.Check(t)
+			p, _ := newTestPVM(t, 64, func(o *Options) {
+				o.ReadAheadPages = 4
+				o.SmallCopyPages = -1 // every copy goes through a history object
+			})
+			ip := &inlinePager{Segment: seg.NewSegment("file", pg, p.Clock())}
+			want := pattern(0x6B, 8*pg)
+			if err := ip.Store().WriteAt(0, want); err != nil {
+				t.Fatal(err)
+			}
+			c := p.CacheCreate(ip)
+			if history {
+				if err := c.Copy(p.TempCacheCreate(), 0, 0, 8*pg); err != nil {
+					t.Fatalf("Copy: %v", err)
+				}
+			}
+			const n = 6
+			done := make(chan error, n)
+			for i := 0; i < n; i++ {
+				ctx, err := p.ContextCreate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustRegion(t, ctx, base, 8*pg, gmi.ProtRW, c, 0)
+				go func(ctx gmi.Context) {
+					buf := make([]byte, 8*pg)
+					err := ctx.Read(base, buf)
+					if err == nil && !bytes.Equal(buf, want) {
+						err = errors.New("read wrong bytes")
+					}
+					done <- err
+				}(ctx)
+			}
+			for i := 0; i < n; i++ {
+				if err := waitErr(t, done); err != nil {
+					t.Fatalf("faulter: %v", err)
+				}
+			}
+			if history && ip.withDst.Load() != 0 {
+				t.Fatalf("%d exclusive-tier requests carried destinations", ip.withDst.Load())
+			}
+			if !history && ip.withoutDst.Load() != 0 {
+				t.Fatalf("%d fast-path requests carried no destinations", ip.withoutDst.Load())
+			}
+			if n := atomic.LoadInt64(&p.inFlightFrames); n != 0 {
+				t.Fatalf("inFlightFrames=%d after every fill completed, want 0", n)
+			}
+			check(t, p)
+		})
+	}
+}
+
+// rewrapPager re-wraps every request the way a timing decorator does:
+// the driver sees a fresh request without destinations, and its
+// completion is forwarded to the PVM's request with the driver's bytes.
+type rewrapPager struct{ gmi.Pager }
+
+func (w rewrapPager) SubmitPull(r *gmi.PageRequest) {
+	w.Pager.SubmitPull(gmi.NewPageRequest(r.Cache, r.Off, r.Size, r.Mode,
+		func(data []byte, granted gmi.Prot, err error) {
+			r.Complete(data, granted, err)
+		}))
+}
+
+// TestRewrappedRequestFillsByCopy: a fast-path fill whose request was
+// re-wrapped without Dst completes with bytes, which the PVM copies into
+// the frames it took at submit time.
+func TestRewrappedRequestFillsByCopy(t *testing.T) {
+	leakcheck.Check(t)
+	p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 4 })
+	sg := seg.NewSegment("file", pg, p.Clock())
+	want := pattern(0x91, 8*pg)
+	if err := sg.Store().WriteAt(0, want); err != nil {
+		t.Fatal(err)
+	}
+	c := p.CacheCreate(rewrapPager{sg})
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, 8*pg, gmi.ProtRW, c, 0)
+	if got := mustRead(t, ctx, base, 8*pg); !bytes.Equal(got, want) {
+		t.Fatal("re-wrapped fill read wrong bytes")
+	}
+	if got := sg.PullIns(); got != 2 {
+		t.Fatalf("segment served %d pullIns, want 2 (cluster + speculation)", got)
+	}
+	if n := atomic.LoadInt64(&p.inFlightFrames); n != 0 {
+		t.Fatalf("inFlightFrames=%d after the fills completed, want 0", n)
+	}
+	check(t, p)
+}
+
+// TestSlowCompletionEvictsOnEngineWorker: a completion runs on the store
+// engine's worker, and on the slow path (a cache with history) it takes
+// the structural lock and may need to evict. With one worker and no free
+// frame, the eviction pushes a dirty page out to the very store whose
+// only worker is running the completion; that must not wait for the
+// worker.
+func TestSlowCompletionEvictsOnEngineWorker(t *testing.T) {
+	leakcheck.Check(t)
+	const frames = 8
+	p, _ := newTestPVM(t, frames, func(o *Options) { o.SmallCopyPages = -1 })
+	sg := seg.NewSegmentWith("file", store.NewMem(pg), store.Options{Workers: 1}, p.Clock())
+	want := pattern(0x2D, pg)
+	if err := sg.Store().WriteAt(frames*pg, want); err != nil {
+		t.Fatal(err)
+	}
+	c := p.CacheCreate(sg)
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, 2*frames*pg, gmi.ProtRW, c, 0)
+	for i := 0; i < frames; i++ {
+		mustWrite(t, ctx, base+gmi.VA(i*pg), pattern(byte(i), 64))
+	}
+	if free := p.Memory().FreeFrames(); free != 0 {
+		t.Fatalf("FreeFrames=%d after dirtying every frame, want 0", free)
+	}
+	if err := c.Copy(p.TempCacheCreate(), 0, 0, frames*pg); err != nil {
+		t.Fatalf("Copy: %v", err)
+	}
+	pushes := sg.PushOuts()
+
+	buf := make([]byte, pg)
+	done := make(chan error, 1)
+	go func() { done <- ctx.Read(base+gmi.VA(frames*pg), buf) }()
+	if err := waitErr(t, done); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("read wrong bytes: %v", buf[:8])
+	}
+	if sg.PushOuts() == pushes {
+		t.Fatal("the fill evicted no dirty page of its own store")
 	}
 	check(t, p)
 }

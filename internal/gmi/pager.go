@@ -22,26 +22,45 @@ type PageRequest struct {
 	// driver may grant more (via the granted argument of Complete) but
 	// never less.
 	Mode Prot
+	// Dst, when non-nil, holds the destination of every page of the run:
+	// Dst[i] is the page at Off + i*pagesize, one page long — in the PVM
+	// it is the Data of the very frame the page will be published in,
+	// owned by this request until it completes. A driver that reads
+	// straight into Dst completes with nil data; a driver that ignores
+	// it (or a decorator that re-wraps the request with NewPageRequest,
+	// which has no Dst) completes with the bytes as before and the
+	// manager copies them in. The driver must not touch Dst after
+	// calling Complete.
+	Dst [][]byte
 
 	done     atomic.Bool
 	complete func(data []byte, granted Prot, err error)
 }
 
 // NewPageRequest builds a request whose completion invokes fn exactly
-// once. fn runs on the completing goroutine — drivers call Complete from
-// device workers — so it must not block for long and must not assume any
-// manager lock is held.
+// once, with no destinations (Dst nil). fn runs inline on the completing
+// goroutine — drivers call Complete from device workers — so it must
+// not assume any manager lock is held.
 func NewPageRequest(c Cache, off, size int64, mode Prot, fn func(data []byte, granted Prot, err error)) *PageRequest {
 	return &PageRequest{Cache: c, Off: off, Size: size, Mode: mode, complete: fn}
 }
 
-// Complete delivers the outcome of the fill. On success data holds the
-// bytes for [Off, Off+Size) — short data is zero-extended by the manager,
-// matching the zero-fill-beyond-EOF convention of FillUp — and granted is
-// the protection actually granted (ProtNone means "use the requested
-// mode"). On failure err is non-nil and data is ignored. Only the first
-// call has any effect; Complete reports whether this call was the one
-// that completed the request.
+// Complete delivers the outcome of the fill. On success either data is
+// nil, meaning the driver filled Dst (with Dst nil, the run reads as
+// zeroes), or data holds the bytes for [Off, Off+Size), which the
+// manager copies into the destination pages — short data is
+// zero-extended, matching the zero-fill-beyond-EOF convention of
+// FillUp. granted is the protection actually granted (ProtNone means
+// "use the requested mode"). On failure err is non-nil and data is
+// ignored. Only the first call has any effect; Complete reports whether
+// this call was the one that completed the request.
+//
+// Complete runs manager code inline, on the calling goroutine: it
+// publishes the pages and wakes their waiters before it returns, and it
+// may take the manager's structural lock and evict (pushing dirty pages
+// out through PushOut, this driver's included) to do so. A driver therefore
+// calls it holding none of its own locks, from a goroutine that nothing
+// the manager waits on while holding its lock depends on; see Pager.
 func (r *PageRequest) Complete(data []byte, granted Prot, err error) bool {
 	if !r.done.CompareAndSwap(false, true) {
 		return false
@@ -69,7 +88,15 @@ func (r *PageRequest) Done() bool { return r.done.Load() }
 //     driver shutdown — a lost completion parks faulting contexts
 //     forever.
 //   - Completions may be delivered from any goroutine and in any order
-//     relative to submission.
+//     relative to submission — including synchronously, from inside
+//     SubmitPull: the manager holds no lock when it submits.
+//   - Complete runs the manager's completion inline (see Complete). The
+//     manager never holds its structural lock, in either mode, while it
+//     waits for a pager's device goroutine or for a page in transit. So
+//     a driver may call Complete from its device goroutine without
+//     deadlocking, provided that goroutine holds no driver lock and the
+//     driver's PushOut never waits for it (store.Engine.Write never
+//     waits for a worker).
 type Pager interface {
 	Segment
 	SubmitPull(r *PageRequest)

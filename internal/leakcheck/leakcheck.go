@@ -1,9 +1,9 @@
 // Package leakcheck provides a deadline-based goroutine-leak assertion
 // for tests that exercise background machinery: store-engine workers,
-// fill-completion drainers, pageout daemons, mapper ports. All of those
-// are designed to wind down on their own (workers exit when their queues
-// empty, daemons when stopped), so a test that still has module
-// goroutines running after its teardown has leaked one.
+// pageout daemons, mapper ports. All of those are designed to wind down
+// on their own (workers exit when their queues empty, daemons when
+// stopped), so a test that still has module goroutines running after
+// its teardown has leaked one.
 //
 // Usage: call Check(t) at the top of the test, before starting anything.
 // The registered cleanup polls until the number of goroutines executing

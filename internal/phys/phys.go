@@ -248,10 +248,13 @@ func (m *Memory) Alloc() (*Frame, error) {
 
 // AllocRun allocates n physically contiguous frames (consecutive Index,
 // ascending) — the contiguity hint large-mapping promotion feeds on.
-// Best-effort and depot-only: the depot free list is scanned for a run
-// under its lock; frames cached in magazines or the pre-zeroed pool are
-// not pulled back. Returns nil (not an error) when no run is available — callers fall back to single
-// allocations.
+// Best-effort: the depot free list is scanned for a run under its lock;
+// when it holds none, every magazine is flushed back to the depot and
+// the scan is retried once, so frames parked in magazines (up to magCap
+// per magazine, a large share of a small pool at high GOMAXPROCS) do
+// not hide a run. Frames in the pre-zeroed pool are not pulled back.
+// Returns nil (not an error) when no run is available — callers fall
+// back to single allocations.
 func (m *Memory) AllocRun(n int) []*Frame {
 	if n <= 0 || n > len(m.frames) {
 		return nil
@@ -268,6 +271,12 @@ func (m *Memory) AllocRun(n int) []*Frame {
 	m.mu.Lock()
 	run := m.depotFindRun(n)
 	m.mu.Unlock()
+	if run == nil {
+		m.flushMagazines()
+		m.mu.Lock()
+		run = m.depotFindRun(n)
+		m.mu.Unlock()
+	}
 	if run == nil {
 		atomic.AddInt64(&m.avail, int64(n))
 		return nil

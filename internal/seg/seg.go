@@ -77,15 +77,20 @@ func (s *Store) ReadAt(off int64, buf []byte) error {
 	return err
 }
 
-// ReadAsync hands a read to the engine's worker pool and invokes fn with
-// the result from a worker goroutine. The simulated device cost is
-// charged at submission, like ReadAt; the engine owns the transient-error
-// retries for async reads.
-func (s *Store) ReadAsync(off int64, size int, fn func(data []byte, err error)) {
+// ReadAsync hands a read of the pages starting at off to the engine's
+// worker pool, reading page i straight into dst[i], and invokes fn with
+// the outcome from a worker goroutine (see store.Engine.ReadAsync). The
+// simulated device cost is charged at submission, like ReadAt; the
+// engine owns the transient-error retries for async reads.
+func (s *Store) ReadAsync(off int64, dst [][]byte, fn func(err error)) {
+	var size int64
+	for _, d := range dst {
+		size += int64(len(d))
+	}
 	ps := int64(s.pageSize)
 	s.clock.Charge(cost.EvDiskSeek, 1)
-	s.clock.Charge(cost.EvDiskRead, int((int64(size)+ps-1)/ps))
-	s.eng.ReadAsync(off, size, fn)
+	s.clock.Charge(cost.EvDiskRead, int((size+ps-1)/ps))
+	s.eng.ReadAsync(off, dst, fn)
 }
 
 // DebugWriteHook, when set, observes every store write (test diagnostics).
@@ -226,9 +231,14 @@ func (s *Segment) PullIn(c gmi.Cache, off, size int64, mode gmi.Prot) error {
 
 // SubmitPull implements gmi.Pager: the pullIn request goes to the store
 // engine's worker pool and the completion fires from whatever worker the
-// read finishes on — no mapper thread blocks on the device. The engine
-// owns the transient-error retries on this path; exhausted retries come
-// back through the completion as gmi.ErrIO, exactly like PullIn.
+// read finishes on — no mapper thread blocks on the device. Each page is
+// read straight into the request's destination frame (r.Dst) and the
+// request completes with nil data; a request without destinations (one
+// re-wrapped by a decorator) is read into one buffer, sliced into
+// per-page views for the same engine path, and completes with that
+// buffer. The engine owns the transient-error retries on this path;
+// exhausted retries come back through the completion as gmi.ErrIO,
+// exactly like PullIn.
 func (s *Segment) SubmitPull(r *gmi.PageRequest) {
 	s.pullIns.Add(1)
 	grant := s.Grant
@@ -237,15 +247,29 @@ func (s *Segment) SubmitPull(r *gmi.PageRequest) {
 	}
 	start := s.tr.Clock()
 	off, size := r.Off, r.Size
-	s.store.ReadAsync(off, int(size), func(data []byte, err error) {
+	dst, buf := r.Dst, []byte(nil)
+	if dst == nil {
+		buf = make([]byte, size)
+		dst = pageViews(buf, int64(s.store.pageSize))
+	}
+	s.store.ReadAsync(off, dst, func(err error) {
 		if err != nil {
 			err = fmt.Errorf("%w: segment %q pullIn at %#x: %w", gmi.ErrIO, s.name, off, err)
 			r.Complete(nil, gmi.ProtNone, err)
 			return
 		}
 		s.tr.Span(obs.KindSegPull, obs.OpSegPull, off, size, start)
-		r.Complete(data, grant, nil)
+		r.Complete(buf, grant, nil)
 	})
+}
+
+// pageViews slices buf into consecutive views of at most ps bytes.
+func pageViews(buf []byte, ps int64) [][]byte {
+	views := make([][]byte, 0, (int64(len(buf))+ps-1)/ps)
+	for lo := int64(0); lo < int64(len(buf)); lo += ps {
+		views = append(views, buf[lo:min(lo+ps, int64(len(buf)))])
+	}
+	return views
 }
 
 // GetWriteAccess implements gmi.Segment.

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -96,5 +98,49 @@ func TestFlateFullPageReadSkipsScratch(t *testing.T) {
 	})
 	if full >= partial {
 		t.Errorf("Flate.ReadAt: full page %v allocations, one byte %v; want the full page to need fewer", full, partial)
+	}
+}
+
+// TestEngineReadAsyncIntoCallerPages: an async read lands in the pages
+// the caller handed over — the pager's destination frames — so the
+// engine allocates no page buffer per request. Bytes are counted (not
+// allocations: queueing the request and running its completion allocate
+// small bookkeeping), with pages large enough that one stray page-sized
+// buffer per request would dominate.
+func TestEngineReadAsyncIntoCallerPages(t *testing.T) {
+	const ps, pages = 8192, 4
+	e := NewEngine(NewMem(ps), Options{ReadAhead: -1})
+	defer e.Close()
+	want := pattern(4, pages*ps)
+	if err := e.Write(0, want); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	e.Barrier()
+	dst := make([][]byte, pages)
+	for i := range dst {
+		dst[i] = make([]byte, ps)
+	}
+	done := make(chan error, 1)
+	read := func() {
+		e.ReadAsync(0, dst, func(err error) { done <- err })
+		if err := <-done; err != nil {
+			t.Fatalf("ReadAsync: %v", err)
+		}
+	}
+	read()
+	for i, d := range dst {
+		if !bytes.Equal(d, want[i*ps:(i+1)*ps]) {
+			t.Fatalf("page %d read wrong bytes", i)
+		}
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= ps {
+		t.Errorf("Engine.ReadAsync of %d pages into caller pages: %d bytes allocated per request, want less than one %d-byte page", pages, per, ps)
 	}
 }

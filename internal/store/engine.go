@@ -265,6 +265,14 @@ func (e *Engine) pageLocked(po int64) []byte {
 // error the contents of buf are unspecified, as with io.ReaderAt: a
 // page that failed its checksum may already sit in it.
 func (e *Engine) Read(off int64, buf []byte) error {
+	return e.read(off, int64(len(buf)), func(bufOff, n int64) []byte { return buf[bufOff : bufOff+n] })
+}
+
+// read is Read over [off, off+size) with the destination of each chunk
+// supplied by at: at(bufOff, n) is the n-byte slice that receives the
+// bytes at off+bufOff. Read passes slices of one buffer; ReadAsync
+// passes caller-owned pages.
+func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte) error {
 	start := e.tr.Clock()
 	e.mu.Lock()
 	if e.closed {
@@ -272,22 +280,23 @@ func (e *Engine) Read(off int64, buf []byte) error {
 		return ErrClosed
 	}
 	e.st.Reads++
-	rerr := forEachPage(e.ps, off, int64(len(buf)), func(po, b, bufOff, n int64) error {
+	rerr := forEachPage(e.ps, off, size, func(po, b, bufOff, n int64) error {
 		e.st.ReadPages++
+		dst := at(bufOff, n)
 		for {
 			if pg := e.dirty[po]; pg != nil {
 				e.st.QueueHits++
-				copy(buf[bufOff:bufOff+n], pg[b:b+n])
+				copy(dst, pg[b:b+n])
 				return nil
 			}
 			if pg := e.inflight[po]; pg != nil {
 				e.st.QueueHits++
-				copy(buf[bufOff:bufOff+n], pg[b:b+n])
+				copy(dst, pg[b:b+n])
 				return nil
 			}
 			if pg := e.pf[po]; pg != nil {
 				e.st.PrefetchHits++
-				copy(buf[bufOff:bufOff+n], pg[b:b+n])
+				copy(dst, pg[b:b+n])
 				return nil
 			}
 			// Backend read, lock released; one page at a time so
@@ -299,7 +308,7 @@ func (e *Engine) Read(off int64, buf []byte) error {
 			// page is looked up again (and the slice overwritten).
 			sum, ok := e.sums[po]
 			e.mu.Unlock()
-			pg := buf[bufOff : bufOff+n]
+			pg := dst
 			if n < e.ps {
 				pg = make([]byte, e.ps)
 			}
@@ -316,7 +325,7 @@ func (e *Engine) Read(off int64, buf []byte) error {
 				return corruptAt("engine", po)
 			}
 			if n < e.ps {
-				copy(buf[bufOff:bufOff+n], pg[b:b+n])
+				copy(dst, pg[b:b+n])
 			}
 			return nil
 		}
@@ -325,7 +334,7 @@ func (e *Engine) Read(off int64, buf []byte) error {
 	// queues the next ReadAhead pages for the worker pool.
 	if rerr == nil && e.o.ReadAhead > 0 {
 		first := off &^ (e.ps - 1)
-		end := (off + int64(len(buf)) + e.ps - 1) &^ (e.ps - 1)
+		end := (off + size + e.ps - 1) &^ (e.ps - 1)
 		if first == e.nextSeq {
 			for i := 0; i < e.o.ReadAhead; i++ {
 				e.pfQueue = append(e.pfQueue, end+int64(i)*e.ps)
@@ -335,36 +344,53 @@ func (e *Engine) Read(off int64, buf []byte) error {
 		e.nextSeq = end
 	}
 	e.mu.Unlock()
-	e.tr.Span(obs.KindStoreRead, obs.OpStoreRead, off, int64(len(buf)), start)
+	e.tr.Span(obs.KindStoreRead, obs.OpStoreRead, off, size, start)
 	return rerr
 }
 
 // asyncRead is one pending ReadAsync request.
 type asyncRead struct {
 	off  int64
-	size int
-	fn   func(data []byte, err error)
+	dst  [][]byte
+	size int64
+	fn   func(err error)
 }
 
-// ReadAsync queues a coherent read of [off, off+size) and returns
-// immediately; a worker goroutine performs the read — with the engine's
-// retry policy, since there is no caller left to retry — and invokes fn
-// exactly once with the result; data is meaningful only when err is nil.
+// ReadAsync queues a coherent read of the pages starting at the
+// page-aligned offset off into dst — dst[i] receives page i, and every
+// dst[i] but the last is exactly one page long — and returns
+// immediately. A worker goroutine performs the read, straight into dst,
+// with the engine's retry policy (there is no caller left to retry), and
+// invokes fn exactly once with the outcome; on error the contents of dst
+// are unspecified, as with Read. The engine allocates no page buffer for
+// the request.
+//
 // fn runs on the worker (or, if the engine is already closed, on the
-// calling goroutine) and must not call back into the engine's blocking
-// entry points.
+// calling goroutine). It may block on locks and may Write to this or any
+// engine: Write and Read never wait for a worker, and Truncate waits only
+// for backend writes already in progress. The draining calls (Barrier,
+// Flush, Close) wait for workers, so they must not be made from fn or
+// under a lock fn can take. The memory manager's inline fill completion
+// (internal/core) relies on exactly this.
 //
 // This is the device half of the pager submit/complete protocol: the seg
-// driver turns a gmi.PageRequest into one ReadAsync and completes the
-// request from fn.
-func (e *Engine) ReadAsync(off int64, size int, fn func(data []byte, err error)) {
+// driver turns a gmi.PageRequest into one ReadAsync, reading into the
+// request's destination frames, and completes the request from fn.
+func (e *Engine) ReadAsync(off int64, dst [][]byte, fn func(err error)) {
+	var size int64
+	for i, d := range dst {
+		if i < len(dst)-1 && int64(len(d)) != e.ps {
+			panic("store: ReadAsync destination is not a whole page")
+		}
+		size += int64(len(d))
+	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		fn(nil, ErrClosed)
+		fn(ErrClosed)
 		return
 	}
-	e.reads = append(e.reads, asyncRead{off: off, size: size, fn: fn})
+	e.reads = append(e.reads, asyncRead{off: off, dst: dst, size: size, fn: fn})
 	e.spawnLocked()
 	e.mu.Unlock()
 }
@@ -413,9 +439,10 @@ func (e *Engine) worker() {
 			e.reads = e.reads[1:]
 			e.st.AsyncReads++
 			e.mu.Unlock()
-			buf := make([]byte, r.size)
-			err := e.retryPolicy().Do(func() error { return e.Read(r.off, buf) })
-			r.fn(buf, err)
+			err := e.retryPolicy().Do(func() error {
+				return e.read(r.off, r.size, func(bufOff, n int64) []byte { return r.dst[bufOff/e.ps][:n] })
+			})
+			r.fn(err)
 			e.mu.Lock()
 			continue
 		}
@@ -571,14 +598,28 @@ func (e *Engine) Err() error {
 	return e.err
 }
 
-// Truncate drains pending writeback, then truncates the backend and
-// drops engine state (checksums, prefetched pages) at or beyond size.
+// Truncate discards every page at or beyond size: queued writeback of
+// those pages is dropped unwritten, batches already inside a backend
+// WriteAt are waited out (so none lands after the truncation), and the
+// engine's state for them (checksums, prefetched pages) goes too; then
+// the backend is truncated. Writeback below size stays queued. It never
+// waits for a queued write to be taken, so it cannot wait on a worker
+// that is busy running a ReadAsync completion — the memory manager
+// releases a dead cache's swap segment this way while holding its
+// structural lock.
 func (e *Engine) Truncate(size int64) error {
-	e.Barrier()
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return ErrClosed
+	}
+	for po := range e.dirty {
+		if po >= size {
+			delete(e.dirty, po)
+		}
+	}
+	for e.inflightFromLocked(size) {
+		e.cond.Wait()
 	}
 	for po := range e.sums {
 		if po >= size {
@@ -592,6 +633,17 @@ func (e *Engine) Truncate(size int64) error {
 	}
 	e.mu.Unlock()
 	return e.b.Truncate(size)
+}
+
+// inflightFromLocked reports whether a page at or beyond size is inside
+// a backend WriteAt right now; e.mu held.
+func (e *Engine) inflightFromLocked(size int64) bool {
+	for po := range e.inflight {
+		if po >= size {
+			return true
+		}
+	}
+	return false
 }
 
 // Close drains writeback, closes the backend, and marks the engine

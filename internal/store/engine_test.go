@@ -289,6 +289,45 @@ func TestEngineTruncateDropsState(t *testing.T) {
 	}
 }
 
+// TestEngineTruncateSkipsBusyWorker: Truncate discards queued writeback
+// beyond the cut instead of draining it, so it returns while the only
+// worker is still inside a ReadAsync completion. The memory manager runs
+// fill completions on engine workers and releases a dead cache's swap
+// segment while holding the lock those completions take; a Truncate that
+// waited for the worker would deadlock there.
+func TestEngineTruncateSkipsBusyWorker(t *testing.T) {
+	b := NewMem(psTest)
+	e := NewEngine(b, Options{Workers: 1})
+	defer e.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	e.ReadAsync(0, [][]byte{make([]byte, psTest)}, func(error) {
+		close(entered)
+		<-release
+	})
+	<-entered
+	if err := e.Write(0, pattern(5, 2*psTest)); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Truncate(0) }()
+	var err error
+	select {
+	case err = <-done:
+		close(release)
+	case <-time.After(5 * time.Second):
+		t.Error("Truncate waited for the worker running a completion")
+		close(release)
+		err = <-done
+	}
+	if err != nil {
+		t.Fatalf("Truncate: %v", err)
+	}
+	e.Barrier()
+	if got := b.Pages(); got != 0 {
+		t.Fatalf("backend Pages() = %d after Truncate(0), want 0 (dropped writeback landed)", got)
+	}
+}
+
 func TestEngineConcurrentWritersReaders(t *testing.T) {
 	e := NewEngine(NewMem(psTest), Options{Workers: 4})
 	defer e.Close()

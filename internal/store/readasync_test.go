@@ -18,20 +18,15 @@ func TestEngineReadAsync(t *testing.T) {
 	}
 	e.Barrier()
 
-	type result struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan result, 1)
-	e.ReadAsync(0, psTest, func(data []byte, err error) {
-		ch <- result{data, err}
-	})
+	got := make([]byte, psTest)
+	ch := make(chan error, 1)
+	e.ReadAsync(0, [][]byte{got}, func(err error) { ch <- err })
 	select {
-	case r := <-ch:
-		if r.err != nil {
-			t.Fatalf("ReadAsync: %v", r.err)
+	case err := <-ch:
+		if err != nil {
+			t.Fatalf("ReadAsync: %v", err)
 		}
-		if !bytes.Equal(r.data, want) {
+		if !bytes.Equal(got, want) {
 			t.Fatal("ReadAsync returned wrong bytes")
 		}
 	case <-time.After(5 * time.Second):
@@ -46,7 +41,7 @@ func TestEngineReadAsync(t *testing.T) {
 
 	// After Close the completion still fires — with ErrClosed.
 	ch2 := make(chan error, 1)
-	e.ReadAsync(0, psTest, func(data []byte, err error) { ch2 <- err })
+	e.ReadAsync(0, [][]byte{got}, func(err error) { ch2 <- err })
 	select {
 	case err := <-ch2:
 		if !errors.Is(err, ErrClosed) {
@@ -75,11 +70,8 @@ func TestEngineReadAsyncRetries(t *testing.T) {
 	}
 	e.Barrier()
 	ch := make(chan error, 1)
-	var got []byte
-	e.ReadAsync(0, psTest, func(data []byte, err error) {
-		got = data
-		ch <- err
-	})
+	got := make([]byte, psTest)
+	e.ReadAsync(0, [][]byte{got}, func(err error) { ch <- err })
 	select {
 	case err := <-ch:
 		if err != nil {
