@@ -37,14 +37,16 @@ type CacheInfo struct {
 	Temp     bool
 }
 
-// String renders every counter, for tools and logs.
+// String renders every counter, in field order, for tools and logs
+// (TestStatsStringAndDeltaCoverEveryField keeps it exhaustive).
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"faults=%d softfaults=%d segv=%d prot=%d zerofills=%d cowbreaks=%d historypushes=%d stubbreaks=%d pullins=%d pushouts=%d evictions=%d collapses=%d zombies=%d zeropoolhits=%d zeropoolmisses=%d magazinerefills=%d batchfrees=%d faultaround=%d promotions=%d demotions=%d speccancels=%d harvests=%d secondchances=%d polpromotions=%d wssuspend=%d wsresume=%d tierpromos=%d tierdemos=%d rretries=%d",
+		"faults=%d softfaults=%d segv=%d protfaults=%d zerofills=%d cowbreaks=%d historypushes=%d stubbreaks=%d pullins=%d fillsubmits=%d fillcompletes=%d pushouts=%d asyncbatches=%d evictions=%d collapses=%d zombies=%d faultaround=%d promotions=%d demotions=%d speccancels=%d zeropoolhits=%d zeropoolmisses=%d magazinerefills=%d batchfrees=%d harvests=%d secondchances=%d polpromotions=%d wssuspend=%d wsresume=%d tierpromos=%d tierdemos=%d rretries=%d",
 		s.Faults, s.SoftFaults, s.SegvFaults, s.ProtFaults, s.ZeroFills, s.CowBreaks, s.HistoryPushes,
-		s.StubBreaks, s.PullIns, s.PushOuts, s.Evictions, s.Collapses, s.Zombies,
-		s.ZeroPoolHits, s.ZeroPoolMisses, s.MagazineRefills, s.BatchFrees,
+		s.StubBreaks, s.PullIns, s.FillSubmits, s.FillCompletes, s.PushOuts, s.AsyncBatches,
+		s.Evictions, s.Collapses, s.Zombies,
 		s.FaultAroundMapped, s.Promotions, s.Demotions, s.SpeculationsCancelled,
+		s.ZeroPoolHits, s.ZeroPoolMisses, s.MagazineRefills, s.BatchFrees,
 		s.PolicyHarvests, s.PolicySecondChances, s.PolicyPromotions,
 		s.WSSuspensions, s.WSResumes,
 		s.TierPromotions, s.TierDemotions, s.RemoteRetries)

@@ -21,14 +21,14 @@ import (
 // Fast path (fastFaultOnce): p.mu.RLock plus the faulting key's global-map
 // shard mutex. It handles the common cases end to end — mapping a resident
 // page for read, a simple write to an already-writable page, zero-filling
-// a temporary, and a single-page pullIn — so faults on different pages
-// from different contexts proceed in parallel. Page-content work (bzero of
-// a fresh frame) and mapper upcalls run with no shard lock held: an
-// in-transit fragment is represented by a synchronization stub in the
-// global map, so concurrent access blocks on the fragment, never on a
-// lock. Anything structural — deferred-copy stubs, history pushes, access
-// upgrades, read-through of parent chains, clustered read-ahead, frame
-// reclaim — makes the fast path bail out wholesale.
+// a temporary, and a pager fill (submit.go) — so faults on different
+// pages from different contexts proceed in parallel. Page-content work
+// (bzero of a fresh frame) and pager submissions run with no shard lock
+// held: an in-transit fragment is represented by a synchronization stub
+// in the global map, so concurrent access blocks on the fragment, never
+// on a lock. Anything structural — deferred-copy stubs, history pushes,
+// access upgrades, read-through of parent chains, synchronous pullIn
+// upcalls, frame reclaim — makes the fast path bail out wholesale.
 //
 // Slow path (slowFault/resolveFault): p.mu held exclusively, which
 // excludes every RLock holder and therefore every shard-lock holder.
@@ -297,15 +297,11 @@ func (p *PVM) fastFaultOnce(ctx *context, va gmi.VA, access gmi.Prot, span *obs.
 			*worked = true
 			return p.fastSubmitPull(c, off, key, sh, pager, access, span)
 		}
-		if p.readAhead > 1 {
-			// Clustered synchronous pulls touch neighbouring keys under
-			// one lock: slow path.
-			sh.mu.Unlock()
-			p.mu.RUnlock()
-			return false, false, nil
-		}
-		*worked = true
-		return p.fastPullIn(c, off, key, sh, access, span)
+		// A synchronous PullIn upcall is answered by FillUp, which takes
+		// p.mu exclusively: the exclusive tier issues it.
+		sh.mu.Unlock()
+		p.mu.RUnlock()
+		return false, false, nil
 
 	default:
 		sh.mu.Unlock()
@@ -371,48 +367,6 @@ func (p *PVM) fastZeroFill(ctx *context, r *region, pva gmi.VA, c *cache, off in
 	release()
 	p.mu.RUnlock()
 	return true, false, nil
-}
-
-// fastPullIn issues a single-page pullIn upcall from the fast path.
-// Entered holding p.mu.RLock and the key's shard mutex; both are released
-// before the upcall (the segment's FillUp answer takes p.mu exclusively).
-// On success the page is resident and the caller retries the fast path to
-// map it.
-func (p *PVM) fastPullIn(c *cache, off int64, key pageKey, sh *gmapShard, access gmi.Prot, span *obs.FaultSpan) (bool, bool, error) {
-	stub := &syncStub{done: make(chan struct{})}
-	sh.m[key] = stub
-	p.clock.Charge(cost.EvGlobalMapOp, 1)
-	seg := c.seg
-	sh.mu.Unlock()
-	p.mu.RUnlock()
-
-	atomic.AddUint64(&p.stats.PullIns, 1)
-	p.clock.Charge(cost.EvPullIn, 1)
-	span.Mark(obs.StageResolve)
-	start := p.obs.Clock()
-	err := seg.PullIn(c, off, p.pageSize, access|gmi.ProtRead)
-	p.obs.Span(obs.KindPullIn, obs.OpPullIn, int64(c.id), off, start)
-	span.Mark(obs.StageSubmit)
-
-	// Settle: whatever the fill did not replace is removed and woken.
-	filled := true
-	p.mu.RLock()
-	sh.mu.Lock()
-	span.Mark(obs.StageLockWait)
-	if sh.m[key] == mapEntry(stub) {
-		delete(sh.m, key)
-		p.settleStub(stub)
-		filled = false
-	}
-	sh.mu.Unlock()
-	p.mu.RUnlock()
-	if err != nil {
-		return true, false, err
-	}
-	if !filled {
-		return true, false, fmt.Errorf("core: segment did not fill (cache %p, off %#x)", c, off)
-	}
-	return false, true, nil
 }
 
 // settleStub closes a synchronization stub exactly once. Callers hold
@@ -644,35 +598,46 @@ func (p *PVM) ensureResident(c *cache, off int64, access gmi.Prot, span *obs.Fau
 }
 
 // bringIn makes (c, off) resident at its owning cache c: zero-fill for
-// temporaries, pullIn upcall otherwise. A synchronization stub blocks
-// concurrent access to each in-transit page (section 4.1.2). When
-// read-ahead is configured, the pull is clustered over the following
-// empty owner-resolved pages, amortizing the segment's positioning cost.
-// p.mu held exclusively; released around the upcall.
+// temporaries, a pager fill or a pullIn upcall otherwise. A
+// synchronization stub blocks concurrent access to each in-transit page
+// (section 4.1.2). When read-ahead is configured, the pull is clustered
+// over the following empty owner-resolved pages, amortizing the
+// segment's positioning cost. p.mu held exclusively; released around
+// reclaim and the upcall.
 func (p *PVM) bringIn(c *cache, off int64, access gmi.Prot, span *obs.FaultSpan) error {
-	if c.seg == nil {
+	seg := c.seg
+	key := pageKey{c, off}
+	stub := &syncStub{done: make(chan struct{})}
+	p.gmapSet(key, stub)
+	p.clock.Charge(cost.EvGlobalMapOp, 1)
+	pager, async := seg.(gmi.Pager)
+	if seg != nil && !async {
+		return p.pullInSync(c, off, seg, stub, access, span)
+	}
+
+	// The primary page's frame is reserved now, evicting if need be; the
+	// lock may have been out, so the stub must still hold the key (an
+	// explicit FillUp may have answered it meanwhile).
+	release, err := p.reserveFrames(1)
+	if err != nil || p.gmapGet(key) != mapEntry(stub) {
+		if err == nil {
+			release()
+		}
+		if p.gmapGet(key) == mapEntry(stub) {
+			p.gmapDelete(key)
+		}
+		p.settleStub(stub)
+		return err
+	}
+	if seg == nil {
 		// Zero-fill: the MM "unilaterally decides to cache" the
 		// fragment; no segment is involved until first push-out.
-		key := pageKey{c, off}
-		stub := &syncStub{done: make(chan struct{})}
-		p.gmapSet(key, stub)
-		p.clock.Charge(cost.EvGlobalMapOp, 1)
-		settle := func() {
-			if cur := p.gmapGet(key); cur == mapEntry(stub) {
-				p.gmapDelete(key)
-			}
-			p.settleStub(stub)
-		}
-		release, err := p.reserveFrames(1)
-		if err != nil {
-			settle()
-			return err
-		}
 		defer release()
 		span.Mark(obs.StageResolve)
 		f, err := p.mem.AllocZeroed()
 		if err != nil {
-			settle()
+			p.gmapDelete(key)
+			p.settleStub(stub)
 			return err
 		}
 		span.Mark(obs.StageContent)
@@ -686,67 +651,52 @@ func (p *PVM) bringIn(c *cache, off int64, access gmi.Prot, span *obs.FaultSpan)
 		return nil
 	}
 
-	// Cluster the pull over subsequent pages that are empty and resolve
-	// at this owner (no shadowing entry, no parent fragment).
-	count := 1
-	for count < p.readAhead {
-		o := off + int64(count)*p.pageSize
-		if p.gmapGet(pageKey{c, o}) != nil {
-			break
-		}
-		if c.findParent(o) != nil {
-			break
-		}
-		count++
-	}
-	stubs := make([]*syncStub, count)
-	for i := range stubs {
-		stubs[i] = &syncStub{done: make(chan struct{})}
-		p.gmapSet(pageKey{c, off + int64(i)*p.pageSize}, stubs[i])
-	}
-	p.clock.Charge(cost.EvGlobalMapOp, count)
+	// Submit/complete protocol from the exclusive tier, with the same
+	// builder and completion as the fast path: we park on the primary
+	// stub with the lock released and let the caller re-resolve.
+	req := p.stubFill(c, off, access|gmi.ProtRead, stub, release)
+	span.Mark(obs.StageResolve)
+	p.mu.Unlock()
+	err = p.awaitFill(pager, c, off, stub, span, req)
+	p.mu.Lock()
+	span.Mark(obs.StageLockWait)
+	return err
+}
 
-	seg := c.seg
-	if pager, ok := seg.(gmi.Pager); ok {
-		// Submit/complete protocol from the exclusive tier: the
-		// completion installs through the FillUp machinery (no frames
-		// travel with it), we just park on the primary stub with the
-		// lock released and let resolveFault re-resolve.
-		req := p.fillRequest(&fillCompletion{c: c, off: off, count: count, stubs: stubs}, access|gmi.ProtRead)
-		atomic.AddUint64(&p.stats.PullIns, 1)
-		atomic.AddUint64(&p.stats.FillSubmits, 1)
-		p.clock.Charge(cost.EvPullIn, 1)
-		span.Mark(obs.StageResolve)
-		p.mu.Unlock()
-		p.obs.Emit(obs.KindFillSubmit, int64(c.id), off)
-		start := p.obs.Clock()
-		pager.SubmitPull(req)
-		span.Mark(obs.StageSubmit)
-		<-stubs[0].done
-		p.obs.Span(obs.KindPullIn, obs.OpPullIn, int64(c.id), off, start)
-		span.Mark(obs.StageComplete)
-		p.mu.Lock()
-		span.Mark(obs.StageLockWait)
-		return stubs[0].err
+// pullInSync fills (c, off), whose stub is installed, with the paper's
+// synchronous pullIn upcall, clustered over the following empty
+// owner-resolved pages; the segment answers with FillUp, which replaces
+// the stubs. p.mu held exclusively; released around the upcall.
+func (p *PVM) pullInSync(c *cache, off int64, seg gmi.Segment, stub *syncStub, access gmi.Prot, span *obs.FaultSpan) error {
+	stubs := []*syncStub{stub}
+	for len(stubs) < p.readAhead {
+		o := off + int64(len(stubs))*p.pageSize
+		if p.gmapGet(pageKey{c, o}) != nil || c.findParent(o) != nil {
+			break
+		}
+		s := &syncStub{done: make(chan struct{})}
+		p.gmapSet(pageKey{c, o}, s)
+		stubs = append(stubs, s)
 	}
+	p.clock.Charge(cost.EvGlobalMapOp, len(stubs)-1)
 
 	atomic.AddUint64(&p.stats.PullIns, 1)
 	p.clock.Charge(cost.EvPullIn, 1)
 	span.Mark(obs.StageResolve)
 	p.mu.Unlock()
 	start := p.obs.Clock()
-	err := seg.PullIn(c, off, int64(count)*p.pageSize, access|gmi.ProtRead)
+	err := seg.PullIn(c, off, int64(len(stubs))*p.pageSize, access|gmi.ProtRead)
 	p.obs.Span(obs.KindPullIn, obs.OpPullIn, int64(c.id), off, start)
 	p.mu.Lock()
 	span.Mark(obs.StageSubmit)
 
 	// Settle whatever the fill did not replace (everything, on error).
 	firstFilled := true
-	for i, stub := range stubs {
+	for i, s := range stubs {
 		key := pageKey{c, off + int64(i)*p.pageSize}
-		if cur := p.gmapGet(key); cur == mapEntry(stub) {
+		if cur := p.gmapGet(key); cur == mapEntry(s) {
 			p.gmapDelete(key)
-			p.settleStub(stub)
+			p.settleStub(s)
 			if i == 0 {
 				firstFilled = false
 			}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"chorusvm/internal/cost"
@@ -582,4 +585,28 @@ func TestGetWriteAccessUpcall(t *testing.T) {
 		t.Fatalf("upgrades = %d, want 1", sg.Upgrades())
 	}
 	check(t, p)
+}
+
+// TestStatsStringAndDeltaCoverEveryField walks Stats by reflection, so a
+// counter added to the struct but forgotten in String or Delta fails
+// here: every field gets a distinct value, which String must print, and
+// Delta must difference field by field.
+func TestStatsStringAndDeltaCoverEveryField(t *testing.T) {
+	var s, prev Stats
+	sv, pv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&prev).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		sv.Field(i).SetUint(uint64(3000 + 7*i))
+		pv.Field(i).SetUint(uint64(1000 + i))
+	}
+	out := s.String() + " "
+	d := reflect.ValueOf(s.Delta(prev))
+	for i := 0; i < sv.NumField(); i++ {
+		name := sv.Type().Field(i).Name
+		if want := "=" + strconv.Itoa(3000+7*i) + " "; !strings.Contains(out, want) {
+			t.Errorf("String omits %s (no %q in %q)", name, want, out)
+		}
+		if got, want := d.Field(i).Uint(), uint64(2000+6*i); got != want {
+			t.Errorf("Delta.%s = %d, want %d", name, got, want)
+		}
+	}
 }

@@ -214,8 +214,6 @@ func TestConcurrentOracleStress(t *testing.T) {
 
 func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 	p, _ := newTestPVM(t, 96, opts...)
-	stopDaemon := p.StartPageoutDaemon(16, 32, 500*time.Microsecond)
-	defer stopDaemon()
 	if framepool {
 		stopZeroer := p.StartFrameZeroer(8, 24)
 		defer stopZeroer()
@@ -230,21 +228,14 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 		pages   = 8
 		rounds  = 80
 	)
-	done := make(chan struct{})
-	var reclaimer sync.WaitGroup
-	reclaimer.Add(1)
-	go func() {
-		defer reclaimer.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				p.PageOut(4)
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-	}()
+	// Workers set up their regions before any reclaimer runs. With
+	// promotion enabled, worker 0 also reads its whole aligned cluster
+	// then: nothing can take a frame from under that fill, so the extent
+	// variant promotes at least one cluster by construction, not by
+	// timing.
+	var setup sync.WaitGroup
+	setup.Add(workers)
+	start := make(chan struct{})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -252,6 +243,8 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ready := sync.OnceFunc(setup.Done)
+			defer ready()
 			rng := rand.New(rand.NewSource(int64(1000 + w)))
 			ctx, err := p.ContextCreate()
 			if err != nil {
@@ -273,6 +266,19 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 				return
 			}
 			model := make([]byte, pages*pg)
+			if w == 0 && p.promote {
+				full := make([]byte, pages*pg)
+				if err := ctx.Read(cbase, full); err != nil {
+					errs <- fmt.Errorf("worker %d cluster read: %w", w, err)
+					return
+				}
+				if !bytes.Equal(full, model) {
+					errs <- fmt.Errorf("worker %d cluster content diverged", w)
+					return
+				}
+			}
+			ready()
+			<-start
 			for r := 0; r < rounds; r++ {
 				off := rng.Int63n(pages*pg - 512)
 				data := make([]byte, rng.Intn(511)+1)
@@ -356,6 +362,27 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 			}
 		}(w)
 	}
+	setup.Wait()
+	promotedAtSetup := p.Stats().Promotions
+	stopDaemon := p.StartPageoutDaemon(16, 32, 500*time.Microsecond)
+	defer stopDaemon()
+	done := make(chan struct{})
+	var reclaimer sync.WaitGroup
+	reclaimer.Add(1)
+	go func() {
+		defer reclaimer.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				p.PageOut(4)
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+	close(start)
+
 	wg.Wait()
 	close(done)
 	reclaimer.Wait()
@@ -380,6 +407,9 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 		// teardown invalidates whatever survived. A promote with no
 		// matching demote would be a leaked large translation.
 		st := p.Stats()
+		if promotedAtSetup == 0 {
+			t.Fatal("the cluster read before reclaim started did not promote")
+		}
 		if st.Promotions == 0 {
 			t.Fatal("extent stress never promoted a cluster")
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"chorusvm/internal/cost"
@@ -21,9 +20,17 @@ import (
 // pages, settling the stubs and waking every context that faulted on
 // them — one device round-trip serves all waiters, no page is copied,
 // and read-ahead pages install without any faulting thread. Each
-// submitted fill also speculates the next cluster with a second,
+// fast-path fill also speculates the next cluster with a second,
 // fire-and-forget request that nobody waits on, pipelining sequential
 // reads.
+//
+// Both fault tiers submit the same way. The fast path (fastSubmitPull)
+// reserves the primary frame without evicting and bails out to the
+// exclusive tier when it cannot; the exclusive tier (bringIn) reserves
+// it with reserveFrames, which may evict. Every neighbour of the
+// cluster takes a non-evicting reservation (installStubRun), so a fill
+// never evicts for read-ahead, and all of a fill's reclaim happens at
+// submit, on the faulting goroutine.
 //
 // # Ordering rules for inline completion
 //
@@ -33,59 +40,64 @@ import (
 //     goroutines. That is safe because two completions never share a
 //     stub or a page key: a stub is installed once per key by exactly
 //     one submission, and every publish or settle is guarded by that
-//     key's shard mutex — the same argument that lets fastZeroFill run
-//     on many faulting goroutines.
+//     key's shard mutex or by p.mu held exclusively.
 //   - Within one completion, pages publish in reverse cluster order: the
 //     primary (faulted) stub settles last, so when its waiters wake the
 //     whole cluster is already resident. No ordering is promised between
 //     completions; none is needed, since they are key-disjoint.
 //   - A completion enters holding no PVM lock and takes p.mu itself —
-//     shared on the fast path, exclusive on the slow path, which may
-//     reserve frames and so evict. It cannot deadlock against the
-//     goroutine it runs on (a store.Engine worker, a mapper goroutine):
-//     no PVM path holds p.mu, in either mode, while it waits for a
-//     driver's goroutine or for a page in transit — waitStub, waitBusy
-//     and the fast fault path release it before they park, upcalls are
-//     issued unlocked, and the one engine call made under p.mu, a dead
-//     cache's swap-segment Release (store.Engine.Truncate), waits only
-//     for backend writes already in progress, never for a worker to take
-//     queued work. The slow path's evictions push out through
-//     store.Engine.Write, which never waits for a worker, and a driver
-//     may even complete synchronously inside SubmitPull, since every
-//     submission is made with no PVM lock held.
+//     shared while the cache is in the simple state, exclusive otherwise
+//     — and takes no frame and evicts nothing for its pages: their
+//     frames were taken at submit. (The one exception is shared with
+//     FillUp: a copy that landed on a page in flight makes the exclusive
+//     publish's supersedeParent reap a parent, which may fill pages.)
+//     Outside that case it cannot deadlock against the goroutine it
+//     runs on (a store.Engine worker, a mapper goroutine): no PVM path holds
+//     p.mu, in either mode, while it waits for a driver's goroutine or
+//     for a page in transit — waitStub, waitBusy and the fast fault path
+//     release it before they park, and upcalls, submissions included,
+//     are issued unlocked, so a driver may even complete synchronously
+//     inside SubmitPull.
 //
 // # Who owns an in-flight frame
 //
-// A fast-path submission turns each stub's frame reservation into a
-// frame at submit time, under p.mu.RLock, and counts it in
-// p.inFlightFrames. From then until the completion publishes or frees
-// it, the frame belongs to the in-flight I/O: only the driver writes its
-// Data. The completion publishes or frees each frame and lowers
-// inFlightFrames while it still holds p.mu (either mode), so the
-// frame-accounting invariant, checked under p.mu exclusive, always sees
-// free + resident + in flight == total; and it does so before settling
-// the page's stub, so a woken waiter never finds the frame in flight. Exclusive-tier submissions
-// (bringIn) carry no frames: their completions install through the
-// FillUp machinery, copying the returned bytes.
+// A submission turns each stub's frame reservation into a frame at
+// submit time, under p.mu (shared on the fast path, exclusive on the
+// exclusive tier), and counts it in p.inFlightFrames. From then until
+// the completion publishes or frees it, the frame belongs to the
+// in-flight I/O: only the driver writes its Data. The completion
+// publishes or frees each frame and lowers inFlightFrames while it still
+// holds p.mu (either mode), so the frame-accounting invariant, checked
+// under p.mu exclusive, always sees free + resident + in flight ==
+// total; and it does so before settling the page's stub, so a woken
+// waiter never finds the frame in flight.
 //
 // # Why publishing under RLock is sound
 //
-// The fast completion path installs pages holding p.mu.RLock plus one
-// shard mutex per key, exactly like fastZeroFill: a foreign syncStub is
-// never replaced by other RLock holders (they park on it), and every
-// exclusive-lock mutator is excluded for as long as the RLock is held, so
-// the check "is the map entry still our stub" decides ownership of the
-// key with no further coordination.
+// While the cache has own content only (no history, no parents, no
+// remote stub readers, not destroyed) the completion installs pages
+// holding p.mu.RLock plus one shard mutex per key, exactly like
+// fastZeroFill: a foreign syncStub is never replaced by other RLock
+// holders (they park on it), and every exclusive-lock mutator is
+// excluded for as long as the RLock is held, so the check "is the map
+// entry still our stub" decides ownership of the key with no further
+// coordination. Any other cache publishes under p.mu exclusively, which
+// adds the residency bookkeeping (supersedeParent, afterResident) those
+// states need.
+//
+// # A stub replaced in flight
+//
+// Whoever replaced or removed a fill's stub while the device worked (an
+// explicit FillUp, cache teardown) owns the key: its content stands and
+// the completion frees the frame it read into, on either tier.
 
 // fillCompletion carries one completed (or failed) fill from a pager
 // driver's Complete call into the PVM. stubs[i] guards the page at
-// off + i*pageSize. frames, set only on fast-path submissions, are those
-// pages' submit-time frames (their presence lets the pages publish under
-// the shared lock).
+// off + i*pageSize, and frames[i] is the frame that page was read into,
+// taken at submit time.
 type fillCompletion struct {
 	c      *cache
 	off    int64
-	count  int
 	mode   gmi.Prot
 	stubs  []*syncStub
 	frames []*phys.Frame
@@ -93,66 +105,59 @@ type fillCompletion struct {
 	err    error
 }
 
-// fillRequest builds the PageRequest for fc: its completion callback
-// stamps the outcome and runs completeFill inline, on whatever goroutine
-// the driver finishes on.
-func (p *PVM) fillRequest(fc *fillCompletion, mode gmi.Prot) *gmi.PageRequest {
-	return gmi.NewPageRequest(fc.c, fc.off, int64(fc.count)*p.pageSize, mode,
-		func(data []byte, granted gmi.Prot, err error) {
-			fc.data, fc.err = data, err
-			fc.mode = mode
-			if granted != gmi.ProtNone {
-				fc.mode = granted
-			}
-			p.completeFill(fc)
-		})
-}
-
-// completeFill dispatches one completion: failures settle every stub with
-// the error; successful fast-path completions publish under the shared
-// lock when the cache is still in the simple state the submission
-// required (own content only, no history, no parents, no remote stub
-// readers — all identity fields stable under RLock); anything else goes
-// through the exclusive FillUp machinery.
+// completeFill runs one completion. A driver that returned bytes instead
+// of filling Dst (a decorator re-wrapped the request) has them copied
+// into the fill's frames first, with no lock held: the frames belong to
+// the fill. Then the outcome is published under p.mu — shared when the
+// cache is still in the simple state (all the fields that decide it are
+// stable under RLock), exclusive otherwise. A completion for a cache
+// torn down meanwhile fails with gmi.ErrDestroyed (unless teardown is
+// itself recovering the content, c.reaping).
 func (p *PVM) completeFill(fc *fillCompletion) {
 	atomic.AddUint64(&p.stats.FillCompletes, 1)
 	p.obs.Emit(obs.KindFillComplete, int64(fc.c.id), fc.off)
+	if fc.err == nil && fc.data != nil {
+		for i, f := range fc.frames {
+			chunk := fillChunk(fc.data, i, p.pageSize)
+			if int64(len(chunk)) < p.pageSize {
+				p.mem.Zero(f)
+			}
+			copy(f.Data, chunk)
+		}
+	}
+	c := fc.c
+	p.mu.RLock()
+	shared := !c.destroyed && c.history == nil && len(c.parents) == 0 && len(c.remoteStubs) == 0
+	if !shared {
+		p.mu.RUnlock()
+		p.mu.Lock()
+	}
+	if fc.err == nil && c.freed && !c.reaping {
+		fc.err = gmi.ErrDestroyed
+	}
 	if fc.err != nil {
 		p.failFill(fc)
-		return
+	} else {
+		p.publishFill(fc, shared)
 	}
-	if fc.frames != nil {
-		p.mu.RLock()
-		c := fc.c
-		if !c.freed && !c.destroyed && c.history == nil &&
-			len(c.parents) == 0 && len(c.remoteStubs) == 0 {
-			p.completeFillFast(fc)
-			p.mu.RUnlock()
-			return
-		}
+	if shared {
 		p.mu.RUnlock()
+	} else {
+		p.mu.Unlock()
 	}
-	p.completeFillSlow(fc)
 }
 
-// freeFillFrames returns a fill's submit-time frames to the allocator
-// and drops them from the in-flight count; p.mu held in either mode.
-func (p *PVM) freeFillFrames(fc *fillCompletion) {
+// failFill frees the fill's frames and settles every stub, stamping the
+// error so the parked submitter reports it; waiters that merely blocked
+// on a stub retry their fault and re-derive the outcome. p.mu held in
+// either mode; each key is settled under its shard mutex, which guards
+// the key in both modes.
+func (p *PVM) failFill(fc *fillCompletion) {
 	for _, f := range fc.frames {
 		p.mem.Free(f)
 	}
 	atomic.AddInt64(&p.inFlightFrames, -int64(len(fc.frames)))
 	fc.frames = nil
-}
-
-// failFill frees the fill's frames and settles every stub, stamping the
-// error so the parked submitter reports it; waiters that merely blocked
-// on a stub retry their fault and re-derive the outcome. Runs under
-// RLock plus one shard mutex per key — valid for stubs installed by
-// either tier, since a shard mutex guards its keys in both locking modes.
-func (p *PVM) failFill(fc *fillCompletion) {
-	p.mu.RLock()
-	p.freeFillFrames(fc)
 	for i, stub := range fc.stubs {
 		key := pageKey{fc.c, fc.off + int64(i)*p.pageSize}
 		sh := p.shardOf(key)
@@ -167,97 +172,47 @@ func (p *PVM) failFill(fc *fillCompletion) {
 		p.settleStub(stub)
 		sh.mu.Unlock()
 	}
-	p.mu.RUnlock()
 }
 
-// completeFillFast publishes a successful cluster under p.mu.RLock, one
-// shard mutex at a time, in reverse order so the primary stub settles
-// last (waiters wake to a fully resident cluster). Each page lands in
-// the frame it was read into; only a driver that returned bytes instead
-// of filling Dst costs a copy. afterResident would be a no-op in the
-// state completeFill verified, so it is skipped, exactly as in
-// fastZeroFill.
-func (p *PVM) completeFillFast(fc *fillCompletion) {
+// publishFill installs a successful fill, in reverse order so the
+// primary stub settles last (waiters wake to a fully resident cluster).
+// Each page lands in the frame it was read into; a key whose stub was
+// replaced in flight keeps its replacer's content and the frame goes
+// back. With shared set, p.mu is held shared and each key is taken under
+// its shard mutex; afterResident and supersedeParent would be no-ops in
+// the state completeFill verified, so they are skipped, exactly as in
+// fastZeroFill. Otherwise p.mu is held exclusively and they run.
+func (p *PVM) publishFill(fc *fillCompletion, shared bool) {
 	c := fc.c
-	for i := fc.count - 1; i >= 0; i-- {
+	for i := len(fc.stubs) - 1; i >= 0; i-- {
 		off := fc.off + int64(i)*p.pageSize
-		stub := fc.stubs[i]
+		stub, f := fc.stubs[i], fc.frames[i]
 		key := pageKey{c, off}
 		sh := p.shardOf(key)
-		f := fc.frames[i]
-		if fc.data != nil {
-			chunk := fillChunk(fc.data, i, p.pageSize)
-			if int64(len(chunk)) < p.pageSize {
-				p.mem.Zero(f)
-			}
-			copy(f.Data, chunk)
-		}
 		// The cost model charges the paper's fillUp copy, which the
 		// simulated kernel makes whether or not this one does.
 		p.clock.Charge(cost.EvBcopyPage, 1)
-		pg := &page{frame: f, off: off, granted: fc.mode}
-		sh.mu.Lock()
+		if shared {
+			sh.mu.Lock()
+		} else {
+			p.supersedeParent(c, off)
+		}
 		if sh.m[key] == mapEntry(stub) {
 			delete(sh.m, key)
+			pg := &page{frame: f, off: off, granted: fc.mode}
 			p.addPage(c, pg)
+			if !shared {
+				p.afterResident(c, pg)
+			}
 		} else {
-			// The key changed hands while the fill was in flight (cache
-			// teardown, an explicit FillUp): whoever replaced the stub
-			// owns the content now.
 			p.mem.Free(f)
 		}
 		// The frame is resident or free before anyone wakes: a woken
 		// waiter never sees it still counted in flight.
 		atomic.AddInt64(&p.inFlightFrames, -1)
 		p.settleStub(stub)
-		sh.mu.Unlock()
-	}
-}
-
-// completeFillSlow installs a successful fill through the exclusive-lock
-// FillUp machinery (handles parents, history protection, remote-stub
-// rethreading, competing fills), then settles anything the fill did not
-// replace.
-func (p *PVM) completeFillSlow(fc *fillCompletion) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if fc.frames != nil {
-		// installFilled reserves and fills frames of its own: take the
-		// bytes out of the submit-time frames and give those back first,
-		// or reserveFrames could evict for frames this fill still holds.
-		if fc.data == nil {
-			fc.data = make([]byte, int64(fc.count)*p.pageSize)
-			for i, f := range fc.frames {
-				copy(fc.data[int64(i)*p.pageSize:], f.Data)
-			}
-		}
-		p.freeFillFrames(fc)
-	}
-	c := fc.c
-	var firstErr error
-	if c.freed && !c.reaping {
-		firstErr = gmi.ErrDestroyed
-	} else {
-		for i := fc.count - 1; i >= 0; i-- {
-			off := fc.off + int64(i)*p.pageSize
-			if err := p.fillPage(c, off, fillChunk(fc.data, i, p.pageSize), fc.mode); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	for i, stub := range fc.stubs {
-		key := pageKey{c, fc.off + int64(i)*p.pageSize}
-		if cur := p.gmapGet(key); cur == mapEntry(stub) {
-			p.gmapDelete(key)
-			p.clock.Charge(cost.EvGlobalMapOp, 1)
-		}
-		if !stub.closed {
-			err := firstErr
-			if err == nil {
-				err = fmt.Errorf("core: pager completion did not fill (cache %p, off %#x)", c, key.off)
-			}
-			stub.err = err
-			p.settleStub(stub)
+		if shared {
+			sh.mu.Unlock()
 		}
 	}
 }
@@ -335,34 +290,58 @@ func (p *PVM) cancelSpeculation(c *cache, off int64, stubs []*syncStub, releases
 	p.obs.Emit(obs.KindSpecCancel, int64(c.id), off)
 }
 
-// newFillRequest builds the PageRequest for a fast-path stub run,
-// turning the run's frame reservations into the frames the driver reads
-// into (r.Dst); called with p.mu.RLock held.
+// stubFill extends the stub just installed at (c, off), whose frame
+// reservation is release, over the rest of the read-ahead cluster, and
+// builds the cluster's fill request. It is the one submit builder of
+// both fault tiers. Returns nil when the fill failed before submission.
+// p.mu held in either mode, no shard mutex.
+func (p *PVM) stubFill(c *cache, off int64, mode gmi.Prot, stub *syncStub, release func()) *gmi.PageRequest {
+	more, moreRel, _ := p.installStubRun(c, off+p.pageSize, p.readAhead-1)
+	return p.newFillRequest(c, off, mode, append([]*syncStub{stub}, more...), append([]func(){release}, moreRel...))
+}
+
+// newFillRequest builds the PageRequest for a stub run, turning the
+// run's frame reservations into the frames the driver reads into
+// (r.Dst). Its completion callback stamps the outcome and runs
+// completeFill inline, on whatever goroutine the driver finishes on. The
+// reservations make allocation failure unreachable; should it happen
+// anyway, the fill fails with gmi.ErrNoMemory before it is submitted and
+// nil is returned. p.mu held in either mode, no shard mutex.
 func (p *PVM) newFillRequest(c *cache, off int64, mode gmi.Prot, stubs []*syncStub, releases []func()) *gmi.PageRequest {
-	fc := &fillCompletion{c: c, off: off, count: len(stubs), stubs: stubs,
-		frames: p.allocFillFrames(len(stubs))}
+	fc := &fillCompletion{c: c, off: off, stubs: stubs}
+	frames, err := p.allocFillFrames(len(stubs))
 	for _, r := range releases {
 		r()
 	}
-	req := p.fillRequest(fc, mode)
-	if fc.frames != nil {
-		req.Dst = make([][]byte, len(fc.frames))
-		for i, f := range fc.frames {
-			req.Dst[i] = f.Data
-		}
+	if err != nil {
+		fc.err = gmi.ErrNoMemory
+		p.failFill(fc)
+		return nil
+	}
+	fc.frames = frames
+	req := gmi.NewPageRequest(c, off, int64(len(stubs))*p.pageSize, mode,
+		func(data []byte, granted gmi.Prot, err error) {
+			fc.data, fc.err = data, err
+			fc.mode = mode
+			if granted != gmi.ProtNone {
+				fc.mode = granted
+			}
+			p.completeFill(fc)
+		})
+	req.Dst = make([][]byte, len(frames))
+	for i, f := range frames {
+		req.Dst[i] = f.Data
 	}
 	return req
 }
 
-// allocFillFrames allocates the n frames of a fast-path fill and counts
-// them in flight; p.mu.RLock held, with n frames reserved. With
+// allocFillFrames allocates the n frames of a fill and counts them in
+// flight; p.mu held in either mode, with n frames reserved. With
 // promotion enabled it first tries a physically contiguous run, so a
 // later fault-around pass can promote the cluster to a large
-// translation (best-effort: no run, same per-page allocations). The
-// reservations make allocation failure unreachable; should it happen
-// anyway, the frames taken so far go back and nil is returned — the
-// request then carries no Dst and completes through the slow path.
-func (p *PVM) allocFillFrames(n int) []*phys.Frame {
+// translation (best-effort: no run, same per-page allocations). On
+// failure the frames taken so far go back.
+func (p *PVM) allocFillFrames(n int) ([]*phys.Frame, error) {
 	var frames []*phys.Frame
 	if p.promote && n > 1 {
 		frames = p.mem.AllocRun(n)
@@ -375,21 +354,45 @@ func (p *PVM) allocFillFrames(n int) []*phys.Frame {
 				for _, f := range frames {
 					p.mem.Free(f)
 				}
-				return nil
+				return nil, err
 			}
 			frames = append(frames, f)
 		}
 	}
 	atomic.AddInt64(&p.inFlightFrames, int64(n))
-	return frames
+	return frames, nil
 }
 
-// fastSubmitPull is the fast path's submit/complete fill: entered from
-// fastFaultOnce holding p.mu.RLock and the primary key's shard mutex,
-// with the key empty and the cache in the simple state (own content only).
-// It installs stubs over the read-ahead cluster, submits one PageRequest,
-// releases the RLock and parks on the primary stub. On success the caller
-// retries the fast path, which finds the published page and maps it.
+// awaitFill submits the built requests (nil ones are skipped) and parks
+// until the primary stub settles, returning the fill's outcome. Called
+// with no PVM lock held: a driver may complete inside SubmitPull.
+func (p *PVM) awaitFill(pager gmi.Pager, c *cache, off int64, stub *syncStub, span *obs.FaultSpan, reqs ...*gmi.PageRequest) error {
+	start := p.obs.Clock()
+	for _, req := range reqs {
+		if req == nil {
+			continue
+		}
+		atomic.AddUint64(&p.stats.PullIns, 1)
+		atomic.AddUint64(&p.stats.FillSubmits, 1)
+		p.clock.Charge(cost.EvPullIn, 1)
+		p.obs.Emit(obs.KindFillSubmit, int64(c.id), req.Off)
+		pager.SubmitPull(req)
+	}
+	span.Mark(obs.StageSubmit)
+	<-stub.done
+	p.obs.Span(obs.KindPullIn, obs.OpPullIn, int64(c.id), off, start)
+	span.Mark(obs.StageComplete)
+	return stub.err
+}
+
+// fastSubmitPull is the fast path's fill: entered from fastFaultOnce
+// holding p.mu.RLock and the primary key's shard mutex, with the key
+// empty and the cache in the simple state (own content only). It
+// installs stubs over the read-ahead cluster, submits one PageRequest,
+// releases the RLock and parks on the primary stub. On success the
+// caller retries the fast path, which finds the published page and maps
+// it. A fault that would have to evict for its frame bails out to the
+// exclusive tier instead.
 //
 // With clustering enabled it also submits one speculative request for the
 // next cluster, fire-and-forget: no context parks on those stubs, so the
@@ -411,20 +414,10 @@ func (p *PVM) fastSubmitPull(c *cache, off int64, key pageKey, sh *gmapShard, pa
 	p.clock.Charge(cost.EvGlobalMapOp, 1)
 	sh.mu.Unlock()
 
-	stubs := []*syncStub{stub}
-	releases := []func(){release}
-	more, moreRel, _ := p.installStubRun(c, off+p.pageSize, p.readAhead-1)
-	stubs = append(stubs, more...)
-	releases = append(releases, moreRel...)
-
-	count := len(stubs)
-	mode := access | gmi.ProtRead
-	req := p.newFillRequest(c, off, mode, stubs, releases)
-
+	req := p.stubFill(c, off, access|gmi.ProtRead, stub, release)
 	var spec *gmi.PageRequest
-	var specOff int64
-	if p.readAhead > 1 {
-		specOff = off + int64(count)*p.pageSize
+	if p.readAhead > 1 && req != nil {
+		specOff := off + req.Size
 		sstubs, srel, starved := p.installStubRun(c, specOff, p.readAhead)
 		switch {
 		case starved:
@@ -439,26 +432,9 @@ func (p *PVM) fastSubmitPull(c *cache, off int64, key pageKey, sh *gmapShard, pa
 	}
 	p.mu.RUnlock()
 
-	atomic.AddUint64(&p.stats.PullIns, 1)
-	atomic.AddUint64(&p.stats.FillSubmits, 1)
-	p.clock.Charge(cost.EvPullIn, 1)
 	span.Mark(obs.StageResolve)
-	p.obs.Emit(obs.KindFillSubmit, int64(c.id), off)
-	start := p.obs.Clock()
-	pager.SubmitPull(req)
-	if spec != nil {
-		atomic.AddUint64(&p.stats.PullIns, 1)
-		atomic.AddUint64(&p.stats.FillSubmits, 1)
-		p.clock.Charge(cost.EvPullIn, 1)
-		p.obs.Emit(obs.KindFillSubmit, int64(c.id), specOff)
-		pager.SubmitPull(spec)
-	}
-	span.Mark(obs.StageSubmit)
-	<-stub.done
-	p.obs.Span(obs.KindPullIn, obs.OpPullIn, int64(c.id), off, start)
-	span.Mark(obs.StageComplete)
-	if stub.err != nil {
-		return true, false, stub.err
+	if err := p.awaitFill(pager, c, off, stub, span, req, spec); err != nil {
+		return true, false, err
 	}
 	return false, true, nil
 }

@@ -413,21 +413,35 @@ func TestFastFillPublishesDstFrame(t *testing.T) {
 	check(t, p)
 }
 
-// TestFillFramesReturned: a fast-path fill owns its frames from submit
-// time, so a failed completion and a completion that arrives after its
-// cache was destroyed must each give every one of them back — for the
-// demand cluster and the speculative one alike.
+// TestFillFramesReturned: a fill owns its frames from submit time, so a
+// failed completion and a completion that arrives after its cache was
+// destroyed must each give every one of them back — for the fast path's
+// demand cluster and speculative one alike, and for the exclusive tier's
+// cluster (a cache with a history object), whose request carries its
+// frames as Dst too.
 func TestFillFramesReturned(t *testing.T) {
-	for _, destroy := range []bool{false, true} {
-		name := "failed"
-		if destroy {
-			name = "after-destroy"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		history, destroy bool
+		reqs             int // requests per fault: cluster (+ speculation on the fast path)
+	}{
+		{"failed", false, false, 2},
+		{"after-destroy", false, true, 2},
+		{"exclusive-failed", true, false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			leakcheck.Check(t)
-			p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 4 })
+			p, _ := newTestPVM(t, 64, func(o *Options) {
+				o.ReadAheadPages = 4
+				o.SmallCopyPages = -1 // every copy goes through a history object
+			})
 			mp := newManualPager(seg.NewSegment("file", pg, p.Clock()))
 			c := p.CacheCreate(mp)
+			if tc.history {
+				if err := c.Copy(p.TempCacheCreate(), 0, 0, 8*pg); err != nil {
+					t.Fatalf("Copy: %v", err)
+				}
+			}
 			ctx, err := p.ContextCreate()
 			if err != nil {
 				t.Fatal(err)
@@ -437,12 +451,21 @@ func TestFillFramesReturned(t *testing.T) {
 
 			done := make(chan error, 1)
 			go func() { done <- ctx.Read(base, make([]byte, 8)) }()
-			reqs := waitRequests(t, mp, 2) // demand cluster + speculative next
-			if got := p.Memory().FreeFrames(); got != free-8 {
-				t.Fatalf("FreeFrames=%d with two 4-page fills in flight, want %d", got, free-8)
+			reqs := waitRequests(t, mp, tc.reqs)
+			for _, r := range reqs {
+				if len(r.Dst) != 4 {
+					t.Fatalf("request carries %d destinations, want 4", len(r.Dst))
+				}
+			}
+			inFlight := 4 * tc.reqs
+			if got := p.Memory().FreeFrames(); got != free-inFlight {
+				t.Fatalf("FreeFrames=%d with %d frames in flight, want %d", got, inFlight, free-inFlight)
+			}
+			if n := atomic.LoadInt64(&p.inFlightFrames); n != int64(inFlight) {
+				t.Fatalf("inFlightFrames=%d while the fills are in flight, want %d", n, inFlight)
 			}
 			check(t, p)
-			if destroy {
+			if tc.destroy {
 				if err := c.Destroy(); err != nil {
 					t.Fatalf("Destroy: %v", err)
 				}
@@ -462,6 +485,64 @@ func TestFillFramesReturned(t *testing.T) {
 			}
 			if n := atomic.LoadInt64(&p.inFlightFrames); n != 0 {
 				t.Fatalf("inFlightFrames=%d after the fills ended, want 0", n)
+			}
+			check(t, p)
+		})
+	}
+}
+
+// TestFillUpReplacingInFlightStubWins: a segment that answers a page
+// with an explicit FillUp while the PVM's own fill of it is in flight
+// replaces the fill's stub, and its content stands — the late
+// completion gives its frame back instead of overwriting the page. The
+// rule is the same on the fast tier and on the exclusive tier (a cache
+// with a history object).
+func TestFillUpReplacingInFlightStubWins(t *testing.T) {
+	for _, history := range []bool{false, true} {
+		name := "fast"
+		if history {
+			name = "exclusive"
+		}
+		t.Run(name, func(t *testing.T) {
+			leakcheck.Check(t)
+			p, _ := newTestPVM(t, 64, func(o *Options) { o.SmallCopyPages = -1 })
+			mp := newManualPager(seg.NewSegment("file", pg, p.Clock()))
+			c := p.CacheCreate(mp)
+			if history {
+				if err := c.Copy(p.TempCacheCreate(), 0, 0, pg); err != nil {
+					t.Fatalf("Copy: %v", err)
+				}
+			}
+			ctx, err := p.ContextCreate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustRegion(t, ctx, base, pg, gmi.ProtRW, c, 0)
+			free := p.Memory().FreeFrames()
+
+			buf := make([]byte, 64)
+			done := make(chan error, 1)
+			go func() { done <- ctx.Read(base, buf) }()
+			r := waitRequests(t, mp, 1)[0]
+			explicit := pattern(0xE1, pg)
+			if err := c.FillUp(0, explicit, gmi.ProtRWX); err != nil {
+				t.Fatalf("FillUp: %v", err)
+			}
+			if err := waitErr(t, done); err != nil {
+				t.Fatalf("Read: %v", err)
+			}
+			if !bytes.Equal(buf, explicit[:64]) {
+				t.Fatalf("faulter read %v, want the explicit FillUp's bytes", buf[:8])
+			}
+			r.Complete(pattern(0x0D, pg), gmi.ProtRWX, nil)
+			if got := mustRead(t, ctx, base, 64); !bytes.Equal(got, explicit[:64]) {
+				t.Fatalf("late completion overwrote the explicit fill: read %v", got[:8])
+			}
+			if got := p.Memory().FreeFrames(); got != free-1 {
+				t.Fatalf("FreeFrames=%d, want %d (one resident page, the fill's frame returned)", got, free-1)
+			}
+			if n := atomic.LoadInt64(&p.inFlightFrames); n != 0 {
+				t.Fatalf("inFlightFrames=%d after completion, want 0", n)
 			}
 			check(t, p)
 		})
@@ -497,7 +578,8 @@ func (s *inlinePager) SubmitPull(r *gmi.PageRequest) {
 // returns. The completion then runs on the submitting goroutine, so the
 // PVM must submit holding no lock — on the fast tier and on the
 // exclusive tier (a cache with history) alike — and every context
-// faulting the same pages must wake to the right bytes.
+// faulting the same pages must wake to the right bytes. Every request
+// carries its destination frames, whichever tier submitted it.
 func TestCompleteInsideSubmitPull(t *testing.T) {
 	for _, history := range []bool{false, true} {
 		name := "fast"
@@ -543,11 +625,8 @@ func TestCompleteInsideSubmitPull(t *testing.T) {
 					t.Fatalf("faulter: %v", err)
 				}
 			}
-			if history && ip.withDst.Load() != 0 {
-				t.Fatalf("%d exclusive-tier requests carried destinations", ip.withDst.Load())
-			}
-			if !history && ip.withoutDst.Load() != 0 {
-				t.Fatalf("%d fast-path requests carried no destinations", ip.withoutDst.Load())
+			if ip.withoutDst.Load() != 0 || ip.withDst.Load() == 0 {
+				t.Fatalf("%d requests carried no destinations (%d did)", ip.withoutDst.Load(), ip.withDst.Load())
 			}
 			if n := atomic.LoadInt64(&p.inFlightFrames); n != 0 {
 				t.Fatalf("inFlightFrames=%d after every fill completed, want 0", n)
@@ -598,17 +677,32 @@ func TestRewrappedRequestFillsByCopy(t *testing.T) {
 	check(t, p)
 }
 
-// TestSlowCompletionEvictsOnEngineWorker: a completion runs on the store
-// engine's worker, and on the slow path (a cache with history) it takes
-// the structural lock and may need to evict. With one worker and no free
-// frame, the eviction pushes a dirty page out to the very store whose
-// only worker is running the completion; that must not wait for the
-// worker.
-func TestSlowCompletionEvictsOnEngineWorker(t *testing.T) {
+// submitProbe forwards every request to its segment unchanged, Dst
+// included, after recording the PVM's eviction and the segment's
+// push-out counts at the moment of submission.
+type submitProbe struct {
+	*seg.Segment
+	p                 *PVM
+	evictions, pushes atomic.Uint64
+}
+
+func (s *submitProbe) SubmitPull(r *gmi.PageRequest) {
+	s.evictions.Store(s.p.Stats().Evictions)
+	s.pushes.Store(s.PushOuts())
+	s.Segment.SubmitPull(r)
+}
+
+// TestExclusiveFillEvictsAtSubmit: an exclusive-tier fill (a cache with
+// history) with no free frame evicts for its frame at submit, on the
+// faulting goroutine — here pushing a dirty page out to the very store
+// whose one engine worker later runs the completion. The completion
+// publishes the frame the fill brought with it and neither reserves nor
+// evicts, so it cannot wait on that worker.
+func TestExclusiveFillEvictsAtSubmit(t *testing.T) {
 	leakcheck.Check(t)
 	const frames = 8
 	p, _ := newTestPVM(t, frames, func(o *Options) { o.SmallCopyPages = -1 })
-	sg := seg.NewSegmentWith("file", store.NewMem(pg), store.Options{Workers: 1}, p.Clock())
+	sg := &submitProbe{Segment: seg.NewSegmentWith("file", store.NewMem(pg), store.Options{Workers: 1}, p.Clock()), p: p}
 	want := pattern(0x2D, pg)
 	if err := sg.Store().WriteAt(frames*pg, want); err != nil {
 		t.Fatal(err)
@@ -628,7 +722,7 @@ func TestSlowCompletionEvictsOnEngineWorker(t *testing.T) {
 	if err := c.Copy(p.TempCacheCreate(), 0, 0, frames*pg); err != nil {
 		t.Fatalf("Copy: %v", err)
 	}
-	pushes := sg.PushOuts()
+	pushes, evictions := sg.PushOuts(), p.Stats().Evictions
 
 	buf := make([]byte, pg)
 	done := make(chan error, 1)
@@ -639,8 +733,14 @@ func TestSlowCompletionEvictsOnEngineWorker(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Fatalf("read wrong bytes: %v", buf[:8])
 	}
-	if sg.PushOuts() == pushes {
-		t.Fatal("the fill evicted no dirty page of its own store")
+	if sg.pushes.Load() == pushes {
+		t.Fatal("the fill evicted no dirty page of its own store before submitting")
+	}
+	if sg.evictions.Load() == evictions {
+		t.Fatal("the fill was submitted before it evicted for its frame")
+	}
+	if got := p.Stats().Evictions; got != sg.evictions.Load() {
+		t.Fatalf("Evictions went %d -> %d after submission: the completion evicted", sg.evictions.Load(), got)
 	}
 	check(t, p)
 }

@@ -57,8 +57,7 @@ func NewPageRequest(c Cache, off, size int64, mode Prot, fn func(data []byte, gr
 //
 // Complete runs manager code inline, on the calling goroutine: it
 // publishes the pages and wakes their waiters before it returns, and it
-// may take the manager's structural lock and evict (pushing dirty pages
-// out through PushOut, this driver's included) to do so. A driver therefore
+// may take the manager's structural lock to do so. A driver therefore
 // calls it holding none of its own locks, from a goroutine that nothing
 // the manager waits on while holding its lock depends on; see Pager.
 func (r *PageRequest) Complete(data []byte, granted Prot, err error) bool {

@@ -30,7 +30,7 @@
 //	destroy NAME                        destroy a region or cache
 //	pageout N                           force N page reclaims
 //	tree                                print the history tree
-//	stats                               print fault/copy counters
+//	stats                               print every PVM counter
 //	clock                               print the simulated clock
 //	trace on|off                        enable/disable the event tracer
 //	hist                                print the latency histograms
@@ -211,15 +211,7 @@ func (in *Interp) exec(raw string) error {
 		fmt.Fprint(in.out, in.Tree())
 		return nil
 	case "stats":
-		st := in.pvm.Stats()
-		fmt.Fprintf(in.out, "faults=%d softfaults=%d protfaults=%d zerofills=%d cowbreaks=%d stubbreaks=%d historypushes=%d pullins=%d pushouts=%d evictions=%d collapses=%d zeropoolhits=%d zeropoolmisses=%d faultaround=%d promotions=%d demotions=%d speccancels=%d harvests=%d secondchances=%d polpromotions=%d wssuspend=%d wsresume=%d tierpromos=%d tierdemos=%d rretries=%d\n",
-			st.Faults, st.SoftFaults, st.ProtFaults, st.ZeroFills, st.CowBreaks, st.StubBreaks,
-			st.HistoryPushes, st.PullIns, st.PushOuts, st.Evictions, st.Collapses,
-			st.ZeroPoolHits, st.ZeroPoolMisses,
-			st.FaultAroundMapped, st.Promotions, st.Demotions, st.SpeculationsCancelled,
-			st.PolicyHarvests, st.PolicySecondChances, st.PolicyPromotions,
-			st.WSSuspensions, st.WSResumes,
-			st.TierPromotions, st.TierDemotions, st.RemoteRetries)
+		fmt.Fprintln(in.out, in.pvm.Stats())
 		return nil
 	case "policy":
 		return in.cmdPolicy(args)
