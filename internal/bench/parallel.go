@@ -64,7 +64,7 @@ type ParallelResult struct {
 	Stats core.Stats
 	// Store aggregates the store-engine counters of every worker segment:
 	// reads and writeback batches issued against the selected backend,
-	// prefetch activity, and — under fault injection — retries.
+	// and — under fault injection — retries.
 	Store store.Stats
 }
 
@@ -377,17 +377,17 @@ func FormatParallel(rs []ParallelResult) string {
 }
 
 // FormatParallelStore renders the aggregated store-engine counters of
-// each run: backend reads, writeback batching, prefetch hits, and —
-// under fault injection — retries.
+// each run: reads, writeback batching, and — under fault injection —
+// retries.
 func FormatParallelStore(rs []ParallelResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "per-run store-engine counters (all worker segments aggregated)\n")
-	fmt.Fprintf(&b, "%8s %8s %8s %9s %8s %8s %8s\n",
-		"workers", "reads", "batches", "coalesced", "pf-hits", "retries", "corrupt")
+	fmt.Fprintf(&b, "%8s %8s %8s %9s %8s %8s\n",
+		"workers", "reads", "batches", "coalesced", "retries", "corrupt")
 	for _, r := range rs {
-		fmt.Fprintf(&b, "%8d %8d %8d %9d %8d %8d %8d\n",
+		fmt.Fprintf(&b, "%8d %8d %8d %9d %8d %8d\n",
 			r.Workers, r.Store.Reads, r.Store.Batches, r.Store.Coalesced,
-			r.Store.PrefetchHits, r.Store.Retries, r.Store.Corruptions)
+			r.Store.Retries, r.Store.Corruptions)
 	}
 	return b.String()
 }

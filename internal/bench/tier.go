@@ -96,11 +96,7 @@ func tierRun(mode string, hot, warm int, cfg TierConfig) TierPoint {
 		})
 		b = tb
 	}
-	// No engine readahead: its speculative reads land on the worker pool
-	// before or after the next access as scheduling falls, and each one
-	// moves the per-tier counters this ablation reports. With demand
-	// reads only, two runs of one configuration agree exactly.
-	sg := seg.NewSegmentWith("tier-bench", b, store.Options{ReadAhead: -1}, clock)
+	sg := seg.NewSegmentOn("tier-bench", b, clock)
 	c := p.CacheCreate(sg)
 
 	ctx, err := p.ContextCreate()

@@ -23,7 +23,7 @@ func (c *cache) FillUp(off int64, data []byte, mode gmi.Prot) error {
 		return gmi.ErrBadRange
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if c.freed && !c.reaping {
 		return gmi.ErrDestroyed
 	}
@@ -139,7 +139,7 @@ func (p *PVM) installFilled(c *cache, off int64, chunk []byte, mode gmi.Prot) (p
 func (c *cache) CopyBack(off int64, buf []byte) error {
 	p := c.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	for done := int64(0); done < int64(len(buf)); done += p.pageSize {
 		end := min64(done+p.pageSize, int64(len(buf)))
 		po := p.pageFloor(off + done)
@@ -161,7 +161,7 @@ func (c *cache) CopyBack(off int64, buf []byte) error {
 func (c *cache) MoveBack(off int64, buf []byte) error {
 	p := c.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	for done := int64(0); done < int64(len(buf)); done += p.pageSize {
 		end := min64(done+p.pageSize, int64(len(buf)))
 		po := p.pageFloor(off + done)
@@ -199,7 +199,7 @@ func (c *cache) Sync(off, size int64) error {
 
 func (p *PVM) writeBack(c *cache, off, size int64, release bool) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if c.destroyed {
 		return gmi.ErrDestroyed
 	}
@@ -283,7 +283,7 @@ func (p *PVM) offsetsInRange(c *cache, lo, hi int64) []int64 {
 func (c *cache) Invalidate(off, size int64) error {
 	p := c.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	lo, hi := p.pageFloor(off), p.pageCeilClamped(off, size)
 	for _, o := range p.offsetsInRange(c, lo, hi) {
 		for {
@@ -328,7 +328,7 @@ func (c *cache) Invalidate(off, size int64) error {
 func (c *cache) SetProtection(off, size int64, prot gmi.Prot) error {
 	p := c.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	lo, hi := p.pageFloor(off), p.pageCeilClamped(off, size)
 	for _, o := range p.offsetsInRange(c, lo, hi) {
 		pg := p.ownPage(c, o)
@@ -353,7 +353,7 @@ func (c *cache) SetProtection(off, size int64, prot gmi.Prot) error {
 func (c *cache) LockInMemory(off, size int64) error {
 	p := c.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if c.destroyed {
 		return gmi.ErrDestroyed
 	}
@@ -383,7 +383,7 @@ func (c *cache) LockInMemory(off, size int64) error {
 func (c *cache) Unlock(off, size int64) error {
 	p := c.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	lo, hi := p.pageFloor(off), p.pageCeil(off+size)
 	for o := lo; o < hi; o += p.pageSize {
 		if pg := p.ownPage(c, o); pg != nil && pg.pin > 0 {
@@ -404,7 +404,7 @@ func (c *cache) Unlock(off, size int64) error {
 func (c *cache) Destroy() error {
 	p := c.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if c.destroyed {
 		return gmi.ErrDestroyed
 	}

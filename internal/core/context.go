@@ -94,7 +94,7 @@ func (ctx *context) RegionCreate(addr gmi.VA, size int64, prot gmi.Prot, c gmi.C
 	}
 	size = p.pageCeil(size)
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if ctx.destroyed {
 		return nil, gmi.ErrDestroyed
 	}
@@ -143,7 +143,7 @@ func (ctx *context) Regions() []gmi.Region {
 func (ctx *context) Switch() {
 	p := ctx.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if p.current != ctx {
 		p.current = ctx
 		p.clock.Charge(cost.EvContextSwitch, 1)
@@ -154,7 +154,7 @@ func (ctx *context) Switch() {
 func (ctx *context) Destroy() error {
 	p := ctx.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if ctx.destroyed {
 		return gmi.ErrDestroyed
 	}
@@ -250,7 +250,7 @@ func (ctx *context) accessPage(va gmi.VA, chunk []byte, mode gmi.Prot) error {
 func (r *region) Status() gmi.RegionStatus {
 	p := r.ctx.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	return gmi.RegionStatus{
 		Addr: r.addr, Size: r.size, Prot: r.prot,
 		Cache: r.cache, Offset: r.coff, Locked: r.locked,
@@ -262,7 +262,7 @@ func (r *region) Status() gmi.RegionStatus {
 func (r *region) Split(off int64) (gmi.Region, error) {
 	p := r.ctx.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if r.gone {
 		return nil, gmi.ErrDestroyed
 	}
@@ -295,7 +295,7 @@ func (r *region) Split(off int64) (gmi.Region, error) {
 func (r *region) SetProtection(prot gmi.Prot) error {
 	p := r.ctx.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if r.gone {
 		return gmi.ErrDestroyed
 	}
@@ -329,7 +329,7 @@ func (r *region) SetProtection(prot gmi.Prot) error {
 func (r *region) LockInMemory() error {
 	p := r.ctx.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if r.gone {
 		return gmi.ErrDestroyed
 	}
@@ -379,7 +379,7 @@ func (r *region) LockInMemory() error {
 func (r *region) Unlock() error {
 	p := r.ctx.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if r.gone {
 		return gmi.ErrDestroyed
 	}
@@ -408,7 +408,7 @@ func (r *region) unlockAllLocked() {
 func (r *region) Destroy() error {
 	p := r.ctx.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if r.gone {
 		return gmi.ErrDestroyed
 	}

@@ -31,7 +31,7 @@ func (c *cache) Copy(dst gmi.Cache, dstOff, srcOff, size int64) error {
 	start := p.obs.Clock()
 	defer p.obs.Span(obs.KindCopy, obs.OpCopy, int64(c.id), size, start)
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if c.destroyed || d.destroyed {
 		return gmi.ErrDestroyed
 	}
@@ -64,7 +64,7 @@ func (c *cache) Move(dst gmi.Cache, dstOff, srcOff, size int64) error {
 	start := p.obs.Clock()
 	defer p.obs.Span(obs.KindMove, obs.OpMove, int64(c.id), size, start)
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if c.destroyed || d.destroyed {
 		return gmi.ErrDestroyed
 	}
@@ -407,7 +407,7 @@ func (p *PVM) copyPhysical(src *cache, soff int64, dst *cache, doff, size int64)
 func (c *cache) ReadAt(off int64, buf []byte) error {
 	p := c.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if c.destroyed {
 		return gmi.ErrDestroyed
 	}
@@ -419,7 +419,7 @@ func (c *cache) ReadAt(off int64, buf []byte) error {
 func (c *cache) WriteAt(off int64, data []byte) error {
 	p := c.pvm
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if c.destroyed {
 		return gmi.ErrDestroyed
 	}

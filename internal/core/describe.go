@@ -60,7 +60,7 @@ func (p *PVM) Describe(c gmi.Cache) (CacheInfo, bool) {
 		return CacheInfo{}, false
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if _, live := p.caches[cc]; !live {
 		return CacheInfo{}, false
 	}
@@ -93,7 +93,7 @@ func (p *PVM) Describe(c gmi.Cache) (CacheInfo, bool) {
 // (working objects, zombies), so tools can walk the whole tree.
 func (p *PVM) Caches() []gmi.Cache {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	out := make([]gmi.Cache, 0, len(p.caches))
 	for c := range p.caches {
 		out = append(out, c)

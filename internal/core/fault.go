@@ -153,7 +153,7 @@ func (p *PVM) fastFault(ctx *context, va gmi.VA, access gmi.Prot, span *obs.Faul
 func (p *PVM) slowFault(ctx *context, va gmi.VA, access gmi.Prot, span *obs.FaultSpan, worked *bool) error {
 	p.mu.Lock()
 	span.Mark(obs.StageLockWait)
-	defer p.mu.Unlock()
+	defer p.unlock()
 	r := ctx.findRegion(va)
 	if r == nil {
 		atomic.AddUint64(&p.stats.SegvFaults, 1)

@@ -390,12 +390,10 @@ func (p *PVM) freeCache(c *cache) {
 	p.dropAllParents(c)
 
 	// A segment acquired unilaterally (via segmentCreate) dies with its
-	// cache: release its backing pages so swap does not leak. Best
-	// effort — the cache is gone either way.
+	// cache: p.unlock releases it (its backing pages and its engine's
+	// workers) once p.mu is dropped, so swap does not leak.
 	if c.segOwned {
-		if r, ok := c.seg.(interface{ Release() error }); ok {
-			_ = r.Release()
-		}
+		p.released = append(p.released, c.seg)
 		c.segOwned = false
 	}
 

@@ -23,7 +23,7 @@ import (
 //	    array beyond len is zeroed.
 func (p *PVM) CheckInvariants() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	return p.checkInvariantsLocked()
 }
 
@@ -266,7 +266,7 @@ func checkRmap(pg *page) error {
 // history object — and the tree is binary. Exposed for the Figure 3 tests.
 func (p *PVM) HistoryShape() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	children := make(map[*cache][]*cache)
 	for c := range p.caches {
 		seen := make(map[*cache]bool)
@@ -295,6 +295,6 @@ func (p *PVM) HistoryShape() error {
 // verify collapse and zombie reaping).
 func (p *PVM) CacheCount() int {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	return len(p.caches)
 }

@@ -391,7 +391,7 @@ func (p *PVM) StartPageoutDaemon(low, high int, interval time.Duration) (stop fu
 // whose dirty victim needs one, which frees nothing by itself.
 func (p *PVM) PageOut(n int) int {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	done := 0
 	for done < n {
 		progress, err := p.evictStep()

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"chorusvm/internal/gmi"
 	"chorusvm/internal/leakcheck"
+	"chorusvm/internal/seg"
+	"chorusvm/internal/store"
 )
 
 // TestSwapReleasedOnCacheDestroy is the regression test for the swap
@@ -40,6 +44,61 @@ func TestSwapReleasedOnCacheDestroy(t *testing.T) {
 	}
 	if err := c.Destroy(); err != nil {
 		t.Fatalf("cache Destroy: %v", err)
+	}
+	if got := swap.Pages(); got != 0 {
+		t.Fatalf("swap still holds %d pages after cache destruction (leak)", got)
+	}
+	check(t, p)
+}
+
+// recordingAllocator hands out swap segments from an inner allocator and
+// remembers each one.
+type recordingAllocator struct {
+	inner *seg.SwapAllocator
+	mu    sync.Mutex
+	segs  []*seg.Segment
+}
+
+func (a *recordingAllocator) SegmentCreate(c gmi.Cache) (gmi.Segment, error) {
+	s, err := a.inner.SegmentCreate(c)
+	if sg, ok := s.(*seg.Segment); ok {
+		a.mu.Lock()
+		a.segs = append(a.segs, sg)
+		a.mu.Unlock()
+	}
+	return s, err
+}
+
+// TestSwapClosedOnCacheDestroy: a cache owns the swap segment it created
+// with segmentCreate, so destroying the cache closes that segment (and
+// stops its engine's workers) before Destroy returns, not just its pages.
+func TestSwapClosedOnCacheDestroy(t *testing.T) {
+	leakcheck.Check(t)
+	p, swap := newTestPVM(t, 8)
+	rec := &recordingAllocator{inner: swap}
+	p.SetSegmentAllocator(rec)
+	ctx, _ := p.ContextCreate()
+	c := p.TempCacheCreate()
+	const npages = 6
+	mustRegion(t, ctx, base, npages*pg, gmi.ProtRW, c, 0)
+	for i := 0; i < npages; i++ {
+		mustWrite(t, ctx, base+gmi.VA(i*pg), pattern(byte(i+1), 64))
+	}
+	if n := p.PageOut(npages + 1); n == 0 {
+		t.Fatal("PageOut reclaimed nothing")
+	}
+	if len(rec.segs) != 1 {
+		t.Fatalf("%d swap segments created, want 1", len(rec.segs))
+	}
+	sg := rec.segs[0]
+	if err := sg.Store().Sync(); err != nil {
+		t.Fatalf("swap segment unusable before Destroy: %v", err)
+	}
+	if err := c.Destroy(); err != nil {
+		t.Fatalf("cache Destroy: %v", err)
+	}
+	if err := sg.Store().WriteAt(0, pattern(9, pg)); !errors.Is(err, store.ErrClosed) {
+		t.Fatalf("swap segment write after its cache was destroyed = %v, want ErrClosed", err)
 	}
 	if got := swap.Pages(); got != 0 {
 		t.Fatalf("swap still holds %d pages after cache destruction (leak)", got)

@@ -40,13 +40,13 @@ func TestEvictOneSkipsPermanentlyFailingVictim(t *testing.T) {
 
 	// The bad cache's page is written first, so it sits at the LRU tail —
 	// the first candidate every reclaim pass considers.
-	bad := &permFailSegment{Segment: seg.NewSegment("bad", pg, p.Clock())}
+	bad := &permFailSegment{Segment: closeOnCleanup(t, seg.NewSegment("bad", pg, p.Clock()))}
 	cbad := p.CacheCreate(bad)
 	badBase := base + gmi.VA(64*pg)
 	mustRegion(t, ctx, badBase, pg, gmi.ProtRW, cbad, 0)
 	mustWrite(t, ctx, badBase, pattern(0xBB, 64))
 
-	good := seg.NewSegment("good", pg, p.Clock())
+	good := closeOnCleanup(t, seg.NewSegment("good", pg, p.Clock()))
 	cgood := p.CacheCreate(good)
 	const npages = 6
 	mustRegion(t, ctx, base, npages*pg, gmi.ProtRW, cgood, 0)
@@ -91,7 +91,7 @@ func TestReserveFramesReportsPushError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &permFailSegment{Segment: seg.NewSegment("bad", pg, p.Clock())}
+	bad := &permFailSegment{Segment: closeOnCleanup(t, seg.NewSegment("bad", pg, p.Clock()))}
 	cbad := p.CacheCreate(bad)
 	const npages = 6
 	mustRegion(t, ctx, base, npages*pg, gmi.ProtRW, cbad, 0)
@@ -133,14 +133,14 @@ func TestAsyncBatchContinuesPastPermanentFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &permFailSegment{Segment: seg.NewSegment("bad", pg, p.Clock())}
+	bad := &permFailSegment{Segment: closeOnCleanup(t, seg.NewSegment("bad", pg, p.Clock()))}
 	cbad := p.CacheCreate(bad)
 	badBase := base + gmi.VA(64*pg)
 	mustRegion(t, ctx, badBase, 2*pg, gmi.ProtRW, cbad, 0)
 	mustWrite(t, ctx, badBase, pattern(0xB1, 64))
 	mustWrite(t, ctx, badBase+pg, pattern(0xB2, 64))
 
-	good := seg.NewSegment("good", pg, p.Clock())
+	good := closeOnCleanup(t, seg.NewSegment("good", pg, p.Clock()))
 	cgood := p.CacheCreate(good)
 	const npages = 6
 	mustRegion(t, ctx, base, npages*pg, gmi.ProtRW, cgood, 0)

@@ -33,7 +33,7 @@ const (
 // directly.
 func (p *PVM) PolicyTick(low int) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	p.policyTickLocked(low)
 }
 
@@ -198,7 +198,7 @@ func (p *PVM) resumeContext(ctx *context) {
 // since without its ticks nothing else would end a suspension.
 func (p *PVM) resumeAll() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	for ctx := range p.contexts {
 		p.resumeContext(ctx)
 	}

@@ -271,6 +271,11 @@ type PVM struct {
 	mu     sync.RWMutex
 	shards [gmapShards]gmapShard // the lock-striped global map
 
+	// released holds the segments of caches freed under mu that the
+	// PVM created itself (segmentCreate); unlock releases them once mu
+	// is dropped. Guarded by mu.
+	released []gmi.Segment
+
 	// pol is the page-replacement policy, striped across
 	// Options.PolicyShards independent instances routed by global-map
 	// shard index (policy.Sharded); each instance guards its queues with
@@ -367,6 +372,24 @@ func New(o Options) *PVM {
 // Name implements gmi.MemoryManager.
 func (p *PVM) Name() string { return "pvm" }
 
+// unlock drops p.mu, held exclusively, and then releases the segments
+// of the caches freed under it (see freeCache). Releasing a segment
+// waits for its engine's workers, and a worker may be running a fill
+// completion that takes p.mu, so it is never done under the lock.
+// Operations that can free a cache unlock this way. Fill completions run
+// on engine workers and call p.mu.Unlock instead: a segment freed by one
+// waits for the next operation's unlock.
+func (p *PVM) unlock() {
+	segs := p.released
+	p.released = nil
+	p.mu.Unlock()
+	for _, s := range segs {
+		if r, ok := s.(interface{ Release() error }); ok {
+			_ = r.Release() // best effort: the cache is gone either way
+		}
+	}
+}
+
 // SetSegmentAllocator installs (or replaces) the default mapper that
 // services segmentCreate upcalls. Tools use it to pick the swap backend
 // (in-memory, page file, compressing) after constructing the PVM.
@@ -449,7 +472,7 @@ func (p *PVM) SetPolicyShards(n int) error {
 	p.setPolMu.Lock()
 	defer p.setPolMu.Unlock()
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	next, err := policy.NewSharded(p.pol.Name(), n)
 	if err != nil {
 		return err
@@ -594,7 +617,7 @@ func (p *PVM) Stats() Stats {
 // CacheCreate implements gmi.MemoryManager: it binds seg to a new cache.
 func (p *PVM) CacheCreate(seg gmi.Segment) gmi.Cache {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	return p.newCache(seg, false)
 }
 
@@ -603,14 +626,14 @@ func (p *PVM) CacheCreate(seg gmi.Segment) gmi.Cache {
 // push-out (section 5.1.2).
 func (p *PVM) TempCacheCreate() gmi.Cache {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	return p.newCache(nil, true)
 }
 
 // ContextCreate implements gmi.MemoryManager.
 func (p *PVM) ContextCreate() (gmi.Context, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	ctx := &context{pvm: p, space: p.hw.NewSpace()}
 	p.contexts[ctx] = struct{}{}
 	p.clock.Charge(cost.EvContextCreate, 1)

@@ -30,7 +30,15 @@ func newTestPVM(t *testing.T, frames int, opts ...func(*Options)) (*PVM, *seg.Sw
 			t.Errorf("invariants at teardown: %v", err)
 		}
 	})
+	t.Cleanup(func() { _ = swap.Close() })
 	return p, swap
+}
+
+// closeOnCleanup closes a segment when the test ends, stopping its
+// engine's workers before a leak check counts goroutines.
+func closeOnCleanup(t *testing.T, sg *seg.Segment) *seg.Segment {
+	t.Cleanup(func() { _ = sg.Close() })
+	return sg
 }
 
 func check(t *testing.T, p *PVM) {

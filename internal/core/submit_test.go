@@ -70,7 +70,7 @@ func (s *slowSegment) PullIn(c gmi.Cache, off, size int64, mode gmi.Prot) error 
 func TestAsyncSingleSubmissionManyFaulters(t *testing.T) {
 	leakcheck.Check(t)
 	p, _ := newTestPVM(t, 64)
-	inner := seg.NewSegment("file", pg, p.Clock())
+	inner := closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock()))
 	want := pattern(0x5A, pg)
 	if err := inner.Store().WriteAt(0, want); err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestAsyncSingleSubmissionManyFaulters(t *testing.T) {
 func TestAsyncFailedFillWakesAllWaiters(t *testing.T) {
 	leakcheck.Check(t)
 	p, _ := newTestPVM(t, 64)
-	inner := seg.NewSegment("file", pg, p.Clock())
+	inner := closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock()))
 	mp := newManualPager(inner)
 	c := p.CacheCreate(mp)
 
@@ -235,7 +235,7 @@ func TestAsyncFailedFillWakesAllWaiters(t *testing.T) {
 func TestAsyncReadaheadInstallsWithoutFaulter(t *testing.T) {
 	leakcheck.Check(t)
 	p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 4 })
-	sg := seg.NewSegment("file", pg, p.Clock())
+	sg := closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock()))
 	want := pattern(0xC3, 8*pg)
 	if err := sg.Store().WriteAt(0, want); err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestAsyncReadaheadInstallsWithoutFaulter(t *testing.T) {
 func TestFaultCountExactOnSyncPath(t *testing.T) {
 	leakcheck.Check(t)
 	p, _ := newTestPVM(t, 64)
-	inner := seg.NewSegment("file", pg, p.Clock())
+	inner := closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock()))
 	want := pattern(0x42, pg)
 	if err := inner.Store().WriteAt(0, want); err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func waitErr(t *testing.T, done <-chan error) error {
 func TestFastFillPublishesDstFrame(t *testing.T) {
 	leakcheck.Check(t)
 	p, _ := newTestPVM(t, 64)
-	mp := newManualPager(seg.NewSegment("file", pg, p.Clock()))
+	mp := newManualPager(closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock())))
 	c := p.CacheCreate(mp)
 	ctx, err := p.ContextCreate()
 	if err != nil {
@@ -435,7 +435,7 @@ func TestFillFramesReturned(t *testing.T) {
 				o.ReadAheadPages = 4
 				o.SmallCopyPages = -1 // every copy goes through a history object
 			})
-			mp := newManualPager(seg.NewSegment("file", pg, p.Clock()))
+			mp := newManualPager(closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock())))
 			c := p.CacheCreate(mp)
 			if tc.history {
 				if err := c.Copy(p.TempCacheCreate(), 0, 0, 8*pg); err != nil {
@@ -506,7 +506,7 @@ func TestFillUpReplacingInFlightStubWins(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			leakcheck.Check(t)
 			p, _ := newTestPVM(t, 64, func(o *Options) { o.SmallCopyPages = -1 })
-			mp := newManualPager(seg.NewSegment("file", pg, p.Clock()))
+			mp := newManualPager(closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock())))
 			c := p.CacheCreate(mp)
 			if history {
 				if err := c.Copy(p.TempCacheCreate(), 0, 0, pg); err != nil {
@@ -592,7 +592,7 @@ func TestCompleteInsideSubmitPull(t *testing.T) {
 				o.ReadAheadPages = 4
 				o.SmallCopyPages = -1 // every copy goes through a history object
 			})
-			ip := &inlinePager{Segment: seg.NewSegment("file", pg, p.Clock())}
+			ip := &inlinePager{Segment: closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock()))}
 			want := pattern(0x6B, 8*pg)
 			if err := ip.Store().WriteAt(0, want); err != nil {
 				t.Fatal(err)
@@ -654,7 +654,7 @@ func (w rewrapPager) SubmitPull(r *gmi.PageRequest) {
 func TestRewrappedRequestFillsByCopy(t *testing.T) {
 	leakcheck.Check(t)
 	p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 4 })
-	sg := seg.NewSegment("file", pg, p.Clock())
+	sg := closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock()))
 	want := pattern(0x91, 8*pg)
 	if err := sg.Store().WriteAt(0, want); err != nil {
 		t.Fatal(err)
@@ -702,7 +702,7 @@ func TestExclusiveFillEvictsAtSubmit(t *testing.T) {
 	leakcheck.Check(t)
 	const frames = 8
 	p, _ := newTestPVM(t, frames, func(o *Options) { o.SmallCopyPages = -1 })
-	sg := &submitProbe{Segment: seg.NewSegmentWith("file", store.NewMem(pg), store.Options{Workers: 1}, p.Clock()), p: p}
+	sg := &submitProbe{Segment: closeOnCleanup(t, seg.NewSegmentWith("file", store.NewMem(pg), store.Options{Workers: 1}, p.Clock())), p: p}
 	want := pattern(0x2D, pg)
 	if err := sg.Store().WriteAt(frames*pg, want); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 // Package leakcheck provides a deadline-based goroutine-leak assertion
 // for tests that exercise background machinery: store-engine workers,
-// pageout daemons, mapper ports. All of those are designed to wind down
-// on their own (workers exit when their queues empty, daemons when
-// stopped), so a test that still has module goroutines running after
-// its teardown has leaked one.
+// pageout daemons, mapper ports. Each of those has an owner that stops
+// it: engine workers live until their engine is closed (by the segment,
+// cache or mapper that owns it), daemons until stopped, a mapper's port
+// goroutine until the port is destroyed. A test that still has module
+// goroutines running after its teardown has leaked one, or has not
+// closed something it owns.
 //
 // Usage: call Check(t) at the top of the test, before starting anything.
 // The registered cleanup polls until the number of goroutines executing

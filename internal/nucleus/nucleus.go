@@ -94,13 +94,15 @@ func decodeReq(req []byte) (op byte, key uint64, off, size int64, data []byte, o
 
 // Mapper is a segment-implementing actor: it owns secondary-storage
 // objects (RAM stores standing in for disks) and serves the read/write
-// mapper protocol on its port.
+// mapper protocol on its port. It owns its stores: a store lives until
+// its segment is released (the swap segment of a destroyed cache) or
+// until the mapper's port is destroyed, which closes them all.
 type Mapper struct {
 	site *Site
 	port *ipc.Port
 
 	mu      sync.Mutex
-	stores  map[uint64]*seg.Store
+	stores  map[uint64]*seg.Store // nil once the port is destroyed
 	nextKey uint64
 }
 
@@ -108,19 +110,46 @@ type Mapper struct {
 func NewMapper(site *Site, name string) *Mapper {
 	m := &Mapper{site: site, stores: make(map[uint64]*seg.Store)}
 	m.port = site.IPC.AllocPort(name)
-	go m.port.Serve(m.handle)
+	go m.serve()
 	return m
 }
 
+// serve answers requests until the port is destroyed, then closes every
+// store the mapper still holds.
+func (m *Mapper) serve() {
+	m.port.Serve(m.handle)
+	m.mu.Lock()
+	stores := m.stores
+	m.stores = nil
+	m.mu.Unlock()
+	for _, st := range stores {
+		_ = st.Close()
+	}
+}
+
 // CreateSegment makes a new (empty, sparse) segment and returns its
-// capability.
+// capability. A mapper whose port is destroyed holds no store for it.
 func (m *Mapper) CreateSegment() Capability {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextKey++
 	key := m.nextKey
-	m.stores[key] = seg.NewStore(m.site.MM.PageSize(), m.site.Clock)
+	if m.stores != nil {
+		m.stores[key] = seg.NewStore(m.site.MM.PageSize(), m.site.Clock)
+	}
 	return Capability{Port: m.port, Key: key}
+}
+
+// release closes and drops the store behind a capability.
+func (m *Mapper) release(c Capability) error {
+	m.mu.Lock()
+	st := m.stores[c.Key]
+	delete(m.stores, c.Key)
+	m.mu.Unlock()
+	if st == nil {
+		return nil
+	}
+	return st.Close()
 }
 
 // Preload writes initial content into a segment (installing program
@@ -305,17 +334,30 @@ func (sm *SegmentManager) trimLocked() {
 
 // SegmentCreate implements gmi.SegmentAllocator: a unilaterally created
 // cache (temporary, history object) gets a swap segment from the default
-// mapper on its first push-out (section 5.1.2).
+// mapper on its first push-out (section 5.1.2). The memory manager
+// releases it when the cache dies, and the mapper then drops its store.
 func (sm *SegmentManager) SegmentCreate(c gmi.Cache) (gmi.Segment, error) {
 	cap := sm.defaultMapper.CreateSegment()
-	return &mapperSegment{cap: cap}, nil
+	return &mapperSegment{cap: cap, owner: sm.defaultMapper}, nil
 }
 
 // mapperSegment implements gmi.Segment by translating GMI upcalls into IPC
 // requests to the segment's mapper — exactly the transformation the
-// segment manager performs in section 5.1.2.
+// segment manager performs in section 5.1.2. owner is set on the swap
+// segments SegmentCreate makes, which Release hands back to their mapper.
 type mapperSegment struct {
-	cap Capability
+	cap   Capability
+	owner *Mapper
+}
+
+// Release is the end of a swap segment: its mapper closes and drops the
+// store behind it. The memory manager calls it when the cache it created
+// the segment for is freed.
+func (ms *mapperSegment) Release() error {
+	if ms.owner == nil {
+		return nil
+	}
+	return ms.owner.release(ms.cap)
 }
 
 var (

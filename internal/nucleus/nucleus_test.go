@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"chorusvm/internal/core"
 	"chorusvm/internal/cost"
@@ -259,5 +260,75 @@ func TestRgnMapFromActor(t *testing.T) {
 	r2, _ := a2.Ctx.FindRegion(base)
 	if r1.Status().Cache != r2.Status().Cache {
 		t.Fatal("text not shared through one local-cache")
+	}
+}
+
+// storeCount reports how many segments m holds a store for.
+func storeCount(m *Mapper) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.stores)
+}
+
+// TestMapperDropsReleasedSwapStores: the default mapper holds a store for
+// each swap segment it hands out (segmentCreate), and the memory manager
+// releases a swap segment when the cache it was created for dies, so
+// caches that pushed out and were then destroyed leave the mapper
+// holding no store. Destroying the mapper's port closes the rest.
+func TestMapperDropsReleasedSwapStores(t *testing.T) {
+	s := newSite(t)
+	dm := s.SegMgr.DefaultMapper()
+	pvm := s.MM.(*core.PVM)
+	const actors, npages = 3, 4
+	var as []*Actor
+	for i := 0; i < actors; i++ {
+		a, err := s.NewActor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.RgnAllocate(base, npages*pg, gmi.ProtRW); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Ctx.Write(base, pattern(byte(i+1), npages*pg)); err != nil {
+			t.Fatal(err)
+		}
+		as = append(as, a)
+	}
+	if n := pvm.PageOut(actors * npages); n == 0 {
+		t.Fatal("PageOut reclaimed nothing")
+	}
+	if got := storeCount(dm); got != actors {
+		t.Fatalf("default mapper holds %d stores after push-out, want %d", got, actors)
+	}
+	// Pushed-out content still reads back through the mapper.
+	got := make([]byte, npages*pg)
+	if err := as[0].Ctx.Read(base, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pattern(1, npages*pg)) {
+		t.Fatal("pushed-out page read back wrong")
+	}
+	for _, a := range as {
+		if err := a.Destroy(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := storeCount(dm); got != 0 {
+		t.Fatalf("default mapper holds %d stores after every cache was destroyed, want 0", got)
+	}
+
+	m := NewMapper(s, "files")
+	m.CreateSegment()
+	m.CreateSegment()
+	if got := storeCount(m); got != 2 {
+		t.Fatalf("mapper holds %d stores, want 2", got)
+	}
+	m.port.Destroy()
+	deadline := time.Now().Add(5 * time.Second)
+	for storeCount(m) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("mapper holds %d stores after its port was destroyed, want 0", storeCount(m))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -57,7 +57,7 @@ const (
 	KindMove                        // core: cache.move
 	KindDSMInvalidate               // dsm: remote copy invalidated for a writer
 	KindDSMSync                     // dsm: remote writer synced + downgraded for a reader
-	KindStoreRead                   // store: engine read (queue/prefetch/backend)
+	KindStoreRead                   // store: engine read (writeback queue or backend)
 	KindStoreWrite                  // store: engine write enqueue or writeback batch
 	KindStoreCompress               // store: flate page (de)compression
 	KindStoreRetry                  // store: transient failure retried (arg1 = backoff ns)

@@ -7,8 +7,10 @@
 //
 // Since the internal/store subsystem landed, a segment's pages live in a
 // pluggable store.Backend (in-memory, persistent page file, or
-// compressing) behind a store.Engine that batches writeback and
-// prefetches reads. The mapper layer adds what the paper's mappers add:
+// compressing) behind a store.Engine that batches writeback and serves
+// async reads on its own workers. A Segment owns its Store and the
+// Store owns its engine: closing or releasing the segment stops the
+// engine's workers. The mapper layer adds what the paper's mappers add:
 // the upcall protocol, simulated device cost, and the retry discipline —
 // transient device errors are absorbed here, and only permanent failures
 // travel up the GMI error path as gmi.ErrIO.
@@ -16,6 +18,7 @@ package seg
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,14 +52,21 @@ func NewStoreOn(b store.Backend, clock *cost.Clock) *Store {
 }
 
 func newStore(b store.Backend, o store.Options, clock *cost.Clock) *Store {
-	return &Store{
+	s := &Store{
 		pageSize: b.PageSize(),
 		clock:    clock,
 		eng:      store.NewEngine(b, o),
 	}
+	// The backstop for a store whose owner never closes it (the IPC
+	// transit segment lives as long as its memory manager, which nothing
+	// tears down): once the store is garbage its engine is closed, so the
+	// engine's parked workers exit instead of outliving it. The workers
+	// reference only the engine, never the store.
+	runtime.SetFinalizer(s, func(s *Store) { _ = s.eng.Close() })
+	return s
 }
 
-// Engine exposes the async I/O engine (stats, prefetch, flush).
+// Engine exposes the async I/O engine (stats, flush).
 func (s *Store) Engine() *store.Engine { return s.eng }
 
 // Backend exposes the wrapped backend.
@@ -68,7 +78,7 @@ func (s *Store) SetTracer(t *obs.Tracer) { s.eng.SetTracer(t) }
 
 // ReadAt fills buf from the store, zero for never-written pages. The
 // simulated device cost is charged per call, independent of how the
-// engine serves it (queue, prefetch cache, or backend).
+// engine serves it (writeback queue or backend).
 func (s *Store) ReadAt(off int64, buf []byte) error {
 	err := s.eng.Read(off, buf)
 	ps := int64(s.pageSize)
@@ -124,7 +134,8 @@ func (s *Store) Truncate(size int64) error { return s.eng.Truncate(size) }
 // Sync drains writeback and syncs the backend (durability point).
 func (s *Store) Sync() error { return s.eng.Flush() }
 
-// Close drains, syncs, and closes the backend.
+// Close drains, stops the engine's workers, syncs, and closes the
+// backend. A second Close returns nil.
 func (s *Store) Close() error { return s.eng.Close() }
 
 // Segment is a mapper for one secondary-storage object held in a Store.
@@ -327,13 +338,22 @@ func (s *Segment) Upgrades() uint64 { return s.upgrades.Load() }
 // retries — one number for the whole storage tier).
 func (s *Segment) Retries() uint64 { return s.store.Engine().StatsSnapshot().Retries }
 
-// Release frees every page backing the segment: the destruction path.
-// The memory manager calls this (via the cache teardown) when a cache
-// whose segment was unilaterally created is destroyed, so swap pages
-// stop leaking.
-func (s *Segment) Release() error { return s.store.Truncate(0) }
+// Release is the end of a unilaterally created segment: it frees every
+// page backing the segment and then closes it, stopping its engine's
+// workers. The memory manager calls this when it tears down a cache
+// whose segment it created (segmentCreate), so neither swap pages nor
+// swap workers outlive the cache. It waits for the workers, so the
+// memory manager calls it with no lock held.
+func (s *Segment) Release() error {
+	err := s.store.Truncate(0)
+	if cerr := s.store.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
-// Close releases the segment's store and closes its backend.
+// Close closes the segment's store and backend, stopping its engine's
+// workers. A second Close (or a Close after Release) returns nil.
 func (s *Segment) Close() error { return s.store.Close() }
 
 // SwapAllocator services segmentCreate upcalls by handing each
@@ -382,6 +402,24 @@ func (a *SwapAllocator) SegmentCreate(c gmi.Cache) (gmi.Segment, error) {
 	a.segs = append(a.segs, sg)
 	a.mu.Unlock()
 	return sg, nil
+}
+
+// Close closes every swap segment the allocator created, stopping their
+// engines' workers, for an owner done with a memory manager whose caches
+// were never destroyed. A segment its cache already released is closed
+// already, and closing it again is a no-op. It returns the first error
+// seen.
+func (a *SwapAllocator) Close() error {
+	a.mu.Lock()
+	segs := append([]*Segment(nil), a.segs...)
+	a.mu.Unlock()
+	var first error
+	for _, sg := range segs {
+		if err := sg.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Created returns how many swap segments have been allocated.

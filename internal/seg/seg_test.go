@@ -3,9 +3,12 @@ package seg
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
@@ -293,5 +296,50 @@ func TestFlakySegment(t *testing.T) {
 	}
 	if err := fl.PullIn(fc, 0, pg, gmi.ProtRead); err != nil {
 		t.Fatalf("third attempt should succeed: %v", err)
+	}
+}
+
+// engineWorkers counts live worker goroutines of the engine whose
+// address is addr (as printed by %p).
+func engineWorkers(addr string) int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	return bytes.Count(buf, []byte("store.(*Engine).worker("+addr))
+}
+
+// TestDroppedSegmentStopsWorkers: a segment its owner drops without
+// closing (the IPC transit segment has no owner that closes it) does not
+// keep its engine's workers parked forever; once the segment is garbage
+// they exit.
+func TestDroppedSegmentStopsWorkers(t *testing.T) {
+	var addr string // the engine's address only: no reference to it
+	func() {
+		sg := NewSegment("dropped", pg, cost.New())
+		if err := sg.Store().WriteAt(0, make([]byte, pg)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sg.Store().Sync(); err != nil {
+			t.Fatal(err)
+		}
+		addr = fmt.Sprintf("%p", sg.Store().Engine())
+		if engineWorkers(addr) == 0 {
+			t.Fatal("the segment's engine started no worker")
+		}
+		runtime.KeepAlive(sg)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for engineWorkers(addr) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d engine workers still parked after their segment was dropped", engineWorkers(addr))
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

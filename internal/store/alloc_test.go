@@ -53,9 +53,9 @@ func TestEngineFullPageReadAllocatesNothing(t *testing.T) {
 		}},
 	} {
 		t.Run(bc.name, func(t *testing.T) {
-			// Readahead off and the queue drained: every read below is
-			// served by the backend, not by a parked or queued copy.
-			e := NewEngine(bc.mk(t), Options{ReadAhead: -1})
+			// The queue drained: every read below is served by the
+			// backend, not by a queued copy.
+			e := NewEngine(bc.mk(t), Options{})
 			defer e.Close()
 			if err := e.Write(psTest, pattern(2, psTest)); err != nil {
 				t.Fatalf("Write: %v", err)
@@ -69,7 +69,7 @@ func TestEngineFullPageReadAllocatesNothing(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("Engine.Read of a full page: %v allocations, want 0", n)
 			}
-			if st := e.StatsSnapshot(); st.QueueHits != 0 || st.PrefetchHits != 0 {
+			if st := e.StatsSnapshot(); st.QueueHits != 0 {
 				t.Fatalf("reads served from memory (%+v), want the backend", st)
 			}
 		})
@@ -109,7 +109,7 @@ func TestFlateFullPageReadSkipsScratch(t *testing.T) {
 // buffer per request would dominate.
 func TestEngineReadAsyncIntoCallerPages(t *testing.T) {
 	const ps, pages = 8192, 4
-	e := NewEngine(NewMem(ps), Options{ReadAhead: -1})
+	e := NewEngine(NewMem(ps), Options{})
 	defer e.Close()
 	want := pattern(4, pages*ps)
 	if err := e.Write(0, want); err != nil {

@@ -3,6 +3,7 @@ package store
 import (
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"chorusvm/internal/obs"
@@ -10,22 +11,16 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds the concurrent writeback/prefetch goroutines
-	// (default 2). Workers are spawned on demand and exit when the queue
-	// drains, so an idle engine holds no goroutines.
+	// Workers bounds the engine's worker goroutines, which serve
+	// ReadAsync requests and writeback (default 2). They start on demand,
+	// up to this many, and then live until Close: an idle worker parks
+	// until new work arrives.
 	Workers int
 	// MaxBatchPages caps how many adjacent dirty pages one backend
 	// WriteAt may coalesce (default 16).
 	MaxBatchPages int
-	// ReadAhead is how many pages the prefetcher pulls after a
-	// sequential read is detected (0 means the default of 4; negative
-	// disables).
-	ReadAhead int
-	// PrefetchCap bounds the pages parked by the prefetcher (default 64,
-	// FIFO eviction).
-	PrefetchCap int
 	// Retry is the backoff schedule for the engine's own backend calls
-	// (writeback batches, prefetch reads, sync). Zero fields take
+	// (async reads, writeback batches, sync). Zero fields take
 	// DefaultPolicy values.
 	Retry Policy
 	// Tracer observes store read/write/retry stages (nil disables).
@@ -39,8 +34,6 @@ type Stats struct {
 	Writes, WritePages  uint64 // Write calls / pages they enqueued
 	Batches, BatchPages uint64 // backend WriteAts issued / pages in them
 	Coalesced           uint64 // pages that rode along in a multi-page batch
-	Prefetches          uint64 // pages speculatively read by the prefetcher
-	PrefetchHits        uint64 // reads served from prefetched pages
 	QueueHits           uint64 // reads served from the writeback queue
 	Retries             uint64 // transient failures retried (all paths)
 	WriteErrors         uint64 // writeback batches abandoned permanently
@@ -50,20 +43,18 @@ type Stats struct {
 // Delta returns the counter activity since an earlier snapshot.
 func (s Stats) Delta(before Stats) Stats {
 	return Stats{
-		Reads:        s.Reads - before.Reads,
-		ReadPages:    s.ReadPages - before.ReadPages,
-		AsyncReads:   s.AsyncReads - before.AsyncReads,
-		Writes:       s.Writes - before.Writes,
-		WritePages:   s.WritePages - before.WritePages,
-		Batches:      s.Batches - before.Batches,
-		BatchPages:   s.BatchPages - before.BatchPages,
-		Coalesced:    s.Coalesced - before.Coalesced,
-		Prefetches:   s.Prefetches - before.Prefetches,
-		PrefetchHits: s.PrefetchHits - before.PrefetchHits,
-		QueueHits:    s.QueueHits - before.QueueHits,
-		Retries:      s.Retries - before.Retries,
-		WriteErrors:  s.WriteErrors - before.WriteErrors,
-		Corruptions:  s.Corruptions - before.Corruptions,
+		Reads:       s.Reads - before.Reads,
+		ReadPages:   s.ReadPages - before.ReadPages,
+		AsyncReads:  s.AsyncReads - before.AsyncReads,
+		Writes:      s.Writes - before.Writes,
+		WritePages:  s.WritePages - before.WritePages,
+		Batches:     s.Batches - before.Batches,
+		BatchPages:  s.BatchPages - before.BatchPages,
+		Coalesced:   s.Coalesced - before.Coalesced,
+		QueueHits:   s.QueueHits - before.QueueHits,
+		Retries:     s.Retries - before.Retries,
+		WriteErrors: s.WriteErrors - before.WriteErrors,
+		Corruptions: s.Corruptions - before.Corruptions,
 	}
 }
 
@@ -77,8 +68,6 @@ func (s *Stats) Add(o Stats) {
 	s.Batches += o.Batches
 	s.BatchPages += o.BatchPages
 	s.Coalesced += o.Coalesced
-	s.Prefetches += o.Prefetches
-	s.PrefetchHits += o.PrefetchHits
 	s.QueueHits += o.QueueHits
 	s.Retries += o.Retries
 	s.WriteErrors += o.WriteErrors
@@ -88,34 +77,38 @@ func (s *Stats) Add(o Stats) {
 // Engine is the async I/O layer over a Backend. Writes enqueue full
 // pages into a writeback queue drained by a bounded worker pool that
 // coalesces adjacent pages into batched WriteAts; reads are served
-// coherently (queue first, then prefetch cache, then the backend) and
-// verified against per-page checksums recorded at write time; a
-// sequential read stream triggers speculative readahead so the next
-// pullIn finds its page already in memory.
+// coherently (queue first, then the backend) and verified against
+// per-page checksums recorded at write time. ReadAsync hands a read to
+// the same workers, which read straight into the caller's pages.
+//
+// Workers start on demand, up to Options.Workers, and then live until
+// Close: an idle worker parks until new work arrives, so a stream of
+// page-ins runs on warm goroutines instead of starting one per request.
+// Whoever creates an engine owns it and must Close it; a seg.Segment
+// owns its engine (DESIGN.md §8).
 //
 // Error model: enqueue never fails. A writeback batch that still fails
 // after the retry policy is abandoned and its error latched; Err, Flush
 // and every subsequent Write report it (the fsync model — writeback
 // errors surface at the next durability point, not at enqueue).
 type Engine struct {
-	b  Backend
-	ps int64
-	o  Options
-	tr *obs.Tracer
+	b     Backend
+	ps    int64
+	o     Options
+	tr    *obs.Tracer
+	retry atomic.Pointer[Policy] // o.Retry with the stats hook wired in
 
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     *sync.Cond       // a writeback batch finished or a worker exited
+	wake     *sync.Cond       // new work or Close, for parked workers
 	dirty    map[int64][]byte // pages awaiting writeback (latest content)
 	inflight map[int64][]byte // pages inside a backend WriteAt right now
-	pf       map[int64][]byte // prefetched pages
-	pfOrder  []int64          // FIFO order of pf
-	pfQueue  []int64          // prefetch requests not yet taken
 	reads    []asyncRead      // ReadAsync requests not yet taken
 	sums     map[int64]uint32 // crc32 of every page written through us
-	workers  int
-	err      error // latched permanent writeback failure
+	workers  int              // workers started and not yet exited
+	idle     int              // parked workers that no enqueuer has woken
+	err      error            // latched permanent writeback failure
 	closed   bool
-	nextSeq  int64 // next page offset that would continue a sequential read
 	st       Stats
 }
 
@@ -127,14 +120,6 @@ func NewEngine(b Backend, o Options) *Engine {
 	if o.MaxBatchPages <= 0 {
 		o.MaxBatchPages = 16
 	}
-	if o.ReadAhead < 0 {
-		o.ReadAhead = 0
-	} else if o.ReadAhead == 0 {
-		o.ReadAhead = 4
-	}
-	if o.PrefetchCap <= 0 {
-		o.PrefetchCap = 64
-	}
 	e := &Engine{
 		b:        b,
 		ps:       int64(b.PageSize()),
@@ -142,11 +127,11 @@ func NewEngine(b Backend, o Options) *Engine {
 		tr:       o.Tracer,
 		dirty:    make(map[int64][]byte),
 		inflight: make(map[int64][]byte),
-		pf:       make(map[int64][]byte),
 		sums:     make(map[int64]uint32),
-		nextSeq:  -1,
 	}
 	e.cond = sync.NewCond(&e.mu)
+	e.wake = sync.NewCond(&e.mu)
+	e.SetRetry(o.Retry)
 	return e
 }
 
@@ -159,24 +144,6 @@ func (e *Engine) Backend() Backend { return e.b }
 
 // PageSize returns the page size of the backend.
 func (e *Engine) PageSize() int { return int(e.ps) }
-
-// retryPolicy returns the engine's policy with stats/tracing wired into
-// the OnRetry hook. Called with e.mu released (every user runs the
-// policy outside the lock); the copy is taken under it so SetRetry can
-// swap schedules race-free.
-func (e *Engine) retryPolicy() Policy {
-	e.mu.Lock()
-	p := e.o.Retry
-	e.mu.Unlock()
-	prev := p.OnRetry
-	p.OnRetry = func(attempt int, backoff time.Duration, err error) {
-		e.NoteRetry(backoff)
-		if prev != nil {
-			prev(attempt, backoff, err)
-		}
-	}
-	return p
-}
 
 // NoteRetry records one transient-failure retry in the engine's stats
 // and trace stream. The seg layer funnels its upcall retries here too,
@@ -216,7 +183,7 @@ func (e *Engine) Write(off int64, data []byte) error {
 					copy(pg, cur)
 				} else {
 					e.mu.Unlock()
-					rerr := e.retryPolicy().Do(func() error { return e.b.ReadAt(po, pg) })
+					rerr := e.retry.Load().Do(func() error { return e.b.ReadAt(po, pg) })
 					e.mu.Lock()
 					if rerr != nil {
 						return rerr
@@ -232,12 +199,9 @@ func (e *Engine) Write(off int64, data []byte) error {
 		}
 		copy(pg[b:b+n], data[bufOff:bufOff+n])
 		e.sums[po] = crc32.ChecksumIEEE(pg)
-		// Invalidate any prefetched copy: once this page's batch drains,
-		// a park from before this write would serve stale content.
-		delete(e.pf, po)
 		return nil
 	})
-	e.spawnLocked()
+	e.kickLocked()
 	e.mu.Unlock()
 	e.tr.Span(obs.KindStoreWrite, obs.OpStoreWrite, off, int64(len(data)), start)
 	if werr != nil {
@@ -247,15 +211,12 @@ func (e *Engine) Write(off int64, data []byte) error {
 }
 
 // pageLocked returns the engine's in-memory copy of the page at po, if
-// any (writeback queue, in-flight batch, or prefetch cache); e.mu held.
+// any (writeback queue or in-flight batch); e.mu held.
 func (e *Engine) pageLocked(po int64) []byte {
 	if pg := e.dirty[po]; pg != nil {
 		return pg
 	}
-	if pg := e.inflight[po]; pg != nil {
-		return pg
-	}
-	return e.pf[po]
+	return e.inflight[po]
 }
 
 // Read fills buf from [off, off+len(buf)), coherently with pending
@@ -294,11 +255,6 @@ func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte) error {
 				copy(dst, pg[b:b+n])
 				return nil
 			}
-			if pg := e.pf[po]; pg != nil {
-				e.st.PrefetchHits++
-				copy(dst, pg[b:b+n])
-				return nil
-			}
 			// Backend read, lock released; one page at a time so
 			// checksums can be verified on exactly the unit they were
 			// recorded for. A full page is read straight into the
@@ -330,19 +286,6 @@ func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte) error {
 			return nil
 		}
 	})
-	// Sequential readahead: a read continuing where the last one ended
-	// queues the next ReadAhead pages for the worker pool.
-	if rerr == nil && e.o.ReadAhead > 0 {
-		first := off &^ (e.ps - 1)
-		end := (off + size + e.ps - 1) &^ (e.ps - 1)
-		if first == e.nextSeq {
-			for i := 0; i < e.o.ReadAhead; i++ {
-				e.pfQueue = append(e.pfQueue, end+int64(i)*e.ps)
-			}
-			e.spawnLocked()
-		}
-		e.nextSeq = end
-	}
 	e.mu.Unlock()
 	e.tr.Span(obs.KindStoreRead, obs.OpStoreRead, off, size, start)
 	return rerr
@@ -391,55 +334,55 @@ func (e *Engine) ReadAsync(off int64, dst [][]byte, fn func(err error)) {
 		return
 	}
 	e.reads = append(e.reads, asyncRead{off: off, dst: dst, size: size, fn: fn})
-	e.spawnLocked()
+	e.kickLocked()
 	e.mu.Unlock()
 }
 
 // SetRetry replaces the engine's retry policy (test hook: shrink the
-// schedule so permanent-failure paths latch fast).
+// schedule so permanent-failure paths latch fast). The engine's stats
+// and trace hook is wired into its OnRetry here, once, rather than on
+// every backend call.
 func (e *Engine) SetRetry(p Policy) {
-	e.mu.Lock()
-	e.o.Retry = p
-	e.mu.Unlock()
-}
-
-// Prefetch queues n pages starting at the page containing off for
-// speculative read into the engine's cache.
-func (e *Engine) Prefetch(off int64, n int) {
-	e.mu.Lock()
-	if !e.closed {
-		po := off &^ (e.ps - 1)
-		for i := 0; i < n; i++ {
-			e.pfQueue = append(e.pfQueue, po+int64(i)*e.ps)
+	prev := p.OnRetry
+	p.OnRetry = func(attempt int, backoff time.Duration, err error) {
+		e.NoteRetry(backoff)
+		if prev != nil {
+			prev(attempt, backoff, err)
 		}
-		e.spawnLocked()
 	}
-	e.mu.Unlock()
+	e.retry.Store(&p)
 }
 
-// spawnLocked starts a worker if there is work and capacity; e.mu held.
-func (e *Engine) spawnLocked() {
-	if e.workers < e.o.Workers && (len(e.reads) > 0 || len(e.dirty) > 0 || len(e.pfQueue) > 0) {
+// kickLocked hands newly queued work to a parked worker, or starts a
+// worker while fewer than Options.Workers run; e.mu held. Every other
+// worker is busy and looks at the queues again before it parks, so no
+// work is stranded.
+func (e *Engine) kickLocked() {
+	if e.idle > 0 {
+		e.idle--
+		e.wake.Signal()
+	} else if e.workers < e.o.Workers {
 		e.workers++
 		go e.worker()
 	}
 }
 
-// worker drains the async-read queue first (faulting contexts are parked
-// on those completions), then the writeback queue (batching adjacent
-// pages), then the prefetch queue, exiting when all are empty. Exit and
-// queue insertion both happen under e.mu, so work enqueued concurrently
-// is never stranded: either this worker sees it on its next loop, or the
-// enqueuer's spawnLocked starts a fresh one.
+// worker serves the engine until Close: the async-read queue first
+// (faulting contexts are parked on those completions), then the
+// writeback queue (batching adjacent pages), parking while both are
+// empty. A taken read's queue slot is cleared at once, so a parked
+// worker keeps nothing of a finished request reachable: its completion
+// closure leads to the whole memory manager that submitted it.
 func (e *Engine) worker() {
 	e.mu.Lock()
 	for {
 		if len(e.reads) > 0 {
 			r := e.reads[0]
+			e.reads[0] = asyncRead{}
 			e.reads = e.reads[1:]
 			e.st.AsyncReads++
 			e.mu.Unlock()
-			err := e.retryPolicy().Do(func() error {
+			err := e.retry.Load().Do(func() error {
 				return e.read(r.off, r.size, func(bufOff, n int64) []byte { return r.dst[bufOff/e.ps][:n] })
 			})
 			r.fn(err)
@@ -466,31 +409,11 @@ func (e *Engine) worker() {
 			e.cond.Broadcast()
 			continue
 		}
-		if len(e.pfQueue) > 0 {
-			po := e.pfQueue[0]
-			e.pfQueue = e.pfQueue[1:]
-			if e.pageLocked(po) != nil {
-				continue // already in memory in some form
-			}
-			sum, ok := e.sums[po]
-			e.mu.Unlock()
-			pg := make([]byte, e.ps)
-			err := e.retryPolicy().Do(func() error { return e.b.ReadAt(po, pg) })
-			e.mu.Lock()
-			e.st.Prefetches++
-			if err == nil {
-				if e.sumMovedLocked(po, sum, ok) {
-					continue // raced a Write: the page is in the queue now
-				}
-				if ok && crc32.ChecksumIEEE(pg) != sum {
-					e.st.Corruptions++
-					continue // never park corrupt data; the read path re-detects
-				}
-				e.pfInsertLocked(po, pg)
-			}
-			continue
+		if e.closed {
+			break
 		}
-		break
+		e.idle++
+		e.wake.Wait()
 	}
 	e.workers--
 	e.cond.Broadcast()
@@ -545,7 +468,7 @@ func (e *Engine) writeBatch(base int64, pages [][]byte) error {
 		copy(buf[int64(i)*e.ps:], pg)
 	}
 	start := e.tr.Clock()
-	err := e.retryPolicy().Do(func() error { return e.b.WriteAt(base, buf) })
+	err := e.retry.Load().Do(func() error { return e.b.WriteAt(base, buf) })
 	e.tr.Span(obs.KindStoreWrite, obs.OpStoreWrite, base, int64(len(buf)), start)
 	e.mu.Lock()
 	e.st.Batches++
@@ -585,7 +508,7 @@ func (e *Engine) Flush() error {
 	if closed {
 		return ErrClosed
 	}
-	if serr := e.retryPolicy().Do(func() error { return e.b.Sync() }); err == nil {
+	if serr := e.retry.Load().Do(func() error { return e.b.Sync() }); err == nil {
 		err = serr
 	}
 	return err
@@ -601,12 +524,11 @@ func (e *Engine) Err() error {
 // Truncate discards every page at or beyond size: queued writeback of
 // those pages is dropped unwritten, batches already inside a backend
 // WriteAt are waited out (so none lands after the truncation), and the
-// engine's state for them (checksums, prefetched pages) goes too; then
-// the backend is truncated. Writeback below size stays queued. It never
-// waits for a queued write to be taken, so it cannot wait on a worker
-// that is busy running a ReadAsync completion — the memory manager
-// releases a dead cache's swap segment this way while holding its
-// structural lock.
+// engine's checksums for them go too; then the backend is truncated.
+// Writeback below size stays queued. It never waits for a queued write
+// to be taken, so it cannot wait on a worker that is busy running a
+// ReadAsync completion, and a caller holding a lock such a completion
+// takes may use it.
 func (e *Engine) Truncate(size int64) error {
 	e.mu.Lock()
 	if e.closed {
@@ -626,11 +548,6 @@ func (e *Engine) Truncate(size int64) error {
 			delete(e.sums, po)
 		}
 	}
-	for po := range e.pf {
-		if po >= size {
-			delete(e.pf, po)
-		}
-	}
 	e.mu.Unlock()
 	return e.b.Truncate(size)
 }
@@ -646,17 +563,32 @@ func (e *Engine) inflightFromLocked(size int64) bool {
 	return false
 }
 
-// Close drains writeback, closes the backend, and marks the engine
-// closed. Returns the first error seen (latched writeback error, sync,
-// or close).
+// Close drains writeback, stops the workers and waits until every one
+// has exited (requests already queued complete first, with ErrClosed),
+// then syncs and closes the backend. It returns the first error seen
+// (latched writeback error, sync, or close). Close is idempotent: a
+// later call also waits for the workers, and returns nil. Like Flush it
+// waits for workers, so it must not be called from a ReadAsync
+// completion or under a lock one can take.
 func (e *Engine) Close() error {
-	err := e.Flush()
 	e.mu.Lock()
+	for len(e.dirty) > 0 || len(e.inflight) > 0 {
+		e.cond.Wait()
+	}
 	already := e.closed
 	e.closed = true
+	err := e.err
+	e.idle = 0
+	e.wake.Broadcast()
+	for e.workers > 0 {
+		e.cond.Wait()
+	}
 	e.mu.Unlock()
 	if already {
-		return ErrClosed
+		return nil
+	}
+	if serr := e.retry.Load().Do(e.b.Sync); err == nil {
+		err = serr
 	}
 	if cerr := e.b.Close(); err == nil {
 		err = cerr
@@ -669,21 +601,6 @@ func (e *Engine) StatsSnapshot() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.st
-}
-
-// pfInsertLocked parks a prefetched page, evicting FIFO at capacity;
-// e.mu held.
-func (e *Engine) pfInsertLocked(po int64, pg []byte) {
-	if _, ok := e.pf[po]; ok {
-		return
-	}
-	for len(e.pf) >= e.o.PrefetchCap && len(e.pfOrder) > 0 {
-		old := e.pfOrder[0]
-		e.pfOrder = e.pfOrder[1:]
-		delete(e.pf, old)
-	}
-	e.pf[po] = pg
-	e.pfOrder = append(e.pfOrder, po)
 }
 
 // QueueDepth reports pending writeback pages (dirty + in flight); a

@@ -78,48 +78,6 @@ func TestEngineCoalescesAdjacentWriteback(t *testing.T) {
 	}
 }
 
-func TestEngineSequentialReadahead(t *testing.T) {
-	b := NewMem(psTest)
-	e := NewEngine(b, Options{ReadAhead: 4})
-	defer e.Close()
-
-	for i := 0; i < 16; i++ {
-		if err := e.Write(int64(i)*psTest, pattern(byte(i+1), psTest)); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-
-	// Two back-to-back sequential reads arm the prefetcher for the next
-	// four pages.
-	buf := make([]byte, psTest)
-	if err := e.Read(0, buf); err != nil {
-		t.Fatalf("Read 0: %v", err)
-	}
-	if err := e.Read(psTest, buf); err != nil {
-		t.Fatalf("Read 1: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.StatsSnapshot().Prefetches < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetcher pulled %d pages, want 4", e.StatsSnapshot().Prefetches)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	if err := e.Read(2*psTest, buf); err != nil {
-		t.Fatalf("Read 2: %v", err)
-	}
-	if !bytes.Equal(buf, pattern(3, psTest)) {
-		t.Fatalf("prefetched page content mismatch")
-	}
-	if st := e.StatsSnapshot(); st.PrefetchHits < 1 {
-		t.Fatalf("PrefetchHits = %d, want >= 1", st.PrefetchHits)
-	}
-}
-
 func TestEngineDetectsCorruption(t *testing.T) {
 	b := NewMem(psTest)
 	e := NewEngine(b, Options{})
@@ -227,42 +185,6 @@ func TestEngineRetriesTransientWriteback(t *testing.T) {
 	}
 }
 
-func TestEngineWriteInvalidatesPrefetch(t *testing.T) {
-	b := NewMem(psTest)
-	e := NewEngine(b, Options{})
-	defer e.Close()
-	if err := e.Write(0, pattern(1, psTest)); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	// Park the page in the prefetch cache...
-	e.Prefetch(0, 1)
-	deadline := time.Now().Add(5 * time.Second)
-	for e.StatsSnapshot().Prefetches < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("prefetch never completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// ...then overwrite it and drain. The read after the drain must see
-	// the new content, not the stale parked copy.
-	if err := e.Write(0, pattern(2, psTest)); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	got := make([]byte, psTest)
-	if err := e.Read(0, got); err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !bytes.Equal(got, pattern(2, psTest)) {
-		t.Fatal("read served stale prefetched content after overwrite")
-	}
-}
-
 func TestEngineTruncateDropsState(t *testing.T) {
 	b := NewMem(psTest)
 	e := NewEngine(b, Options{})
@@ -291,9 +213,8 @@ func TestEngineTruncateDropsState(t *testing.T) {
 
 // TestEngineTruncateSkipsBusyWorker: Truncate discards queued writeback
 // beyond the cut instead of draining it, so it returns while the only
-// worker is still inside a ReadAsync completion. The memory manager runs
-// fill completions on engine workers and releases a dead cache's swap
-// segment while holding the lock those completions take; a Truncate that
+// worker is still inside a ReadAsync completion. ReadAsync's contract
+// lets a holder of a lock that completions take call Truncate; one that
 // waited for the worker would deadlock there.
 func TestEngineTruncateSkipsBusyWorker(t *testing.T) {
 	b := NewMem(psTest)
@@ -409,11 +330,11 @@ func TestEngineRewriteWaitsForInflightVersion(t *testing.T) {
 	if err := e.Write(0, pattern(2, psTest)); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	// Let the second worker run out of work before the stalled write
-	// completes, then let every worker finish.
-	waitWorkers(t, e, 1)
+	// Let the second worker run out of work and park before the stalled
+	// write completes, then let every worker finish and park.
+	waitBusy(t, e, 1)
 	close(g.release)
-	waitWorkers(t, e, 0)
+	waitBusy(t, e, 0)
 	got := make([]byte, psTest)
 	if err := e.Read(0, got); err != nil {
 		t.Fatalf("Read after rewrite: %v", err)
@@ -423,19 +344,20 @@ func TestEngineRewriteWaitsForInflightVersion(t *testing.T) {
 	}
 }
 
-// waitWorkers polls until the engine runs exactly n workers.
-func waitWorkers(t *testing.T, e *Engine, n int) {
+// waitBusy polls until exactly n of the engine's workers are not
+// parked.
+func waitBusy(t *testing.T, e *Engine, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		e.mu.Lock()
-		got := e.workers
+		got := e.workers - e.idle
 		e.mu.Unlock()
 		if got == n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d workers running, want %d", got, n)
+			t.Fatalf("%d workers busy, want %d", got, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -470,7 +392,7 @@ func TestEngineReadRacingWrite(t *testing.T) {
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	e := NewEngine(g, Options{Workers: 1, ReadAhead: -1})
+	e := NewEngine(g, Options{Workers: 1})
 	defer e.Close()
 	if err := e.Write(0, pattern(1, psTest)); err != nil {
 		t.Fatalf("Write: %v", err)
@@ -506,7 +428,7 @@ func TestEngineReadIgnoresOtherPagesWrites(t *testing.T) {
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	e := NewEngine(g, Options{Workers: 1, ReadAhead: -1})
+	e := NewEngine(g, Options{Workers: 1})
 	defer e.Close()
 	if err := e.Write(0, pattern(1, psTest)); err != nil {
 		t.Fatalf("Write: %v", err)
@@ -532,44 +454,5 @@ func TestEngineReadIgnoresOtherPagesWrites(t *testing.T) {
 	}
 	if n := g.reads.Load(); n != 1 {
 		t.Fatalf("%d backend reads of one page, want 1", n)
-	}
-}
-
-// TestEnginePrefetchRacingWrite rewrites a page while a prefetch of it
-// is inside the backend. The prefetched bytes predate the rewrite's
-// checksum: they must be dropped, not parked and not counted as a
-// corruption.
-func TestEnginePrefetchRacingWrite(t *testing.T) {
-	g := &slowFirstRead{
-		Backend: NewMem(psTest),
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	e := NewEngine(g, Options{Workers: 1, ReadAhead: -1})
-	defer e.Close()
-	if err := e.Write(0, pattern(1, psTest)); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	e.Barrier()
-	e.Prefetch(0, 1)
-	select {
-	case <-g.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("prefetch never reached the backend")
-	}
-	if err := e.Write(0, pattern(2, psTest)); err != nil {
-		t.Fatalf("rewrite: %v", err)
-	}
-	close(g.release)
-	e.Barrier()
-	if n := e.StatsSnapshot().Corruptions; n != 0 {
-		t.Fatalf("Corruptions = %d after a prefetch raced a rewrite", n)
-	}
-	got := make([]byte, psTest)
-	if err := e.Read(0, got); err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !bytes.Equal(got, pattern(2, psTest)) {
-		t.Fatal("Read served the prefetch's stale copy")
 	}
 }

@@ -14,11 +14,11 @@
 //     map, a persistent page file with a free-extent slot allocator, and
 //     a compressing store (compress/flate) tracking logical vs physical
 //     bytes.
-//   - Engine: an async I/O layer over any Backend — a bounded worker
-//     pool that coalesces adjacent writeback pages into batched WriteAts,
-//     a sequential readahead prefetcher, and per-page checksums verified
-//     on every read (corruption surfaces as ErrCorrupt, never as a
-//     silent wrong byte).
+//   - Engine: an async I/O layer over any Backend — a bounded pool of
+//     long-lived workers that serves async reads and coalesces adjacent
+//     writeback pages into batched WriteAts, and per-page checksums
+//     verified on every read (corruption surfaces as ErrCorrupt, never
+//     as a silent wrong byte).
 //   - Faulty: a deterministic, seeded fault-injection wrapper (transient
 //     errors and latency spikes) for exercising the retry paths.
 //   - Policy: the bounded exponential retry/backoff used by the engine's
