@@ -33,11 +33,6 @@
 //	chorusbench -pressure -pressure-json BENCH_pressure.json
 //	chorusbench -parallel -policy clock
 //	                           # policy bookkeeping overhead on the fault path
-//	chorusbench -parallel -policy 2q -policy-shards 8
-//	                           # stripe the policy across 8 per-shard instances
-//	chorusbench -policy-shard-ablation -policy-shard-json BENCH_policyshard.json
-//	                           # sharded vs single policy under reclaim pressure
-//	                           # at 1/2/4/8/16 workers, for lru/clock/2q
 //	chorusbench -parallel -store tiered -tier-hot 64 -tier-warm 256
 //	                           # hot/warm/cold tiered backing store
 //	chorusbench -parallel -store remote -store-addr tcp
@@ -88,9 +83,6 @@ func main() {
 	promote := flag.Bool("promote", true, "promote contiguous fault-around clusters to large MMU translations (with -fault-around >= 2)")
 	benchJSON := flag.String("bench-json", "", "write the fault-around ablation results as machine-readable JSON to this file")
 	policyName := flag.String("policy", "", "page-replacement policy for the -parallel runs: lru, clock or 2q (empty = PVM default)")
-	policyShards := flag.Int("policy-shards", 1, "stripe the replacement policy across this many per-shard instances in -parallel and -pressure runs (power of two <= 64)")
-	psAblation := flag.Bool("policy-shard-ablation", false, "run the policy-sharding ablation (sharded vs single policy instance under reclaim pressure, per policy, at 1/2/4/8/16 workers)")
-	psJSON := flag.String("policy-shard-json", "", "write the -policy-shard-ablation results as machine-readable JSON to this file")
 	pressure := flag.Bool("pressure", false, "run the replacement-policy pressure ablation (lru/clock/2q under Zipf + scan bursts at 0.5x/1x/2x of physical memory)")
 	pressureJSON := flag.String("pressure-json", "", "write the -pressure results as machine-readable JSON to this file")
 	tierAblation := flag.Bool("tier-ablation", false, "run the tiered-store ablation (policy-driven vs static placement vs flat, at two capacity settings)")
@@ -130,11 +122,6 @@ func main() {
 			flag.Usage()
 			os.Exit(2)
 		}
-	}
-	if !policy.ValidShards(*policyShards) {
-		fmt.Fprintf(os.Stderr, "chorusbench: -policy-shards %d invalid (want a power of two in [1, 64])\n\n", *policyShards)
-		flag.Usage()
-		os.Exit(2)
 	}
 
 	chorus := bench.PVM(core.Options{Frames: *frames, SmallCopyPages: -1})
@@ -182,9 +169,7 @@ func main() {
 
 	if *pressure {
 		fmt.Println("=== Replacement-policy pressure ablation ===")
-		cfg := bench.DefaultPressureConfig
-		cfg.PolicyShards = *policyShards
-		pts := bench.PressureAblation(policy.Names(), []float64{0.5, 1, 2}, cfg)
+		pts := bench.PressureAblation(policy.Names(), []float64{0.5, 1, 2}, bench.DefaultPressureConfig)
 		fmt.Println(bench.FormatPressure(pts))
 		if *pressureJSON != "" {
 			if err := writePressureJSON(*pressureJSON, pts); err != nil {
@@ -200,18 +185,6 @@ func main() {
 		fmt.Println(bench.FormatTier(pts))
 		if *tierJSON != "" {
 			if err := writeTierJSON(*tierJSON, pts); err != nil {
-				fmt.Fprintln(os.Stderr, "chorusbench:", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if *psAblation {
-		fmt.Println("=== Policy-sharding ablation (single vs sharded replacement policy) ===")
-		pts := bench.PolicyShardAblation(policy.Names(), []int{1, 2, 4, 8, 16}, []int{1, 8}, 64, 60)
-		fmt.Println(bench.FormatPolicyShard(pts))
-		if *psJSON != "" {
-			if err := writePolicyShardJSON(*psJSON, pts); err != nil {
 				fmt.Fprintln(os.Stderr, "chorusbench:", err)
 				os.Exit(1)
 			}
@@ -254,7 +227,6 @@ func main() {
 			rs = append(rs, bench.ParallelFaultThroughputOpts(bench.ParallelOptions{
 				Workers:        w,
 				Policy:         *policyName,
-				PolicyShards:   *policyShards,
 				PagesPerWorker: *pages,
 				PullLatency:    200 * time.Microsecond,
 				Tracer:         tracer,
@@ -440,59 +412,6 @@ func writeTierJSON(path string, pts []bench.TierPoint) error {
 			ColdReads:    pt.ColdReads,
 			SimTotalNS:   pt.Sim.Nanoseconds(),
 			FaultsPerSec: pt.FaultsSec,
-		})
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writePolicyShardJSON dumps the policy-sharding ablation as one
-// machine-readable JSON document, the shape CI archives as
-// BENCH_policyshard.json.
-func writePolicyShardJSON(path string, pts []bench.PolicyShardPoint) error {
-	type point struct {
-		Policy        string  `json:"policy"`
-		Workers       int     `json:"workers"`
-		Shards        int     `json:"shards"`
-		Touches       int     `json:"touches"`
-		TouchesPerSec float64 `json:"touches_per_sec"`
-		HardFaults    uint64  `json:"hard_faults"`
-		SoftFaults    uint64  `json:"soft_faults"`
-		Evictions     uint64  `json:"evictions"`
-		P50WaitNS     int64   `json:"p50_policy_wait_ns"`
-		P99WaitNS     int64   `json:"p99_policy_wait_ns"`
-		Speedup       float64 `json:"speedup"`
-	}
-	base := make(map[string]float64)
-	for _, pt := range pts {
-		if pt.Shards == 1 {
-			base[fmt.Sprintf("%s/%d", pt.Policy, pt.Workers)] = pt.TouchesSec
-		}
-	}
-	doc := struct {
-		Benchmark string  `json:"benchmark"`
-		Points    []point `json:"points"`
-	}{Benchmark: "policy-shard-ablation"}
-	for _, pt := range pts {
-		speedup := 1.0
-		if bs := base[fmt.Sprintf("%s/%d", pt.Policy, pt.Workers)]; bs > 0 {
-			speedup = pt.TouchesSec / bs
-		}
-		doc.Points = append(doc.Points, point{
-			Policy:        pt.Policy,
-			Workers:       pt.Workers,
-			Shards:        pt.Shards,
-			Touches:       pt.Touches,
-			TouchesPerSec: pt.TouchesSec,
-			HardFaults:    pt.HardFaults,
-			SoftFaults:    pt.SoftFaults,
-			Evictions:     pt.Evictions,
-			P50WaitNS:     pt.WaitP50.Nanoseconds(),
-			P99WaitNS:     pt.WaitP99.Nanoseconds(),
-			Speedup:       speedup,
 		})
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

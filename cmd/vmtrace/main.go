@@ -58,7 +58,6 @@ func main() {
 	faultAround := flag.Int("fault-around", 0, "map up to this many resident neighbours per fault (power of two <= 8, 0 disables)")
 	promote := flag.Bool("promote", false, "promote contiguous fault-around clusters to large MMU translations (needs -fault-around >= 2)")
 	policyName := flag.String("policy", "", "page-replacement policy: lru, clock or 2q (empty = PVM default; scripts can switch with the `policy` statement)")
-	policyShards := flag.Int("policy-shards", 1, "stripe the replacement policy across this many per-shard instances (power of two <= 64; scripts can re-stripe with `policy shards=N`)")
 	flag.Parse()
 
 	// Validate the flag combination before building anything: a bad
@@ -86,13 +85,8 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if !policy.ValidShards(*policyShards) {
-		fmt.Fprintf(os.Stderr, "vmtrace: -policy-shards %d invalid (want a power of two in [1, 64])\n\n", *policyShards)
-		flag.Usage()
-		os.Exit(2)
-	}
 
-	opts := core.Options{Frames: *frames, FaultAroundPages: *faultAround, PromotePages: *promote, Policy: *policyName, PolicyShards: *policyShards}
+	opts := core.Options{Frames: *frames, FaultAroundPages: *faultAround, PromotePages: *promote, Policy: *policyName}
 	if *traceFile != "" || *hist {
 		// The interpreter would otherwise create a disabled tracer that
 		// scripts must `trace on` themselves; these flags ask for the

@@ -115,9 +115,6 @@ type ParallelOptions struct {
 	// Frames are sized so the benchmark never evicts, so this only
 	// exercises the policy's bookkeeping overhead on the fault path.
 	Policy string
-	// PolicyShards stripes the replacement policy across this many
-	// per-shard instances (0 = 1, the single-instance baseline).
-	PolicyShards int
 	// WarmResident pre-touches every page before the measured interval,
 	// then destroys and recreates the regions: the translations drop but
 	// the pages stay resident in their caches, so every measured fault is
@@ -167,7 +164,6 @@ func ParallelFaultThroughputOpts(o ParallelOptions) ParallelResult {
 		FaultAroundPages: o.FaultAround,
 		PromotePages:     o.Promote,
 		Policy:           o.Policy,
-		PolicyShards:     o.PolicyShards,
 	})
 
 	type worker struct {

@@ -52,12 +52,6 @@ type PressureConfig struct {
 	Frames   int // physical frames per run
 	Accesses int // Zipf accesses per cell (scan bursts come on top)
 	Seed     int64
-	// PolicyShards stripes the replacement policy (0 = 1). At 1 shard the
-	// hard-fault counts are bit-for-bit those of the unsharded engine (the
-	// wrapper degenerates to a direct call); at N > 1 victim selection
-	// interleaves shards round-robin, so counts may drift within a few
-	// percent — the determinism test pins the former and bounds the latter.
-	PolicyShards int
 }
 
 // DefaultPressureConfig keeps a full 3-policy x 3-level ablation in
@@ -88,11 +82,10 @@ func PressureAblation(policies []string, overcommits []float64, cfg PressureConf
 func pressureRun(policyName string, overcommit float64, cfg PressureConfig) PressurePoint {
 	clock := cost.New()
 	p := core.New(core.Options{
-		Frames:       cfg.Frames,
-		Policy:       policyName,
-		PolicyShards: cfg.PolicyShards,
-		Clock:        clock,
-		SegAlloc:     seg.NewSwapAllocator(8192, clock),
+		Frames:   cfg.Frames,
+		Policy:   policyName,
+		Clock:    clock,
+		SegAlloc: seg.NewSwapAllocator(8192, clock),
 	})
 	ctx, err := p.ContextCreate()
 	if err != nil {

@@ -17,6 +17,33 @@ func TestPressureDeterministic(t *testing.T) {
 	}
 }
 
+// TestPressureExactCounts pins every policy's miss, eviction and
+// feedback counts at 1x and 2x overcommit. The run is deterministic, so
+// any change to how the PVM drives the policy (insert, touch, harvest,
+// victim selection, requeue) shows up here as a count, not a trend.
+func TestPressureExactCounts(t *testing.T) {
+	for _, want := range []struct {
+		policy                                       string
+		overcommit                                   float64
+		faults, evictions, secondChances, promotions uint64
+	}{
+		{"lru", 1, 746, 719, 0, 0},
+		{"clock", 1, 552, 521, 963, 0},
+		{"2q", 1, 505, 476, 572, 517},
+		{"lru", 2, 1515, 1493, 0, 0},
+		{"clock", 2, 1523, 1502, 1797, 0},
+		{"2q", 2, 1520, 1493, 727, 1515},
+	} {
+		got := pressureRun(want.policy, want.overcommit, smallPressure)
+		if got.Faults != want.faults || got.Evictions != want.evictions ||
+			got.SecondChances != want.secondChances || got.Promotions != want.promotions {
+			t.Errorf("%s at %vx: faults/evictions/second chances/promotions = %d/%d/%d/%d, want %d/%d/%d/%d",
+				want.policy, want.overcommit, got.Faults, got.Evictions, got.SecondChances, got.Promotions,
+				want.faults, want.evictions, want.secondChances, want.promotions)
+		}
+	}
+}
+
 // TestPressureControlRow checks the 0.5x control row: the region fits in
 // memory, so no policy evicts and all see the same compulsory misses.
 func TestPressureControlRow(t *testing.T) {

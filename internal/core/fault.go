@@ -44,17 +44,13 @@ import (
 //
 //	p.mu (RLock or Lock)  →  shard mutex  →  leaf mutexes
 //	                                         (ctx.spaceMu, c.listMu,
-//	                                          the per-shard policy
-//	                                          mutexes, p.reserveMu)
+//	                                          the policy mutex,
+//	                                          p.reserveMu)
 //
-// The replacement policy is itself striped (policy.Sharded): each page's
-// bookkeeping routes to the policy shard whose index matches the page's
-// global-map shard, so the fast path's OnInsert/OnTouch contends only
-// with work on pages of the same map shard — the pageout daemon's victim
-// sweep over other shards never blocks a fault here. Each policy shard's
-// mutex is a leaf like the old single mutex was: acquired last, never
-// held across any other lock acquisition, and two policy-shard mutexes
-// are never held at once (Sharded visits shards strictly sequentially).
+// The replacement policy's internal mutex is a leaf after the map shard:
+// the fast path's OnInsert/OnTouch take it while holding a shard mutex,
+// so it is acquired last and never held across any other lock
+// acquisition (the usable filter of SelectVictims takes no lock).
 //
 // Additional rules:
 //

@@ -195,8 +195,8 @@ func (p *PVM) checkInvariantsLocked() error {
 
 	// Policy accounting: the replacement policy threads exactly the
 	// linked resident pages — a ghost node (page freed or migrated but
-	// still threaded in some policy shard) or a lost one (page claims
-	// linkage its shard does not hold) shows up as a count mismatch.
+	// still threaded in the policy) or a lost one (page claims linkage
+	// the policy does not hold) shows up as a count mismatch.
 	if polLen := p.pol.Len(); polLen != linkedPages {
 		return fmt.Errorf("policy threads %d nodes but %d resident pages are linked", polLen, linkedPages)
 	}

@@ -115,14 +115,11 @@ func TestHandleFaultDisabledTracerAllocs(t *testing.T) {
 	})
 	// The refault fast path crosses the KindPolicyWait probe in lruTouch;
 	// with tracing off the probe must cost one branch and no allocations,
-	// and the sharded policy's home-masked routing must not add any.
-	t.Run("disabled-sharded", func(t *testing.T) {
+	// and a non-default policy's touch must not add any.
+	t.Run("disabled-2q", func(t *testing.T) {
 		tr := obs.New(obs.Options{})
 		tr.SetEnabled(false)
-		run(t, tr, func(o *Options) {
-			o.Policy = "2q"
-			o.PolicyShards = 8
-		})
+		run(t, tr, func(o *Options) { o.Policy = "2q" })
 	})
 }
 

@@ -97,15 +97,6 @@ type Options struct {
 	// global queue, default), "clock" (second-chance, lock-free touch) or
 	// "2q" (scan-resistant two-queue). See internal/policy.
 	Policy string
-	// PolicyShards stripes the replacement policy across this many
-	// independent instances (a power of two in [1, 64]; default 1, the
-	// single-instance behaviour). Pages route to policy shards by their
-	// global-map shard index, so the fault fast path's policy bookkeeping
-	// contends only on the shard the fault already owns; victim selection
-	// sweeps the shards proportionally with bounded work-stealing. Out of
-	// range values are normalized like FaultAroundPages (rounded down to
-	// a power of two, clamped to the map's shard count).
-	PolicyShards int
 	// AdmissionControl enables per-context thrashing control: the harvest
 	// tick (PolicyTick, driven by the pageout daemon) estimates each
 	// context's working set from referenced bits and, under sustained
@@ -159,15 +150,6 @@ func (o *Options) fill() {
 	}
 	if o.Policy == "" {
 		o.Policy = "lru"
-	}
-	if o.PolicyShards < 1 {
-		o.PolicyShards = 1
-	}
-	if o.PolicyShards > gmapShards {
-		o.PolicyShards = gmapShards
-	}
-	for o.PolicyShards&(o.PolicyShards-1) != 0 {
-		o.PolicyShards &= o.PolicyShards - 1 // round down to a power of two
 	}
 }
 
@@ -276,18 +258,13 @@ type PVM struct {
 	// is dropped. Guarded by mu.
 	released []gmi.Segment
 
-	// pol is the page-replacement policy, striped across
-	// Options.PolicyShards independent instances routed by global-map
-	// shard index (policy.Sharded); each instance guards its queues with
-	// its own internal mutex (or a lock-free reference bit for touches),
-	// ordered strictly after mu/shard locks like the other leaves. The
-	// pol pointer and its inner instances are swapped only under
-	// exclusive mu (SetPolicy/SetPolicyShards, serialized by setPolMu);
-	// polBase accumulates the counters of replaced instances so Stats
-	// stays monotonic.
-	pol      *policy.Sharded
-	polBase  policy.Stats
-	setPolMu sync.Mutex // serializes whole policy migrations
+	// pol is the page-replacement policy. It guards its queues with its
+	// own internal mutex (or a lock-free reference bit for touches), a
+	// leaf ordered strictly after mu/shard locks like the others. pol is
+	// swapped only under exclusive mu (SetPolicy); polBase accumulates
+	// the counters of replaced instances so Stats stays monotonic.
+	pol     policy.Replacer
+	polBase policy.Stats
 
 	// Leaf mutexes, ordered strictly after mu/shard locks: reserveMu
 	// guards the frame-reservation count. Per-cache (listMu) and
@@ -338,7 +315,7 @@ func New(o Options) *PVM {
 		contexts:    make(map[*context]struct{}),
 		obs:         o.Tracer,
 	}
-	pol, err := policy.NewSharded(o.Policy, o.PolicyShards)
+	pol, err := policy.New(o.Policy)
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
@@ -381,7 +358,9 @@ func (p *PVM) Name() string { return "pvm" }
 // waits for the next operation's unlock.
 func (p *PVM) unlock() {
 	segs := p.released
-	p.released = nil
+	if len(segs) > 0 {
+		p.released = nil
+	}
 	p.mu.Unlock()
 	for _, s := range segs {
 		if r, ok := s.(interface{ Release() error }); ok {
@@ -409,86 +388,30 @@ func (p *PVM) Policy() string {
 	return p.pol.Name()
 }
 
-// PolicyShards returns the number of policy shards in use.
-func (p *PVM) PolicyShards() int { return p.pol.NumShards() }
-
 // SetPolicy replaces the page-replacement policy at run time, migrating
-// every resident page shard by shard: each shard's victim order is
+// every resident page in one exclusive section: the old instance is
 // drained coldest-first and replayed into a fresh instance of the new
 // policy, so relative page age survives the switch (an LRU tail stays
-// near the new policy's eviction hand). The structural lock is dropped
-// between shards, so faults proceed against the not-yet-migrated shards
-// while earlier ones already run the new policy — node-homed routing
-// makes the mixed state safe, and each shard's swap happens under the
-// exclusive lock. Counters accumulate across the switch; concurrent
-// migrations are serialized.
-func (p *PVM) SetPolicy(name string) error {
-	if _, err := policy.New(name); err != nil {
-		return err
-	}
-	p.setPolMu.Lock()
-	defer p.setPolMu.Unlock()
-	p.mu.Lock()
-	if p.pol.Name() == name {
-		p.mu.Unlock()
-		return nil
-	}
-	shards := p.pol.NumShards()
-	p.mu.Unlock()
-	for i := 0; i < shards; i++ {
-		next, err := policy.New(name)
-		if err != nil {
-			return err
-		}
-		p.mu.Lock()
-		p.migrateShardLocked(i, next)
-		p.mu.Unlock()
-	}
-	return nil
-}
-
-// migrateShardLocked drains policy shard i coldest-first into next and
-// swaps it in; p.mu held exclusively. Drain also returns the victims a
+// near the new policy's eviction hand). Drain also returns the victims a
 // reclaim pass still holds while their push-out is in flight: a sweep
 // alone skips them, and the pass would later remove or requeue them in
-// the new instance, where they were never linked.
-func (p *PVM) migrateShardLocked(i int, next policy.Replacer) {
-	old := p.pol.Shard(i)
-	nodes := old.Drain(nil)
-	p.polBase = p.polBase.Add(old.Stats())
-	for _, n := range nodes {
-		n.Reset()
-		next.OnInsert(n)
-	}
-	p.pol.SetShard(i, next)
-}
-
-// SetPolicyShards re-stripes the active policy across n shards at run
-// time, migrating every resident page: each old shard is drained
-// coldest-first and its nodes re-routed by their home hint under the new
-// mask. One exclusive-lock critical section — unlike SetPolicy, the
-// routing mask changes, so no mixed state is safe to expose.
-func (p *PVM) SetPolicyShards(n int) error {
-	p.setPolMu.Lock()
-	defer p.setPolMu.Unlock()
-	p.mu.Lock()
-	defer p.unlock()
-	next, err := policy.NewSharded(p.pol.Name(), n)
+// the new instance, where they were never linked. Counters accumulate
+// across the switch.
+func (p *PVM) SetPolicy(name string) error {
+	next, err := policy.New(name)
 	if err != nil {
 		return err
 	}
-	if n == p.pol.NumShards() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.pol.Name() == name {
 		return nil
 	}
-	for i := 0; i < p.pol.NumShards(); i++ {
-		old := p.pol.Shard(i)
-		nodes := old.Drain(nil)
-		p.polBase = p.polBase.Add(old.Stats())
-		for _, nd := range nodes {
-			nd.Reset()
-			next.OnInsert(nd)
-		}
+	for _, n := range p.pol.Drain(nil) {
+		n.Reset()
+		next.OnInsert(n)
 	}
+	p.polBase = p.polBase.Add(p.pol.Stats())
 	p.pol = next
 	return nil
 }

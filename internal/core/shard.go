@@ -36,17 +36,8 @@ type gmapShard struct {
 // neighbour scan is genuinely one lock trip; independent clusters still
 // spread across shards.
 func (p *PVM) shardOf(key pageKey) *gmapShard {
-	return &p.shards[p.shardIndexOf(key)]
-}
-
-// shardIndexOf returns the global-map shard index for key. The same
-// index, masked down by policy.Sharded, routes the page's replacement
-// bookkeeping: the policy stripes exactly the way the map does, so the
-// fault fast path's OnInsert/OnTouch hit the policy shard corresponding
-// to the map shard the fault already holds.
-func (p *PVM) shardIndexOf(key pageKey) uint32 {
 	h := (key.c.id ^ uint64(key.off)>>p.clusterShift) * 0x9E3779B97F4A7C15
-	return uint32((h >> 48) & (gmapShards - 1))
+	return &p.shards[(h>>48)&(gmapShards-1)]
 }
 
 // gmapGet returns the entry at key, or nil. Caller holds p.mu exclusively
@@ -108,22 +99,18 @@ func (p *PVM) tryReserveFrames(k int) (release func(), ok bool) {
 
 // lruPush, lruRemove and lruTouch thread pages through the replacement
 // policy (internal/policy). The names survive from the original global
-// LRU; the policy synchronizes internally (a per-shard leaf mutex or,
-// for clock-family touches, a lock-free reference bit), so the fast
-// fault path (p.mu.RLock holders) and the structural path both call
-// these directly. Each call is bracketed by a KindPolicyWait span: under
-// contention the duration is dominated by the policy-shard mutex wait,
-// which is exactly the cost policy sharding removes — the probe makes it
-// visible before/after. Disabled tracing costs one branch and zero
+// LRU; the policy synchronizes internally (a leaf mutex or, for
+// clock-family touches, a lock-free reference bit), so the fast fault
+// path (p.mu.RLock holders) and the structural path both call these
+// directly. Each call is bracketed by a KindPolicyWait span: under
+// contention the duration is dominated by the policy mutex wait, which
+// the probe makes visible. Disabled tracing costs one branch and zero
 // allocations (Clock returns 0, Span no-ops).
 func (p *PVM) lruPush(pg *page) {
 	if pg.pnode.Owner == nil {
 		// First insertion: the page is not yet visible to any victim
-		// scan, so the one-time back-pointer and home-shard writes cannot
-		// race. The home never changes: it is derived from the page's
-		// cache and offset, which are fixed for the page's lifetime.
+		// scan, so the one-time back-pointer write cannot race.
 		pg.pnode.Owner = pg
-		pg.pnode.SetHome(p.shardIndexOf(pageKey{pg.cache, pg.off}))
 	}
 	start := p.obs.Clock()
 	p.pol.OnInsert(&pg.pnode)

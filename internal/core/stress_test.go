@@ -204,11 +204,8 @@ func TestConcurrentOracleStress(t *testing.T) {
 	t.Run("baseline", func(t *testing.T) { runOracleStress(t, false) })
 	t.Run("framepool", func(t *testing.T) { runOracleStress(t, true) })
 	t.Run("extent", func(t *testing.T) { runOracleStress(t, false, withExtent) })
-	t.Run("shardedpolicy", func(t *testing.T) {
-		runOracleStress(t, true, func(o *Options) {
-			o.Policy = "2q"
-			o.PolicyShards = 8
-		})
+	t.Run("2q", func(t *testing.T) {
+		runOracleStress(t, true, func(o *Options) { o.Policy = "2q" })
 	})
 }
 

@@ -70,7 +70,7 @@ const (
 	KindPromote                     // mmu: run promoted to a large translation (arg1 = va, arg2 = pages)
 	KindDemote                      // mmu: large translation splintered to base pages (arg1 = va, arg2 = pages)
 	KindSpecCancel                  // core: speculative fill dropped under frame pressure (arg2 = offset)
-	KindPolicyWait                  // core: one replacement-policy call (insert/touch/remove/select); dur ≈ policy-shard mutex wait
+	KindPolicyWait                  // core: one replacement-policy call (insert/touch/remove/select); dur ≈ policy mutex wait
 	NumKinds
 )
 

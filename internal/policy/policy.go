@@ -41,14 +41,6 @@ type Node struct {
 	// node. Set once, before the node is first inserted; never changed.
 	Owner any
 
-	// home is the shard-routing hint consumed by Sharded: the PVM stores
-	// its global-map shard index here (set once alongside Owner, before
-	// the first insertion), so the policy stripes exactly the way the map
-	// does. Sharded masks it down to its own shard count; the bare
-	// policies ignore it. Preserved across Reset — it names where the
-	// page lives, not any queue state.
-	home uint32
-
 	prev, next *Node
 	// q identifies the queue threading the node: 0 = none, policy-specific
 	// otherwise. Written only under the owning Replacer's mutex.
@@ -72,14 +64,6 @@ type Node struct {
 // queue. The caller must exclude concurrent OnInsert/OnRemove (the PVM
 // checks invariants under its exclusive lock).
 func (n *Node) Linked() bool { return n.q != 0 }
-
-// Home returns the shard-routing hint (see Sharded).
-func (n *Node) Home() uint32 { return n.home }
-
-// SetHome records the shard-routing hint. Like Owner it must be written
-// once, before the node is first inserted, and never changed: Sharded
-// routes every subsequent operation on the node by this value.
-func (n *Node) SetHome(h uint32) { n.home = h }
 
 // Reset returns the node to its never-inserted state, keeping Owner. Used
 // when migrating pages between Replacers (SetPolicy): the old policy's
@@ -116,9 +100,8 @@ func (s Stats) Add(o Stats) Stats {
 // counters is the internal, atomically-readable form of Stats plus the
 // linked-node count. Writers update under the owning Replacer's mutex (so
 // related counters stay coherent with the queues), but every field is
-// loaded atomically: Len and Stats never take the mutex, which lets
-// Sharded aggregate across all shards lock-free instead of sweeping N
-// shard mutexes per snapshot.
+// loaded atomically: Len and Stats never take the mutex, so the stats
+// path and the invariant checker never convoy the fault path.
 type counters struct {
 	n             atomic.Int64
 	selected      atomic.Uint64

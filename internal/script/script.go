@@ -39,9 +39,6 @@
 //	                                    demand-zero faults)
 //	policy [NAME]                       print the replacement policy, or
 //	                                    switch to lru, clock or 2q
-//	policy shards=N                     re-stripe the policy across N
-//	                                    per-shard instances (power of
-//	                                    two <= 64)
 //	harvest                             run one referenced-bit harvest
 //	                                    tick (policy + working-set update)
 //
@@ -262,30 +259,17 @@ func (in *Interp) cmdFramePool(args []string) error {
 	return nil
 }
 
-// cmdPolicy prints or switches the page-replacement policy, or
-// re-stripes it with shards=N. Either change migrates every resident
-// page. The 0-argument print appends the shard count only when striped,
-// so single-instance output stays byte-identical for existing scripts.
+// cmdPolicy prints or switches the page-replacement policy; a switch
+// migrates every resident page.
 func (in *Interp) cmdPolicy(args []string) error {
 	switch len(args) {
 	case 0:
-		if n := in.pvm.PolicyShards(); n > 1 {
-			fmt.Fprintf(in.out, "policy %s shards=%d\n", in.pvm.Policy(), n)
-		} else {
-			fmt.Fprintf(in.out, "policy %s\n", in.pvm.Policy())
-		}
+		fmt.Fprintf(in.out, "policy %s\n", in.pvm.Policy())
 		return nil
 	case 1:
-		if s, ok := strings.CutPrefix(args[0], "shards="); ok {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				return fmt.Errorf("policy: bad shard count %q", s)
-			}
-			return in.pvm.SetPolicyShards(n)
-		}
 		return in.pvm.SetPolicy(args[0])
 	}
-	return fmt.Errorf("policy: need at most one argument (%s, or shards=N)", strings.Join(policy.Names(), ", "))
+	return fmt.Errorf("policy: need at most one argument (%s)", strings.Join(policy.Names(), ", "))
 }
 
 func (in *Interp) cmdStore(args []string) error {

@@ -331,8 +331,6 @@ stats
 	for _, c := range []struct{ src, want string }{
 		{"policy fifo", "unknown replacement policy"},
 		{"policy lru extra", "at most one argument"},
-		{"policy shards=3", "shard count 3 invalid"},
-		{"policy shards=x", "bad shard count"},
 	} {
 		var sb strings.Builder
 		in, err := New(&sb, core.Options{Frames: 64})
@@ -343,27 +341,5 @@ stats
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("script %q: got %v, want error containing %q", c.src, err, c.want)
 		}
-	}
-}
-
-// TestScriptPolicyShards covers the shards=N form: re-striping a live
-// PVM, the shard count appearing in the 0-argument print only when
-// striped, and data surviving the migration.
-func TestScriptPolicyShards(t *testing.T) {
-	_, out := run(t, `
-cache a
-region r a 0x10000 8
-write r 0x0 0x11 0x10000
-policy shards=8
-policy
-expect r 0x0 0x11 0x10
-policy shards=1
-policy
-`)
-	if !strings.Contains(out, "policy lru shards=8\n") {
-		t.Fatalf("striped policy print missing shard count:\n%s", out)
-	}
-	if !strings.Contains(out, "policy lru\n") {
-		t.Fatalf("re-merged policy print should drop the shard count:\n%s", out)
 	}
 }

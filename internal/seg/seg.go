@@ -160,6 +160,10 @@ type Segment struct {
 
 	// tr observes mapper-side service time (set before use; nil-safe).
 	tr *obs.Tracer
+
+	// alloc is the swap allocator that created the segment, nil for
+	// any other; Release removes the segment from its set.
+	alloc *SwapAllocator
 }
 
 var (
@@ -349,6 +353,11 @@ func (s *Segment) Release() error {
 	if cerr := s.store.Close(); err == nil {
 		err = cerr
 	}
+	if a := s.alloc; a != nil {
+		a.mu.Lock()
+		delete(a.segs, s)
+		a.mu.Unlock()
+	}
 	return err
 }
 
@@ -368,7 +377,7 @@ type SwapAllocator struct {
 
 	mu      sync.Mutex
 	created int
-	segs    []*Segment
+	segs    map[*Segment]struct{} // created and not yet released
 }
 
 var _ gmi.SegmentAllocator = (*SwapAllocator)(nil)
@@ -384,7 +393,7 @@ func NewSwapAllocatorOn(pageSize int, clock *cost.Clock, factory func(name strin
 	if factory == nil {
 		factory = func(string) (store.Backend, error) { return store.NewMem(pageSize), nil }
 	}
-	return &SwapAllocator{pageSize: pageSize, clock: clock, factory: factory}
+	return &SwapAllocator{pageSize: pageSize, clock: clock, factory: factory, segs: make(map[*Segment]struct{})}
 }
 
 // SegmentCreate implements gmi.SegmentAllocator.
@@ -398,21 +407,19 @@ func (a *SwapAllocator) SegmentCreate(c gmi.Cache) (gmi.Segment, error) {
 		return nil, fmt.Errorf("%w: segmentCreate %q: %w", gmi.ErrIO, name, err)
 	}
 	sg := NewSegmentOn(name, b, a.clock)
+	sg.alloc = a
 	a.mu.Lock()
-	a.segs = append(a.segs, sg)
+	a.segs[sg] = struct{}{}
 	a.mu.Unlock()
 	return sg, nil
 }
 
-// Close closes every swap segment the allocator created, stopping their
-// engines' workers, for an owner done with a memory manager whose caches
-// were never destroyed. A segment its cache already released is closed
-// already, and closing it again is a no-op. It returns the first error
-// seen.
+// Close closes every swap segment the allocator created and its cache
+// has not released, stopping their engines' workers, for an owner done
+// with a memory manager whose caches were never destroyed. It returns the
+// first error seen.
 func (a *SwapAllocator) Close() error {
-	a.mu.Lock()
-	segs := append([]*Segment(nil), a.segs...)
-	a.mu.Unlock()
+	segs := a.live()
 	var first error
 	for _, sg := range segs {
 		if err := sg.Close(); err != nil && first == nil {
@@ -429,18 +436,27 @@ func (a *SwapAllocator) Created() int {
 	return a.created
 }
 
-// Pages sums the backing pages across every swap segment ever created.
-// A destroyed cache whose segment was released contributes zero, which
-// is what the leak regression test asserts.
+// Pages sums the backing pages across the swap segments not yet
+// released. A released segment held none (Release frees its pages
+// first), so this is also the total over every segment ever created,
+// which is what the leak regression test asserts.
 func (a *SwapAllocator) Pages() int {
-	a.mu.Lock()
-	segs := append([]*Segment(nil), a.segs...)
-	a.mu.Unlock()
 	total := 0
-	for _, sg := range segs {
+	for _, sg := range a.live() {
 		total += sg.Store().Pages()
 	}
 	return total
+}
+
+// live snapshots the segments created and not yet released.
+func (a *SwapAllocator) live() []*Segment {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	segs := make([]*Segment, 0, len(a.segs))
+	for sg := range a.segs {
+		segs = append(segs, sg)
+	}
+	return segs
 }
 
 // ErrInjected is returned by failing test segments.

@@ -249,6 +249,50 @@ func TestSwapAllocatorPagesAndFactory(t *testing.T) {
 	}
 }
 
+// TestSwapAllocatorForgetsReleasedSegments: a segment its cache released
+// leaves the allocator's set, so a long-lived allocator holds only the
+// live ones, and Close still closes those.
+func TestSwapAllocatorForgetsReleasedSegments(t *testing.T) {
+	a := NewSwapAllocator(pg, cost.New())
+	for i := 0; i < 16; i++ {
+		sg, err := a.SegmentCreate(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sg.(*Segment).Store().WriteAt(0, make([]byte, pg)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sg.(*Segment).Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(a.live()); n != 0 {
+		t.Fatalf("allocator holds %d segments after releasing all 16, want 0", n)
+	}
+	var live []*Segment
+	for i := 0; i < 2; i++ {
+		sg, err := a.SegmentCreate(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, sg.(*Segment))
+	}
+	if n := len(a.live()); n != 2 {
+		t.Fatalf("allocator holds %d segments, want the 2 live ones", n)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sg := range live {
+		if err := sg.Store().WriteAt(0, make([]byte, pg)); !errors.Is(err, store.ErrClosed) {
+			t.Fatalf("write after allocator Close = %v, want store.ErrClosed", err)
+		}
+	}
+	if got := a.Created(); got != 18 {
+		t.Fatalf("Created = %d, want 18", got)
+	}
+}
+
 func TestSwapAllocatorFactoryErrorIsErrIO(t *testing.T) {
 	boom := errors.New("no space on swap device")
 	a := NewSwapAllocatorOn(pg, cost.New(), func(string) (store.Backend, error) { return nil, boom })
