@@ -26,23 +26,21 @@
 //	chorusbench -parallel -fault-around 8
 //	                           # warm-resident soft faults, mapping 8-page
 //	                           # clusters per fault (0 = same workload, off)
-//	chorusbench -fault-around-ablation -bench-json BENCH_fault.json
-//	                           # widths 0/4/8 + machine-readable results
+//	chorusbench -fault-around-ablation
+//	                           # the same workload at widths 0/4/8
 //	chorusbench -pressure      # replacement-policy ablation: lru/clock/2q
 //	                           # under Zipf + scan at 0.5x/1x/2x of memory
-//	chorusbench -pressure -pressure-json BENCH_pressure.json
 //	chorusbench -parallel -policy clock
 //	                           # policy bookkeeping overhead on the fault path
 //	chorusbench -parallel -store tiered -tier-hot 64 -tier-warm 256
 //	                           # hot/warm/cold tiered backing store
 //	chorusbench -parallel -store remote -store-addr tcp
 //	                           # the tiered store behind a wire
-//	chorusbench -tier-ablation -tier-json BENCH_tier.json
+//	chorusbench -tier-ablation
 //	                           # policy-driven vs static placement vs flat
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -80,13 +78,9 @@ func main() {
 	faultAround := flag.Int("fault-around", -1, "map up to this many resident neighbours per fault (power of two <= 8; 0 disables; setting >= 0 switches -parallel to the warm-resident soft-fault workload)")
 	faAblation := flag.Bool("fault-around-ablation", false, "run the warm-resident fault-around ablation at widths 0/4/8")
 	faWorkers := flag.Int("fault-around-workers", 2, "concurrent workers in the fault-around ablation (the soft-fault workload is CPU-bound, so match the machine, not the device)")
-	promote := flag.Bool("promote", true, "promote contiguous fault-around clusters to large MMU translations (with -fault-around >= 2)")
-	benchJSON := flag.String("bench-json", "", "write the fault-around ablation results as machine-readable JSON to this file")
 	policyName := flag.String("policy", "", "page-replacement policy for the -parallel runs: lru, clock or 2q (empty = PVM default)")
 	pressure := flag.Bool("pressure", false, "run the replacement-policy pressure ablation (lru/clock/2q under Zipf + scan bursts at 0.5x/1x/2x of physical memory)")
-	pressureJSON := flag.String("pressure-json", "", "write the -pressure results as machine-readable JSON to this file")
 	tierAblation := flag.Bool("tier-ablation", false, "run the tiered-store ablation (policy-driven vs static placement vs flat, at two capacity settings)")
-	tierJSON := flag.String("tier-json", "", "write the -tier-ablation results as machine-readable JSON to this file")
 	flag.Parse()
 
 	// Validate the flag combination before any work: a bad combination is
@@ -171,36 +165,18 @@ func main() {
 		fmt.Println("=== Replacement-policy pressure ablation ===")
 		pts := bench.PressureAblation(policy.Names(), []float64{0.5, 1, 2}, bench.DefaultPressureConfig)
 		fmt.Println(bench.FormatPressure(pts))
-		if *pressureJSON != "" {
-			if err := writePressureJSON(*pressureJSON, pts); err != nil {
-				fmt.Fprintln(os.Stderr, "chorusbench:", err)
-				os.Exit(1)
-			}
-		}
 	}
 
 	if *tierAblation {
 		fmt.Println("=== Tiered-store placement ablation ===")
 		pts := bench.TierAblation([][2]int{{64, 128}, {128, 256}}, bench.DefaultTierConfig)
 		fmt.Println(bench.FormatTier(pts))
-		if *tierJSON != "" {
-			if err := writeTierJSON(*tierJSON, pts); err != nil {
-				fmt.Fprintln(os.Stderr, "chorusbench:", err)
-				os.Exit(1)
-			}
-		}
 	}
 
 	if *faAblation {
 		fmt.Println("=== Warm-resident soft faults: fault-around ablation ===")
-		pts := bench.FaultAroundAblation([]int{0, 4, 8}, *faWorkers, *pages, *promote, storeCfg)
+		pts := bench.FaultAroundAblation([]int{0, 4, 8}, *faWorkers, *pages, storeCfg)
 		fmt.Println(bench.FormatFaultAround(pts))
-		if *benchJSON != "" {
-			if err := writeBenchJSON(*benchJSON, *faWorkers, *pages, pts); err != nil {
-				fmt.Fprintln(os.Stderr, "chorusbench:", err)
-				os.Exit(1)
-			}
-		}
 	}
 
 	if *parallel {
@@ -215,8 +191,8 @@ func main() {
 		if warm {
 			fmt.Printf("=== Parallel soft-fault throughput (warm resident, fault-around %d, %s store) ===\n", *faultAround, storeLabel(cfg))
 			if ra < 8 {
-				// The warm working set should land on contiguous frame
-				// runs, so promotion has something to promote.
+				// Pre-touch in whole clusters, as the fault-around
+				// ablation does.
 				ra = 8
 			}
 		} else {
@@ -241,7 +217,6 @@ func main() {
 				// several so scheduler noise does not swamp the interval.
 				Passes:      8,
 				FaultAround: max(*faultAround, 0),
-				Promote:     *promote && *faultAround > 1,
 			}))
 		}
 		fmt.Println(bench.FormatParallel(rs))
@@ -273,152 +248,6 @@ func storeLabel(cfg store.Config) string {
 		l += fmt.Sprintf(" + %.1f%% faults", cfg.FaultProb*100)
 	}
 	return l
-}
-
-// writeBenchJSON dumps the fault-around ablation as one machine-readable
-// JSON document, the shape CI archives as BENCH_fault.json.
-func writeBenchJSON(path string, workers, pages int, pts []bench.FaultAroundPoint) error {
-	type point struct {
-		FaultAround       int     `json:"fault_around"`
-		FaultsPerSec      float64 `json:"faults_per_sec"`
-		HWFaults          uint64  `json:"hw_faults"`
-		SoftFaults        uint64  `json:"soft_faults"`
-		FaultAroundMapped uint64  `json:"fault_around_mapped"`
-		Promotions        uint64  `json:"promotions"`
-		Demotions         uint64  `json:"demotions"`
-		P99FaultNS        int64   `json:"p99_fault_ns"`
-		Speedup           float64 `json:"speedup"`
-	}
-	doc := struct {
-		Benchmark      string  `json:"benchmark"`
-		Workers        int     `json:"workers"`
-		PagesPerWorker int     `json:"pages_per_worker"`
-		Points         []point `json:"points"`
-	}{Benchmark: "fault-around-ablation", Workers: workers, PagesPerWorker: pages}
-	for _, pt := range pts {
-		speedup := 1.0
-		if pts[0].Result.FaultsSec > 0 {
-			speedup = pt.Result.FaultsSec / pts[0].Result.FaultsSec
-		}
-		doc.Points = append(doc.Points, point{
-			FaultAround:       pt.Width,
-			FaultsPerSec:      pt.Result.FaultsSec,
-			HWFaults:          pt.Result.Stats.Faults,
-			SoftFaults:        pt.Result.Stats.SoftFaults,
-			FaultAroundMapped: pt.Result.Stats.FaultAroundMapped,
-			Promotions:        pt.Result.Stats.Promotions,
-			Demotions:         pt.Result.Stats.Demotions,
-			P99FaultNS:        pt.P99.Nanoseconds(),
-			Speedup:           speedup,
-		})
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writePressureJSON dumps the replacement-policy ablation as one
-// machine-readable JSON document, the shape CI archives as
-// BENCH_pressure.json.
-func writePressureJSON(path string, pts []bench.PressurePoint) error {
-	type point struct {
-		Policy        string  `json:"policy"`
-		Overcommit    float64 `json:"overcommit"`
-		RegionPages   int     `json:"region_pages"`
-		Accesses      int     `json:"accesses"`
-		HardFaults    uint64  `json:"hard_faults"`
-		SoftFaults    uint64  `json:"soft_faults"`
-		Evictions     uint64  `json:"evictions"`
-		SecondChances uint64  `json:"second_chances"`
-		Promotions    uint64  `json:"promotions"`
-		FaultsPer1K   float64 `json:"faults_per_1k_accesses"`
-		P50SimNS      int64   `json:"p50_sim_ns"`
-		P99SimNS      int64   `json:"p99_sim_ns"`
-		SimTotalNS    int64   `json:"sim_total_ns"`
-		WallAccPerSec float64 `json:"wall_accesses_per_sec"`
-	}
-	doc := struct {
-		Benchmark string  `json:"benchmark"`
-		Frames    int     `json:"frames"`
-		Points    []point `json:"points"`
-	}{Benchmark: "pressure-ablation", Frames: bench.DefaultPressureConfig.Frames}
-	for _, pt := range pts {
-		doc.Points = append(doc.Points, point{
-			Policy:        pt.Policy,
-			Overcommit:    pt.Overcommit,
-			RegionPages:   pt.RegionPages,
-			Accesses:      pt.Accesses,
-			HardFaults:    pt.Faults,
-			SoftFaults:    pt.SoftFaults,
-			Evictions:     pt.Evictions,
-			SecondChances: pt.SecondChances,
-			Promotions:    pt.Promotions,
-			FaultsPer1K:   pt.FaultsPer1K,
-			P50SimNS:      pt.P50.Nanoseconds(),
-			P99SimNS:      pt.P99.Nanoseconds(),
-			SimTotalNS:    pt.Sim.Nanoseconds(),
-			WallAccPerSec: pt.WallPerSec,
-		})
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeTierJSON dumps the tiered-store ablation as one machine-readable
-// JSON document, the shape CI archives as BENCH_tier.json.
-func writeTierJSON(path string, pts []bench.TierPoint) error {
-	type point struct {
-		Mode         string  `json:"mode"`
-		HotPages     int     `json:"hot_pages"`
-		WarmPages    int     `json:"warm_pages"`
-		Accesses     int     `json:"accesses"`
-		HardFaults   uint64  `json:"hard_faults"`
-		Evictions    uint64  `json:"evictions"`
-		Promotions   uint64  `json:"promotions"`
-		Demotions    uint64  `json:"demotions"`
-		HotReads     uint64  `json:"hot_reads"`
-		WarmReads    uint64  `json:"warm_reads"`
-		ColdReads    uint64  `json:"cold_reads"`
-		SimTotalNS   int64   `json:"sim_total_ns"`
-		FaultsPerSec float64 `json:"faults_per_sec"`
-	}
-	doc := struct {
-		Benchmark string  `json:"benchmark"`
-		Frames    int     `json:"frames"`
-		Region    int     `json:"region_pages"`
-		Points    []point `json:"points"`
-	}{
-		Benchmark: "tier-ablation",
-		Frames:    bench.DefaultTierConfig.Frames,
-		Region:    bench.DefaultTierConfig.RegionPages,
-	}
-	for _, pt := range pts {
-		doc.Points = append(doc.Points, point{
-			Mode:         pt.Mode,
-			HotPages:     pt.HotPages,
-			WarmPages:    pt.WarmPages,
-			Accesses:     pt.Accesses,
-			HardFaults:   pt.HardFaults,
-			Evictions:    pt.Evictions,
-			Promotions:   pt.Promotions,
-			Demotions:    pt.Demotions,
-			HotReads:     pt.HotReads,
-			WarmReads:    pt.WarmReads,
-			ColdReads:    pt.ColdReads,
-			SimTotalNS:   pt.Sim.Nanoseconds(),
-			FaultsPerSec: pt.FaultsSec,
-		})
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // writeTrace dumps the tracer's event ring to path (no-op when path is

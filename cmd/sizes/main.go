@@ -90,7 +90,7 @@ var layout = []section{
 		{"Backing store (engine, backends)", internal("store")},
 		{"Storage tiers + remote wire", internal("tier")},
 		{"Replacement policies", internal("policy")},
-		{"MMU: large pages, TLB; MMU tests", func(p string) bool {
+		{"MMU: TLB model; MMU tests", func(p string) bool {
 			return underDir(filepath.Join("internal", "mmu"))(p) && !mmuPaper(p)
 		}},
 		{"Observability (spans, histograms)", internal("obs")},

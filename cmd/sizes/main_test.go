@@ -46,9 +46,9 @@ func TestTallyCountsEachFileOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string][2]int{
-		"PVM: machine-independent":         {6, 3},
-		"MMU layer: shared":                {3, 0},
-		"MMU: large pages, TLB; MMU tests": {3, 3},
+		"PVM: machine-independent":  {6, 3},
+		"MMU layer: shared":         {3, 0},
+		"MMU: TLB model; MMU tests": {3, 3},
 	} {
 		if got := counts[name]; got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)

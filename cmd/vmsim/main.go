@@ -27,9 +27,11 @@ const (
 	base = gmi.VA(0x10000)
 )
 
-// world owns a PVM, a driving context, and human names for caches.
+// world owns a PVM, its swap allocator, a driving context, and human
+// names for caches.
 type world struct {
 	pvm   *core.PVM
+	swap  *seg.SwapAllocator
 	ctx   gmi.Context
 	names map[gmi.Cache]string
 	addrs map[gmi.Cache]gmi.VA
@@ -39,13 +41,21 @@ type world struct {
 
 func newWorld() *world {
 	clock := cost.New()
+	swap := seg.NewSwapAllocator(pg, clock)
 	p := core.New(core.Options{Frames: 512, PageSize: pg, Clock: clock,
-		SegAlloc: seg.NewSwapAllocator(pg, clock), SmallCopyPages: -1})
+		SegAlloc: swap, SmallCopyPages: -1})
 	ctx, err := p.ContextCreate()
 	if err != nil {
 		panic(err)
 	}
-	return &world{pvm: p, ctx: ctx, names: map[gmi.Cache]string{}, addrs: map[gmi.Cache]gmi.VA{}, next: base}
+	return &world{pvm: p, swap: swap, ctx: ctx, names: map[gmi.Cache]string{}, addrs: map[gmi.Cache]gmi.VA{}, next: base}
+}
+
+// close ends the world: it closes the swap segments its PVM was given.
+func (w *world) close() {
+	if err := w.swap.Close(); err != nil {
+		panic(err)
+	}
 }
 
 // newCache creates a named, mapped temporary cache of n pages.
@@ -225,6 +235,7 @@ func fig3() {
 	w.copyTo(cpy1, "copyOfCpy1", 3)
 	w.modify(cpy1, 2)
 	fmt.Println(w.render(3))
+	w.close()
 
 	fmt.Println("Figure 3.c — pages 1-4 of src copied twice (cpy1, cpy2): a working")
 	fmt.Println("object w1 appears; modified: src page 3, cpy1 page 3, cpy2 page 4:")
@@ -241,6 +252,7 @@ func fig3() {
 	fmt.Println("Figure 3.d — a third copy of src inserts a second working object:")
 	w.copyTo(src, "cpy3", 4)
 	fmt.Println(w.render(4))
+	w.close()
 }
 
 func (w *world) byName(name string) gmi.Cache {
@@ -269,6 +281,7 @@ func collapseDemo() {
 		fmt.Printf("after generation %d:\n%s\n", g, w.render(3))
 	}
 	fmt.Printf("live cache descriptors: %d\n", w.pvm.CacheCount())
+	w.close()
 }
 
 func main() {

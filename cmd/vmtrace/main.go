@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,23 +44,34 @@ stats
 clock
 `
 
-func main() {
-	runDemo := flag.Bool("demo", false, "run the built-in demonstration script")
-	frames := flag.Int("frames", 1024, "physical frames")
-	traceFile := flag.String("trace", "", "write the captured event trace to this file (enables tracing)")
-	traceFormat := flag.String("trace-format", obs.FormatChrome, "trace encoding: text, jsonl or chrome (chrome://tracing / Perfetto)")
-	hist := flag.Bool("hist", false, "print latency histograms after the script (enables tracing)")
-	storeKind := flag.String("store", "mem", "backing store for script-created segments: "+strings.Join(store.Kinds(), ", ")+" (scripts can override with the `store` statement)")
-	storeDir := flag.String("store-dir", "", "directory for -store file page files (required with -store file; with -store tiered it makes the cold tier a journaled page file)")
-	storeFaults := flag.Float64("store-faults", 0, "per-op probability of injected transient store faults (0 disables)")
-	tierHot := flag.Int("tier-hot", 0, "-store tiered/remote: hot-tier capacity in pages (0 = default)")
-	tierWarm := flag.Int("tier-warm", 0, "-store tiered/remote: warm-tier capacity in pages (0 = default)")
-	storeAddr := flag.String("store-addr", "", "-store remote transport: pipe (default) or tcp")
-	framepool := flag.Bool("framepool", false, "start the background frame zeroer before the script (scripts can also toggle it with `framepool on|off`)")
-	faultAround := flag.Int("fault-around", 0, "map up to this many resident neighbours per fault (power of two <= 8, 0 disables)")
-	promote := flag.Bool("promote", false, "promote contiguous fault-around clusters to large MMU translations (needs -fault-around >= 2)")
-	policyName := flag.String("policy", "", "page-replacement policy: lru, clock or 2q (empty = PVM default; scripts can switch with the `policy` statement)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the chosen script with
+// its output on stdout, and returns the exit status (2 for a usage
+// error, 1 for a failed script).
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vmtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runDemo := fs.Bool("demo", false, "run the built-in demonstration script")
+	frames := fs.Int("frames", 1024, "physical frames")
+	traceFile := fs.String("trace", "", "write the captured event trace to this file (enables tracing)")
+	traceFormat := fs.String("trace-format", obs.FormatChrome, "trace encoding: text, jsonl or chrome (chrome://tracing / Perfetto)")
+	hist := fs.Bool("hist", false, "print latency histograms after the script (enables tracing)")
+	storeKind := fs.String("store", "mem", "backing store for script-created segments: "+strings.Join(store.Kinds(), ", ")+" (scripts can override with the `store` statement)")
+	storeDir := fs.String("store-dir", "", "directory for -store file page files (required with -store file; with -store tiered it makes the cold tier a journaled page file)")
+	storeFaults := fs.Float64("store-faults", 0, "per-op probability of injected transient store faults (0 disables)")
+	tierHot := fs.Int("tier-hot", 0, "-store tiered/remote: hot-tier capacity in pages (0 = default)")
+	tierWarm := fs.Int("tier-warm", 0, "-store tiered/remote: warm-tier capacity in pages (0 = default)")
+	storeAddr := fs.String("store-addr", "", "-store remote transport: pipe (default) or tcp")
+	framepool := fs.Bool("framepool", false, "start the background frame zeroer before the script (scripts can also toggle it with `framepool on|off`)")
+	faultAround := fs.Int("fault-around", 0, "map up to this many resident neighbours per fault (power of two <= 8, 0 disables)")
+	policyName := fs.String("policy", "", "page-replacement policy: lru, clock or 2q (empty = PVM default; scripts can switch with the `policy` statement)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// Validate the flag combination before building anything: a bad
 	// combination is a usage error, not a mid-run failure.
@@ -67,74 +80,74 @@ func main() {
 		TierHot: *tierHot, TierWarm: *tierWarm, Addr: *storeAddr,
 	}
 	if err := storeCfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "vmtrace: %v\n\n", err)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "vmtrace: %v\n\n", err)
+		fs.Usage()
+		return 2
 	}
 
 	if *faultAround < 0 || *faultAround > 8 || (*faultAround > 1 && *faultAround&(*faultAround-1) != 0) {
-		fmt.Fprintf(os.Stderr, "vmtrace: -fault-around %d invalid (want a power of two <= 8, or 0 to disable)\n\n", *faultAround)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "vmtrace: -fault-around %d invalid (want a power of two <= 8, or 0 to disable)\n\n", *faultAround)
+		fs.Usage()
+		return 2
 	}
 	if *policyName != "" {
 		if _, perr := policy.New(*policyName); perr != nil {
-			fmt.Fprintf(os.Stderr, "vmtrace: -policy %q invalid (want one of %s)\n\n",
+			fmt.Fprintf(stderr, "vmtrace: -policy %q invalid (want one of %s)\n\n",
 				*policyName, strings.Join(policy.Names(), ", "))
-			flag.Usage()
-			os.Exit(2)
+			fs.Usage()
+			return 2
 		}
 	}
 
-	opts := core.Options{Frames: *frames, FaultAroundPages: *faultAround, PromotePages: *promote, Policy: *policyName}
+	opts := core.Options{Frames: *frames, FaultAroundPages: *faultAround, Policy: *policyName}
 	if *traceFile != "" || *hist {
 		// The interpreter would otherwise create a disabled tracer that
 		// scripts must `trace on` themselves; these flags ask for the
 		// whole run captured.
 		opts.Tracer = obs.New(obs.Options{})
 	}
-	in, err := script.New(os.Stdout, opts)
+	in, err := script.New(stdout, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vmtrace:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "vmtrace:", err)
+		return 1
 	}
 	defer in.Close()
 	if *framepool {
 		if ferr := in.Run(strings.NewReader("framepool on\n")); ferr != nil {
-			fmt.Fprintln(os.Stderr, "vmtrace:", ferr)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "vmtrace:", ferr)
+			return 1
 		}
 	}
 	if *storeKind != "mem" || *storeFaults > 0 || *tierHot > 0 || *tierWarm > 0 {
 		if serr := in.SetStore(storeCfg); serr != nil {
-			fmt.Fprintln(os.Stderr, "vmtrace:", serr)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "vmtrace:", serr)
+			return 1
 		}
 	}
 	switch {
 	case *runDemo:
 		err = in.Run(strings.NewReader(demoScript))
-	case flag.NArg() == 1 && flag.Arg(0) == "-":
-		err = in.Run(os.Stdin)
-	case flag.NArg() == 1:
-		f, ferr := os.Open(flag.Arg(0))
+	case fs.NArg() == 1 && fs.Arg(0) == "-":
+		err = in.Run(stdin)
+	case fs.NArg() == 1:
+		f, ferr := os.Open(fs.Arg(0))
 		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "vmtrace:", ferr)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "vmtrace:", ferr)
+			return 1
 		}
 		defer f.Close()
 		err = in.Run(f)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: vmtrace [-demo] [-trace=FILE [-trace-format=F]] [-hist] [file.vt | -]")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: vmtrace [-demo] [-trace=FILE [-trace-format=F]] [-hist] [file.vt | -]")
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vmtrace:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "vmtrace:", err)
+		return 1
 	}
 	tracer := in.PVM().Tracer()
 	if *hist {
-		fmt.Print(tracer.Snapshot().String())
+		fmt.Fprint(stdout, tracer.Snapshot().String())
 	}
 	if *traceFile != "" {
 		f, ferr := os.Create(*traceFile)
@@ -145,8 +158,9 @@ func main() {
 			}
 		}
 		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "vmtrace:", ferr)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "vmtrace:", ferr)
+			return 1
 		}
 	}
+	return 0
 }

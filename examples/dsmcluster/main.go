@@ -29,6 +29,7 @@ type machine struct {
 	name string
 	site *dsm.Site
 	ctx  gmi.Context
+	swap *seg.SwapAllocator
 }
 
 func main() {
@@ -38,9 +39,10 @@ func main() {
 	var cluster []*machine
 	for _, name := range []string{"alpha", "beta", "gamma"} {
 		clock := cost.New()
+		swap := seg.NewSwapAllocator(pageSize, clock)
 		mm := core.New(core.Options{
 			Frames: 256, PageSize: pageSize, Clock: clock,
-			SegAlloc: seg.NewSwapAllocator(pageSize, clock),
+			SegAlloc: swap,
 		})
 		site, cache := mgr.Attach(name, mm)
 		ctx, err := mm.ContextCreate()
@@ -50,7 +52,7 @@ func main() {
 		if _, err := ctx.RegionCreate(base, pages*pageSize, gmi.ProtRW, cache, 0); err != nil {
 			log.Fatal(err)
 		}
-		cluster = append(cluster, &machine{name: name, site: site, ctx: ctx})
+		cluster = append(cluster, &machine{name: name, site: site, ctx: ctx, swap: swap})
 	}
 
 	// Everyone reads the initial data: pure read sharing, one fetch each.
@@ -96,4 +98,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("directory invariant holds: single writer or multiple readers, per page")
+
+	// Each machine's swap allocator owns the swap segments it made;
+	// closing it stops their I/O workers.
+	for _, m := range cluster {
+		if err := m.swap.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
 }

@@ -19,11 +19,12 @@ func main() {
 	// A PVM over 8 MB of simulated memory (1024 frames of 8 KB), with a
 	// swap allocator servicing segmentCreate upcalls.
 	clock := cost.New()
+	swap := seg.NewSwapAllocator(8192, clock)
 	pvm := core.New(core.Options{
 		Frames:   1024,
 		PageSize: 8192,
 		Clock:    clock,
-		SegAlloc: seg.NewSwapAllocator(8192, clock),
+		SegAlloc: swap,
 	})
 
 	// A segment (secondary-storage object) holding a greeting.
@@ -69,4 +70,10 @@ func main() {
 	fmt.Printf("\nfaults=%d pullIns=%d pushOuts=%d zeroFills=%d\n",
 		st.Faults, st.PullIns, st.PushOuts, st.ZeroFills)
 	fmt.Printf("simulated time: %v (Sun-3/60-calibrated cost model)\n", clock.Elapsed())
+
+	// The swap allocator owns the swap segments it made; closing it
+	// stops their I/O workers.
+	if err := swap.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

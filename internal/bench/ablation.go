@@ -42,7 +42,7 @@ func DeferredCopyCrossover(sizes []int, touch func(pages int) int, iters int) []
 			{small: -1, sim: &pt.HistorySim, wall: &pt.HistoryWall},
 			{small: 1 << 20, sim: &pt.PerPageSim, wall: &pt.PerPageWall},
 		} {
-			mm, clock := PVM(core.Options{Frames: 4096, SmallCopyPages: tech.small})()
+			mm, clock, done := PVM(core.Options{Frames: 4096, SmallCopyPages: tech.small})()
 			ctx, _ := mm.ContextCreate()
 			ps := int64(mm.PageSize())
 			size := int64(n) * ps
@@ -86,6 +86,7 @@ func DeferredCopyCrossover(sizes []int, touch func(pages int) int, iters int) []
 			}
 			*tech.wall = time.Since(start) / time.Duration(iters)
 			*tech.sim = clock.Since(snap) / time.Duration(iters)
+			done()
 		}
 		out = append(out, pt)
 	}
@@ -207,7 +208,7 @@ type CollapseResult struct {
 func HistoryCollapse(pages, generations int) CollapseResult {
 	var res CollapseResult
 	for _, collapse := range []bool{true, false} {
-		mm, clock := PVM(core.Options{Frames: 4096, SmallCopyPages: -1, DisableCollapse: !collapse})()
+		mm, clock, done := PVM(core.Options{Frames: 4096, SmallCopyPages: -1, DisableCollapse: !collapse})()
 		pvm := mm.(*core.PVM)
 		ctx, _ := mm.ContextCreate()
 		ps := int64(mm.PageSize())
@@ -257,6 +258,7 @@ func HistoryCollapse(pages, generations int) CollapseResult {
 			res.OffCaches = pvm.CacheCount()
 			res.OffPush = pvm.Stats().HistoryPushes
 		}
+		done()
 	}
 	return res
 }

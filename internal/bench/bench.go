@@ -11,6 +11,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -22,42 +23,54 @@ import (
 )
 
 // Factory builds a fresh memory manager + clock per measurement, so
-// measurements are independent.
-type Factory func() (gmi.MemoryManager, *cost.Clock)
+// measurements are independent. The caller calls done when the
+// measurement ends: it closes what the factory created for the manager.
+type Factory func() (mm gmi.MemoryManager, clock *cost.Clock, done func())
 
 // PVM returns a factory for the paper's system.
 func PVM(opts core.Options) Factory {
-	return func() (gmi.MemoryManager, *cost.Clock) {
+	return func() (gmi.MemoryManager, *cost.Clock, func()) {
 		o := opts
 		if o.Clock == nil {
 			o.Clock = cost.New()
 		}
-		if o.SegAlloc == nil {
-			ps := o.PageSize
-			if ps == 0 {
-				ps = 8192
-			}
-			o.SegAlloc = seg.NewSwapAllocator(ps, o.Clock)
-		}
-		return core.New(o), o.Clock
+		done := defaultSwap(&o.SegAlloc, o.PageSize, o.Clock)
+		return core.New(o), o.Clock, done
 	}
 }
 
 // Mach returns a factory for the shadow-object baseline.
 func Mach(opts machvm.Options) Factory {
-	return func() (gmi.MemoryManager, *cost.Clock) {
+	return func() (gmi.MemoryManager, *cost.Clock, func()) {
 		o := opts
 		if o.Clock == nil {
 			o.Clock = cost.New()
 		}
-		if o.SegAlloc == nil {
-			ps := o.PageSize
-			if ps == 0 {
-				ps = 8192
-			}
-			o.SegAlloc = seg.NewSwapAllocator(ps, o.Clock)
-		}
-		return machvm.New(o), o.Clock
+		done := defaultSwap(&o.SegAlloc, o.PageSize, o.Clock)
+		return machvm.New(o), o.Clock, done
+	}
+}
+
+// defaultSwap installs an in-memory swap allocator when *alloc is nil and
+// returns the function that closes it. A caller-supplied allocator is
+// left to its owner: done is then a no-op.
+func defaultSwap(alloc *gmi.SegmentAllocator, pageSize int, clock *cost.Clock) (done func()) {
+	if *alloc != nil {
+		return func() {}
+	}
+	if pageSize == 0 {
+		pageSize = 8192
+	}
+	swap := seg.NewSwapAllocator(pageSize, clock)
+	*alloc = swap
+	return func() { mustClose(swap) }
+}
+
+// mustClose closes what a driver created once its run ends, panicking on
+// an error like every other failure in a driver.
+func mustClose(c io.Closer) {
+	if err := c.Close(); err != nil {
+		panic(err)
 	}
 }
 
@@ -78,7 +91,8 @@ const benchBase = gmi.VA(0x100_0000)
 // backed by a fresh temporary cache, touch touchPages of it (demand
 // zero-fill), destroy everything. Averaged over iters iterations.
 func ZeroFill(f Factory, regionPages, touchPages, iters int) Result {
-	mm, clock := f()
+	mm, clock, done := f()
+	defer done()
 	ctx, err := mm.ContextCreate()
 	if err != nil {
 		panic(err)
@@ -125,7 +139,8 @@ func ZeroFill(f Factory, regionPages, touchPages, iters int) Result {
 // deferred-copied; touchPages of the source are then written (forcing real
 // copies of the originals); the copy is destroyed. Averaged over iters.
 func CopyOnWrite(f Factory, regionPages, touchPages, iters int) Result {
-	mm, clock := f()
+	mm, clock, done := f()
+	defer done()
 	ctx, err := mm.ContextCreate()
 	if err != nil {
 		panic(err)

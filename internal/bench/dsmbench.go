@@ -24,11 +24,19 @@ type DSMResult struct {
 // DSM measures the distributed-coherence extension: the ping-pong worst
 // case (two alternating writers) and the read-sharing best case.
 func DSM(rounds int) DSMResult {
+	var swaps []*seg.SwapAllocator
+	defer func() {
+		for _, swap := range swaps {
+			mustClose(swap)
+		}
+	}()
 	newSite := func(mgr *dsm.Manager, name string) (gmi.Context, *dsm.Site) {
 		clock := cost.New()
+		swap := seg.NewSwapAllocator(8192, clock)
+		swaps = append(swaps, swap)
 		mm := core.New(core.Options{
 			Frames: 64, PageSize: 8192, Clock: clock,
-			SegAlloc: seg.NewSwapAllocator(8192, clock),
+			SegAlloc: swap,
 		})
 		s, cache := mgr.Attach(name, mm)
 		ctx, err := mm.ContextCreate()

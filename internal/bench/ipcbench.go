@@ -26,7 +26,7 @@ func IPCTransfer(sizes []int, iters int) []IPCPoint {
 		var pt IPCPoint
 		pt.Bytes = size
 		for _, unaligned := range []bool{false, true} {
-			mm, clock := PVM(core.Options{Frames: 2048, SmallCopyPages: 64})()
+			mm, clock, done := PVM(core.Options{Frames: 2048, SmallCopyPages: 64})()
 			k := ipc.NewKernel(mm, clock, 8)
 			port := k.AllocPort("bench")
 
@@ -57,6 +57,7 @@ func IPCTransfer(sizes []int, iters int) []IPCPoint {
 				run()
 			}
 			sim := clock.Since(snap) / time.Duration(iters)
+			done()
 			if unaligned {
 				pt.BcopySim = sim
 			} else {

@@ -108,9 +108,6 @@ type ParallelOptions struct {
 	// FaultAround maps up to this many resident neighbours per fault
 	// (power of two up to 8; 0/1 disables — the classic behaviour).
 	FaultAround int
-	// Promote additionally promotes fully resident, physically contiguous
-	// fault-around clusters to large MMU translations.
-	Promote bool
 	// Policy selects the page-replacement policy ("" = the PVM default).
 	// Frames are sized so the benchmark never evicts, so this only
 	// exercises the policy's bookkeeping overhead on the fault path.
@@ -154,15 +151,15 @@ func ParallelFaultThroughput(workers, pagesPerWorker int, pullLatency time.Durat
 func ParallelFaultThroughputOpts(o ParallelOptions) ParallelResult {
 	clock := cost.New()
 	const pageSize = 8192
+	swap := seg.NewSwapAllocatorOn(pageSize, clock, o.Store.Factory(pageSize))
 	p := core.New(core.Options{
 		Frames:           o.Workers*o.PagesPerWorker + 64,
 		PageSize:         pageSize,
 		Clock:            clock,
-		SegAlloc:         seg.NewSwapAllocatorOn(pageSize, clock, o.Store.Factory(pageSize)),
+		SegAlloc:         swap,
 		Tracer:           o.Tracer,
 		ReadAheadPages:   o.ReadAhead,
 		FaultAroundPages: o.FaultAround,
-		PromotePages:     o.Promote,
 		Policy:           o.Policy,
 	})
 
@@ -334,6 +331,7 @@ func ParallelFaultThroughputOpts(o ParallelOptions) ParallelResult {
 			panic(err)
 		}
 	}
+	mustClose(swap)
 	faults := o.Workers * o.PagesPerWorker * passes
 	return ParallelResult{
 		Workers:   o.Workers,
@@ -437,13 +435,13 @@ func FormatFramePool(pts []FramePoolPoint) string {
 func FormatParallelStats(rs []ParallelResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "per-run PVM counters (Stats delta over the measured interval)\n")
-	fmt.Fprintf(&b, "%8s %8s %9s %9s %8s %9s %8s %7s %9s %10s %9s %8s\n",
-		"workers", "faults", "softflts", "zerofills", "pullins", "evictions", "faround", "promos", "2ndchance",
+	fmt.Fprintf(&b, "%8s %8s %9s %9s %8s %9s %8s %9s %10s %9s %8s\n",
+		"workers", "faults", "softflts", "zerofills", "pullins", "evictions", "faround", "2ndchance",
 		"tierpromos", "tierdemos", "rretries")
 	for _, r := range rs {
-		fmt.Fprintf(&b, "%8d %8d %9d %9d %8d %9d %8d %7d %9d %10d %9d %8d\n",
+		fmt.Fprintf(&b, "%8d %8d %9d %9d %8d %9d %8d %9d %10d %9d %8d\n",
 			r.Workers, r.Stats.Faults, r.Stats.SoftFaults, r.Stats.ZeroFills,
-			r.Stats.PullIns, r.Stats.Evictions, r.Stats.FaultAroundMapped, r.Stats.Promotions,
+			r.Stats.PullIns, r.Stats.Evictions, r.Stats.FaultAroundMapped,
 			r.Stats.PolicySecondChances,
 			r.Stats.TierPromotions, r.Stats.TierDemotions, r.Stats.RemoteRetries)
 	}
@@ -463,11 +461,11 @@ type FaultAroundPoint struct {
 
 // FaultAroundAblation measures the warm-resident sequential workload —
 // every page already resident, every fault a mapping-only soft fault — at
-// each fault-around width. Widths above 1 run with promotion when promote
-// is set. This is the workload the fault-around batching targets; the
+// each fault-around width. This is the workload the fault-around
+// batching targets; the
 // device-bound pull benchmark cannot show it, because there the map step
 // is noise under the simulated disk wait.
-func FaultAroundAblation(widths []int, workers, pagesPerWorker int, promote bool, st store.Config) []FaultAroundPoint {
+func FaultAroundAblation(widths []int, workers, pagesPerWorker int, st store.Config) []FaultAroundPoint {
 	pts := make([]FaultAroundPoint, 0, len(widths))
 	for _, width := range widths {
 		tr := obs.New(obs.Options{})
@@ -481,7 +479,6 @@ func FaultAroundAblation(widths []int, workers, pagesPerWorker int, promote bool
 			WarmResident:   true,
 			Passes:         8,
 			FaultAround:    width,
-			Promote:        promote && width > 1,
 		})
 		pts = append(pts, FaultAroundPoint{
 			Width:  width,
@@ -499,17 +496,17 @@ func FaultAroundAblation(widths []int, workers, pagesPerWorker int, promote bool
 func FormatFaultAround(pts []FaultAroundPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "warm-resident sequential faults: fault-around ablation\n")
-	fmt.Fprintf(&b, "%7s %12s %9s %9s %8s %7s %10s %8s\n",
-		"around", "pages/s", "hwfaults", "softflts", "faround", "promos", "p99 fault", "speedup")
+	fmt.Fprintf(&b, "%7s %12s %9s %9s %8s %10s %8s\n",
+		"around", "pages/s", "hwfaults", "softflts", "faround", "p99 fault", "speedup")
 	for _, pt := range pts {
 		speedup := 1.0
 		if len(pts) > 0 && pts[0].Result.FaultsSec > 0 {
 			speedup = pt.Result.FaultsSec / pts[0].Result.FaultsSec
 		}
-		fmt.Fprintf(&b, "%7d %12.0f %9d %9d %8d %7d %10s %7.2fx\n",
+		fmt.Fprintf(&b, "%7d %12.0f %9d %9d %8d %10s %7.2fx\n",
 			pt.Width, pt.Result.FaultsSec, pt.Result.Stats.Faults,
 			pt.Result.Stats.SoftFaults, pt.Result.Stats.FaultAroundMapped,
-			pt.Result.Stats.Promotions, pt.P99.Round(100*time.Nanosecond), speedup)
+			pt.P99.Round(100*time.Nanosecond), speedup)
 	}
 	return b.String()
 }

@@ -25,7 +25,8 @@ type PolicyResult struct {
 func CopyPolicy(pages, iters int) PolicyResult {
 	run := func(cor bool, writeAll bool) time.Duration {
 		f := PVM(core.Options{Frames: 4096, SmallCopyPages: -1, CopyOnReference: cor})
-		mm, clock := f()
+		mm, clock, done := f()
+		defer done()
 		ctx, _ := mm.ContextCreate()
 		ps := int64(mm.PageSize())
 		size := int64(pages) * ps

@@ -81,11 +81,13 @@ func PressureAblation(policies []string, overcommits []float64, cfg PressureConf
 
 func pressureRun(policyName string, overcommit float64, cfg PressureConfig) PressurePoint {
 	clock := cost.New()
+	swap := seg.NewSwapAllocator(8192, clock)
+	defer mustClose(swap)
 	p := core.New(core.Options{
 		Frames:   cfg.Frames,
 		Policy:   policyName,
 		Clock:    clock,
-		SegAlloc: seg.NewSwapAllocator(8192, clock),
+		SegAlloc: swap,
 	})
 	ctx, err := p.ContextCreate()
 	if err != nil {

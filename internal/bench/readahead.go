@@ -27,9 +27,10 @@ func ReadAhead(clusters []int, filePages, iters int) []ReadAheadPoint {
 	out := make([]ReadAheadPoint, 0, len(clusters))
 	for _, cl := range clusters {
 		clock := cost.New()
+		swap := seg.NewSwapAllocator(8192, clock)
 		mm := core.New(core.Options{
 			Frames: filePages * 2, PageSize: 8192, Clock: clock,
-			SegAlloc:       seg.NewSwapAllocator(8192, clock),
+			SegAlloc:       swap,
 			ReadAheadPages: cl,
 		})
 		sg := seg.NewSegment("file", mm.PageSize(), clock)
@@ -73,6 +74,7 @@ func ReadAhead(clusters []int, filePages, iters int) []ReadAheadPoint {
 			Faults:  clock.CountSince(snap, cost.EvFault) / uint64(iters),
 			Seeks:   clock.CountSince(snap, cost.EvDiskSeek) / uint64(iters),
 		})
+		mustClose(swap)
 	}
 	return out
 }

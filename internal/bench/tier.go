@@ -77,10 +77,12 @@ func TierAblation(settings [][2]int, cfg TierConfig) []TierPoint {
 
 func tierRun(mode string, hot, warm int, cfg TierConfig) TierPoint {
 	clock := cost.New()
+	swap := seg.NewSwapAllocator(8192, clock)
+	defer mustClose(swap)
 	p := core.New(core.Options{
 		Frames:   cfg.Frames,
 		Clock:    clock,
-		SegAlloc: seg.NewSwapAllocator(8192, clock),
+		SegAlloc: swap,
 	})
 	ps := p.PageSize()
 

@@ -53,23 +53,16 @@ func (p *PVM) faultAroundMap(ctx *context, r *region, c *cache, pva gmi.VA, off 
 	}
 	var cands [faultAroundMax]cand
 	nc := 0
-	full := true // every neighbour resident and readable: promotion precondition
 	for o := cbase; o < cbase+cbytes; o += p.pageSize {
-		if o == off {
-			continue
-		}
-		if o < r.coff || o >= r.coff+r.size {
-			full = false
+		if o == off || o < r.coff || o >= r.coff+r.size {
 			continue
 		}
 		pg, ok := sh.m[pageKey{c, o}].(*page)
 		if !ok || pg.busy {
-			full = false
 			continue
 		}
 		prot := p.readProt(r, pg)
 		if !prot.Allows(gmi.ProtRead) {
-			full = false
 			continue
 		}
 		cands[nc] = cand{pg: pg, va: r.addr + gmi.VA(o-r.coff), prot: prot}
@@ -111,9 +104,6 @@ func (p *PVM) faultAroundMap(ctx *context, r *region, c *cache, pva gmi.VA, off 
 		}
 		i = j
 	}
-	if p.promote && full && nc == int(n)-1 {
-		p.tryPromote(ctx, r, c, cbase)
-	}
 	ctx.spaceMu.Unlock()
 
 	if mapped > 0 {
@@ -123,47 +113,4 @@ func (p *PVM) faultAroundMap(ctx *context, r *region, c *cache, pva gmi.VA, off 
 		atomic.AddUint64(&p.stats.FaultAroundMapped, uint64(mapped))
 	}
 	p.obs.Span(obs.KindFaultAround, obs.OpFaultAround, int64(c.id), int64(mapped), start)
-}
-
-// tryPromote replaces the aligned cluster's base translations with one
-// large MMU translation when every page is resident, non-busy, mapped in
-// ctx at its cluster VA with one uniform protection, and the frames are
-// physically contiguous in ascending order. MapLarge re-checks alignment
-// and contiguity and refuses ineligible runs, so this is advisory: a
-// false return leaves the base mappings exactly as they were.
-//
-// Demotion needs no bookkeeping here: COW breaks, protection changes,
-// evictions and partial unmaps all reach the space through per-page
-// Unmap/Protect/InvalidateRange, each of which splinters a covering
-// large translation back to base pages inside internal/mmu.
-//
-// Caller holds the faultAroundMap locks plus ctx.spaceMu.
-func (p *PVM) tryPromote(ctx *context, r *region, c *cache, cbase int64) {
-	n := p.faultAround
-	sh := p.shardOf(pageKey{c, cbase})
-	baseVA := r.addr + gmi.VA(cbase-r.coff)
-	var frames [faultAroundMax]*phys.Frame
-	var prot gmi.Prot
-	for i := 0; i < n; i++ {
-		o := cbase + int64(i)*p.pageSize
-		pg, ok := sh.m[pageKey{c, o}].(*page)
-		if !ok || pg.busy {
-			return
-		}
-		if i > 0 && pg.frame.Index != frames[0].Index+i {
-			return
-		}
-		va := baseVA + gmi.VA(int64(i)*p.pageSize)
-		f, pr, ok := ctx.space.Lookup(va)
-		if !ok || f != pg.frame {
-			return
-		}
-		if i == 0 {
-			prot = pr
-		} else if pr != prot {
-			return
-		}
-		frames[i] = pg.frame
-	}
-	ctx.space.MapLarge(baseVA, frames[:n], prot)
 }

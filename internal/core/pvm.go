@@ -85,14 +85,6 @@ type Options struct {
 	// values below 2 disable it. Default 0: off, which keeps the paper's
 	// Table 6/7 simulation at strict one-page-per-fault behaviour.
 	FaultAroundPages int
-	// PromotePages enables large-mapping promotion: when fault-around
-	// finds a full aligned cluster resident with physically contiguous
-	// frames and uniform protection, the run becomes a single large MMU
-	// translation (mmu.Space.MapLarge), demoted automatically on COW
-	// break, protection change, eviction or partial unmap. Requires
-	// FaultAroundPages >= 2; cluster fills then request contiguous frame
-	// runs from the allocator (phys.Memory.AllocRun) to seed eligibility.
-	PromotePages bool
 	// Policy selects the page-replacement policy: "lru" (the original
 	// global queue, default), "clock" (second-chance, lock-free touch) or
 	// "2q" (scan-resistant two-queue). See internal/policy.
@@ -145,9 +137,6 @@ func (o *Options) fill() {
 	if o.FaultAroundPages < 2 {
 		o.FaultAroundPages = 0
 	}
-	if o.FaultAroundPages == 0 {
-		o.PromotePages = false
-	}
 	if o.Policy == "" {
 		o.Policy = "lru"
 	}
@@ -182,13 +171,9 @@ type Stats struct {
 	Collapses     uint64 // working objects collapsed
 	Zombies       uint64 // caches kept as zombies for their descendants
 
-	// Extent (multi-page) counters: fault-around and large-mapping
-	// promotion. Promotions/Demotions are mirrored from the MMU flavour's
-	// LargeStats (demotion happens inside internal/mmu whenever a
-	// base-grain operation splinters a large translation).
+	// Extent (multi-page) counters: fault-around and speculative
+	// read-ahead.
 	FaultAroundMapped     uint64 // resident neighbours mapped by fault-around
-	Promotions            uint64 // runs promoted to large MMU translations
-	Demotions             uint64 // large translations splintered back to base pages
 	SpeculationsCancelled uint64 // speculative fills dropped under frame pressure
 
 	// Frame-allocator counters, mirrored from phys.Memory.AllocStats:
@@ -200,7 +185,7 @@ type Stats struct {
 
 	// Replacement-policy and thrashing-control counters. The policy pair
 	// is mirrored from the Replacer's own counters (internal/policy), like
-	// Promotions/Demotions above.
+	// the frame-allocator counters above.
 	PolicyHarvests      uint64 // referenced-bit harvest ticks performed
 	PolicySecondChances uint64 // victims spared by a set reference bit (clock, 2q)
 	PolicyPromotions    uint64 // 2q admission-queue pages promoted on reuse
@@ -208,7 +193,7 @@ type Stats struct {
 	WSResumes           uint64 // parked contexts resumed
 
 	// Tiered-backing-store counters, mirrored from internal/tier's
-	// process-wide totals (like the MMU and policy mirrors above):
+	// process-wide totals (like the policy mirrors above):
 	// migration activity between storage tiers and retry-eligible remote
 	// failures, summed across every tiered/remote backend in the process.
 	TierPromotions uint64 // pages promoted toward the hot tier
@@ -232,11 +217,10 @@ type PVM struct {
 	collapse  bool
 
 	// Extent configuration: faultAround is the cluster width in pages (0
-	// off, else a power of two in [2, faultAroundMax]); promote enables
-	// large-mapping promotion; clusterShift aligns the global-map shard
-	// hash so one cluster's keys share one shard (see shardOf).
+	// off, else a power of two in [2, faultAroundMax]); clusterShift
+	// aligns the global-map shard hash so one cluster's keys share one
+	// shard (see shardOf).
 	faultAround  int
-	promote      bool
 	clusterShift uint
 
 	// mu is the structural lock. Held exclusively (mu.Lock) it is the
@@ -309,7 +293,6 @@ func New(o Options) *PVM {
 		copyOnRef:   o.CopyOnReference,
 		collapse:    !o.DisableCollapse,
 		faultAround: o.FaultAroundPages,
-		promote:     o.PromotePages,
 		admission:   o.AdmissionControl,
 		caches:      make(map[*cache]struct{}),
 		contexts:    make(map[*context]struct{}),
@@ -342,7 +325,6 @@ func New(o Options) *PVM {
 	if o.TLBEntries > 0 {
 		p.hw = mmu.WithTLB(p.hw, o.TLBEntries, o.Clock)
 	}
-	p.hw.SetTracer(o.Tracer)
 	return p
 }
 
@@ -463,8 +445,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		Zombies:       s.Zombies - prev.Zombies,
 
 		FaultAroundMapped:     s.FaultAroundMapped - prev.FaultAroundMapped,
-		Promotions:            s.Promotions - prev.Promotions,
-		Demotions:             s.Demotions - prev.Demotions,
 		SpeculationsCancelled: s.SpeculationsCancelled - prev.SpeculationsCancelled,
 
 		ZeroPoolHits:    s.ZeroPoolHits - prev.ZeroPoolHits,
@@ -490,7 +470,6 @@ func (s Stats) Delta(prev Stats) Stats {
 func (p *PVM) Stats() Stats {
 	s := &p.stats
 	as := p.mem.AllocStats()
-	ls := p.hw.LargeStats()
 	ts := tier.GlobalCounters()
 	// The replacer pointer is swapped under exclusive mu (SetPolicy), so
 	// it is the one field the snapshot reads under the shared lock.
@@ -516,8 +495,6 @@ func (p *PVM) Stats() Stats {
 		Zombies:       atomic.LoadUint64(&s.Zombies),
 
 		FaultAroundMapped:     atomic.LoadUint64(&s.FaultAroundMapped),
-		Promotions:            ls.Promotes,
-		Demotions:             ls.Demotes,
 		SpeculationsCancelled: atomic.LoadUint64(&s.SpeculationsCancelled),
 
 		ZeroPoolHits:    as.ZeroPoolHits,

@@ -193,13 +193,12 @@ func TestConcurrentSharedReaders(t *testing.T) {
 // pageout daemon is stealing them — the full three-way custody fight. The
 // oracle then doubles as the stale-bytes check: a pool frame carrying a
 // previous owner's bytes shows up as content divergence.
-// The extent variant runs the same fight with clustered async pulls
-// landing on contiguous frame runs, fault-around batch-mapping them and
-// promotion collapsing full clusters to large translations. Every write
-// after a deferred copy, every flush and every reclaim must splinter a
-// covering large translation before touching its pages, so the oracle
-// doubles as the promotion-coherence check: a demotion that reinstalled
-// the wrong frames, or a stale large TLB entry, diverges the content.
+// The extent variant runs the same fight with clustered async pulls and
+// fault-around batch-mapping each cluster's resident neighbours. Every
+// write after a deferred copy, every flush and every reclaim must reach
+// the neighbour translations fault-around installed, not only the
+// faulted page's, so the oracle doubles as the fault-around coherence
+// check: a stale neighbour translation diverges the content.
 func TestConcurrentOracleStress(t *testing.T) {
 	t.Run("baseline", func(t *testing.T) { runOracleStress(t, false) })
 	t.Run("framepool", func(t *testing.T) { runOracleStress(t, true) })
@@ -226,9 +225,9 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 		rounds  = 80
 	)
 	// Workers set up their regions before any reclaimer runs. With
-	// promotion enabled, worker 0 also reads its whole aligned cluster
+	// fault-around enabled, worker 0 also reads its whole aligned cluster
 	// then: nothing can take a frame from under that fill, so the extent
-	// variant promotes at least one cluster by construction, not by
+	// variant maps neighbours at least once by construction, not by
 	// timing.
 	var setup sync.WaitGroup
 	setup.Add(workers)
@@ -248,12 +247,12 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 				errs <- err
 				return
 			}
-			cbase := gmi.VA(0x200_0000) // cluster-aligned: regions are promotion-eligible
+			cbase := gmi.VA(0x200_0000) // cluster-aligned: a fill covers whole clusters
 			var c gmi.Cache
 			if p.faultAround > 1 {
 				// Segment-backed caches take the async submit/complete
-				// path, whose clustered fills land on AllocRun frames —
-				// the only source of promotion-eligible contiguous runs.
+				// path, whose clustered fills leave whole clusters
+				// resident for fault-around to map.
 				c = p.CacheCreate(seg.NewSegment(fmt.Sprintf("w%d", w), pg, p.Clock()))
 			} else {
 				c = p.TempCacheCreate()
@@ -263,7 +262,7 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 				return
 			}
 			model := make([]byte, pages*pg)
-			if w == 0 && p.promote {
+			if w == 0 && p.faultAround > 1 {
 				full := make([]byte, pages*pg)
 				if err := ctx.Read(cbase, full); err != nil {
 					errs <- fmt.Errorf("worker %d cluster read: %w", w, err)
@@ -312,8 +311,8 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 						return
 					}
 					// Re-pull from the first page, so a read-ahead cluster
-					// covers the whole aligned cluster: the shape
-					// fault-around can promote.
+					// covers the whole aligned cluster for fault-around
+					// to map.
 					head := make([]byte, 64)
 					if err := ctx.Read(cbase, head); err != nil {
 						errs <- fmt.Errorf("worker %d head read: %w", w, err)
@@ -360,7 +359,7 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 		}(w)
 	}
 	setup.Wait()
-	promotedAtSetup := p.Stats().Promotions
+	mappedAtSetup := p.Stats().FaultAroundMapped
 	stopDaemon := p.StartPageoutDaemon(16, 32, 500*time.Microsecond)
 	defer stopDaemon()
 	done := make(chan struct{})
@@ -397,21 +396,15 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 			t.Fatal("zero pool never served a demand-zero fault")
 		}
 	}
-	if p.promote {
-		// Promotion must have fired, and every promoted cluster must have
-		// splintered on the way out: copies write-invalidate their source
-		// pages, flushes and the reclaimers evict them, and context
-		// teardown invalidates whatever survived. A promote with no
-		// matching demote would be a leaked large translation.
-		st := p.Stats()
-		if promotedAtSetup == 0 {
-			t.Fatal("the cluster read before reclaim started did not promote")
+	if p.faultAround > 1 {
+		// Fault-around must have mapped neighbours, first on worker 0's
+		// cluster read before any reclaimer ran, or the oracle never
+		// checked a batch-mapped translation.
+		if mappedAtSetup == 0 {
+			t.Fatal("the cluster read before reclaim started mapped no neighbours")
 		}
-		if st.Promotions == 0 {
-			t.Fatal("extent stress never promoted a cluster")
-		}
-		if st.Demotions == 0 {
-			t.Fatal("promotions happened but nothing ever demoted")
+		if st := p.Stats(); st.FaultAroundMapped == 0 {
+			t.Fatal("extent stress never mapped a neighbour by fault-around")
 		}
 	}
 }

@@ -336,28 +336,19 @@ func (p *PVM) newFillRequest(c *cache, off int64, mode gmi.Prot, stubs []*syncSt
 }
 
 // allocFillFrames allocates the n frames of a fill and counts them in
-// flight; p.mu held in either mode, with n frames reserved. With
-// promotion enabled it first tries a physically contiguous run, so a
-// later fault-around pass can promote the cluster to a large
-// translation (best-effort: no run, same per-page allocations). On
-// failure the frames taken so far go back.
+// flight; p.mu held in either mode, with n frames reserved. On failure
+// the frames taken so far go back.
 func (p *PVM) allocFillFrames(n int) ([]*phys.Frame, error) {
-	var frames []*phys.Frame
-	if p.promote && n > 1 {
-		frames = p.mem.AllocRun(n)
-	}
-	if frames == nil {
-		frames = make([]*phys.Frame, 0, n)
-		for len(frames) < n {
-			f, err := p.mem.Alloc()
-			if err != nil {
-				for _, f := range frames {
-					p.mem.Free(f)
-				}
-				return nil, err
+	frames := make([]*phys.Frame, 0, n)
+	for len(frames) < n {
+		f, err := p.mem.Alloc()
+		if err != nil {
+			for _, f := range frames {
+				p.mem.Free(f)
 			}
-			frames = append(frames, f)
+			return nil, err
 		}
+		frames = append(frames, f)
 	}
 	atomic.AddInt64(&p.inFlightFrames, int64(n))
 	return frames, nil

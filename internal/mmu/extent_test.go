@@ -1,9 +1,6 @@
 package mmu
 
 import (
-	"fmt"
-	"strings"
-	"sync"
 	"testing"
 
 	"chorusvm/internal/cost"
@@ -11,11 +8,10 @@ import (
 	"chorusvm/internal/phys"
 )
 
-// Conformance tests for the extent operations — MapBatch, ProtectRange,
-// MapLarge, DemoteLarge — run against every flavour both bare and behind
-// the TLB decorator: the decorator must preserve the flavour semantics
-// exactly while never honouring stale cached rights across a promotion,
-// demotion or range update.
+// Conformance tests for the extent operations — MapBatch and
+// ProtectRange — run against every flavour both bare and behind the TLB
+// decorator: the decorator must preserve the flavour semantics exactly
+// while never honouring stale cached rights across a range update.
 
 func extentFlavours(clock *cost.Clock) []MMU {
 	bare := flavours(clock)
@@ -25,17 +21,6 @@ func extentFlavours(clock *cost.Clock) []MMU {
 		all = append(all, WithTLB(m, 64, clock))
 	}
 	return all
-}
-
-// runOf allocates n physically contiguous frames, skipping the test when
-// the depot cannot supply them.
-func runOf(t *testing.T, mem *phys.Memory, n int) []*phys.Frame {
-	t.Helper()
-	run := mem.AllocRun(n)
-	if run == nil {
-		t.Fatalf("AllocRun(%d) found no contiguous run in a fresh depot", n)
-	}
-	return run
 }
 
 func TestMapBatch(t *testing.T) {
@@ -119,256 +104,6 @@ func TestProtectRange(t *testing.T) {
 			}
 			if s.Mapped() != 4 {
 				t.Fatalf("mapped = %d after ProtectRange", s.Mapped())
-			}
-		})
-	}
-}
-
-func TestMapLargeRoundTrip(t *testing.T) {
-	clock := cost.New()
-	for _, m := range extentFlavours(clock) {
-		t.Run(m.Name(), func(t *testing.T) {
-			mem := phys.NewMemory(32, pg, clock)
-			run := runOf(t, mem, 4)
-			s := m.NewSpace()
-			defer s.Destroy()
-			va := gmi.VA(0x100000) // 4-page aligned
-			s.MapBatch(va, run, gmi.ProtRW)
-			before := m.LargeStats()
-
-			if !s.MapLarge(va, run, gmi.ProtRW) {
-				t.Fatal("MapLarge refused an aligned contiguous run")
-			}
-			if got := s.LargeMapped(); got != 1 {
-				t.Fatalf("LargeMapped = %d live large translations, want 1", got)
-			}
-			if got := s.Mapped(); got != 4 {
-				t.Fatalf("Mapped = %d under a large translation, want 4", got)
-			}
-			for i, f := range run {
-				got, err := s.Translate(va+gmi.VA(i*pg), gmi.ProtWrite, false)
-				if err != nil || got != f {
-					t.Fatalf("page %d through large entry: %v, %v; want %v", i, got, err, f)
-				}
-				lf, lp, ok := s.Lookup(va + gmi.VA(i*pg))
-				if !ok || lf != f || lp != gmi.ProtRW {
-					t.Fatalf("page %d Lookup through large entry: %v %v %v", i, lf, lp, ok)
-				}
-			}
-
-			// Explicit demotion splinters back to identical base pages.
-			base, n := s.DemoteLarge(va + 2*pg)
-			if base != va || n != 4 {
-				t.Fatalf("DemoteLarge = (%#x, %d), want (%#x, 4)", base, n, va)
-			}
-			if got := s.LargeMapped(); got != 0 {
-				t.Fatalf("LargeMapped = %d after demotion", got)
-			}
-			for i, f := range run {
-				got, err := s.Translate(va+gmi.VA(i*pg), gmi.ProtWrite, false)
-				if err != nil || got != f {
-					t.Fatalf("page %d after demotion: %v, %v; want %v", i, got, err, f)
-				}
-			}
-			if s.Mapped() != 4 {
-				t.Fatalf("Mapped = %d after demotion", s.Mapped())
-			}
-			// Demoting a VA with no covering large entry reports nothing.
-			if base, n := s.DemoteLarge(va); n != 0 || base != 0 {
-				t.Fatalf("second DemoteLarge = (%#x, %d), want (0, 0)", base, n)
-			}
-			after := m.LargeStats()
-			if after.Promotes-before.Promotes != 1 || after.Demotes-before.Demotes != 1 {
-				t.Fatalf("LargeStats delta = %+v - %+v, want one promote and one demote", after, before)
-			}
-		})
-	}
-}
-
-func TestMapLargeRejectsIneligible(t *testing.T) {
-	clock := cost.New()
-	for _, m := range extentFlavours(clock) {
-		t.Run(m.Name(), func(t *testing.T) {
-			mem := phys.NewMemory(64, pg, clock)
-			run := runOf(t, mem, 8)
-			s := m.NewSpace()
-			defer s.Destroy()
-			va := gmi.VA(0x200000)
-
-			cases := []struct {
-				name   string
-				va     gmi.VA
-				frames []*phys.Frame
-			}{
-				{"misaligned va", va + pg, run[:4]},
-				{"single page", va, run[:1]},
-				{"non-power-of-two", va, run[:3]},
-				{"too wide", va, append(append([]*phys.Frame{}, run...), run...)},
-				{"non-contiguous", va, []*phys.Frame{run[0], run[2], run[4], run[6]}},
-				{"descending", va, []*phys.Frame{run[3], run[2], run[1], run[0]}},
-			}
-			for _, tc := range cases {
-				if s.MapLarge(tc.va, tc.frames, gmi.ProtRead) {
-					t.Errorf("%s: MapLarge succeeded", tc.name)
-				}
-			}
-			if s.LargeMapped() != 0 {
-				t.Fatalf("LargeMapped = %d after rejected promotions", s.LargeMapped())
-			}
-
-			// A run overlapping an existing large entry is refused.
-			if !s.MapLarge(va, run[:4], gmi.ProtRead) {
-				t.Fatal("valid MapLarge refused")
-			}
-			if s.MapLarge(va+2*pg, run[4:6], gmi.ProtRead) {
-				t.Fatal("overlapping MapLarge succeeded")
-			}
-		})
-	}
-}
-
-func TestLargeAutoDemotion(t *testing.T) {
-	clock := cost.New()
-	type op struct {
-		name  string
-		apply func(s Space, va gmi.VA, spare *phys.Frame)
-		// check validates the post-demotion state of the touched page.
-		check func(t *testing.T, s Space, va gmi.VA, run []*phys.Frame, spare *phys.Frame)
-	}
-	ops := []op{
-		{
-			name:  "Map",
-			apply: func(s Space, va gmi.VA, spare *phys.Frame) { s.Map(va+pg, spare, gmi.ProtRead) },
-			check: func(t *testing.T, s Space, va gmi.VA, run []*phys.Frame, spare *phys.Frame) {
-				if got, _, _ := s.Lookup(va + pg); got != spare {
-					t.Fatalf("remapped page = %v, want spare %v", got, spare)
-				}
-			},
-		},
-		{
-			name:  "Unmap",
-			apply: func(s Space, va gmi.VA, spare *phys.Frame) { s.Unmap(va + pg) },
-			check: func(t *testing.T, s Space, va gmi.VA, run []*phys.Frame, spare *phys.Frame) {
-				if _, _, ok := s.Lookup(va + pg); ok {
-					t.Fatal("unmapped page still translates")
-				}
-				if s.Mapped() != 3 {
-					t.Fatalf("Mapped = %d after partial unmap, want 3", s.Mapped())
-				}
-			},
-		},
-		{
-			name:  "Protect",
-			apply: func(s Space, va gmi.VA, spare *phys.Frame) { s.Protect(va+pg, gmi.ProtRead) },
-			check: func(t *testing.T, s Space, va gmi.VA, run []*phys.Frame, spare *phys.Frame) {
-				if _, err := s.Translate(va+pg, gmi.ProtWrite, false); err == nil {
-					t.Fatal("write rights survived Protect")
-				}
-			},
-		},
-		{
-			name:  "ProtectRange",
-			apply: func(s Space, va gmi.VA, spare *phys.Frame) { s.ProtectRange(va+pg, 2, gmi.ProtRead) },
-			check: func(t *testing.T, s Space, va gmi.VA, run []*phys.Frame, spare *phys.Frame) {
-				for i := 1; i <= 2; i++ {
-					if _, err := s.Translate(va+gmi.VA(i*pg), gmi.ProtWrite, false); err == nil {
-						t.Fatalf("page %d: write rights survived ProtectRange", i)
-					}
-				}
-			},
-		},
-		{
-			name:  "InvalidateRange",
-			apply: func(s Space, va gmi.VA, spare *phys.Frame) { s.InvalidateRange(va+pg, 2) },
-			check: func(t *testing.T, s Space, va gmi.VA, run []*phys.Frame, spare *phys.Frame) {
-				for i := 1; i <= 2; i++ {
-					if _, _, ok := s.Lookup(va + gmi.VA(i*pg)); ok {
-						t.Fatalf("page %d still mapped after InvalidateRange", i)
-					}
-				}
-				if s.Mapped() != 2 {
-					t.Fatalf("Mapped = %d after InvalidateRange, want 2", s.Mapped())
-				}
-			},
-		},
-	}
-	for _, m := range extentFlavours(clock) {
-		for _, o := range ops {
-			t.Run(fmt.Sprintf("%s/%s", m.Name(), o.name), func(t *testing.T) {
-				mem := phys.NewMemory(32, pg, clock)
-				run := runOf(t, mem, 4)
-				spare, _ := mem.Alloc()
-				s := m.NewSpace()
-				defer s.Destroy()
-				va := gmi.VA(0x400000)
-				s.MapBatch(va, run, gmi.ProtRW)
-				if !s.MapLarge(va, run, gmi.ProtRW) {
-					t.Fatal("MapLarge refused an eligible run")
-				}
-				// Warm any TLB through the large translation, so the op
-				// below also proves the demotion shootdown.
-				for i := range run {
-					if _, err := s.Translate(va+gmi.VA(i*pg), gmi.ProtWrite, false); err != nil {
-						t.Fatalf("warm translate: %v", err)
-					}
-				}
-				o.apply(s, va, spare)
-				if got := s.LargeMapped(); got != 0 {
-					t.Fatalf("LargeMapped = %d after %s, want 0 (auto-demotion)", got, o.name)
-				}
-				o.check(t, s, va, run, spare)
-				// The untouched first page keeps its original frame and
-				// rights through the splinter.
-				if got, err := s.Translate(va, gmi.ProtWrite, false); err != nil || got != run[0] {
-					t.Fatalf("page 0 after %s: %v, %v; want %v", o.name, got, err, run[0])
-				}
-			})
-		}
-	}
-}
-
-// TestLargeStatsConcurrent exercises the shared promote/demote counters
-// from many spaces of one MMU at once; run under -race it proves the
-// extent bookkeeping shared across spaces is properly synchronized. The
-// inverted flavour is excluded: its hash table is shared by design, so
-// concurrent mutation of different spaces has always required external
-// serialization (the PVM only runs its parallel fault path on flavours
-// with independent per-space tables).
-func TestLargeStatsConcurrent(t *testing.T) {
-	clock := cost.New()
-	for _, m := range extentFlavours(clock) {
-		if strings.Contains(m.Name(), "pmmu") {
-			continue
-		}
-		t.Run(m.Name(), func(t *testing.T) {
-			const workers = 4
-			mem := phys.NewMemory(workers*8, pg, clock)
-			runs := make([][]*phys.Frame, workers)
-			for i := range runs {
-				runs[i] = runOf(t, mem, 4)
-			}
-			var wg sync.WaitGroup
-			for i := 0; i < workers; i++ {
-				wg.Add(1)
-				go func(run []*phys.Frame) {
-					defer wg.Done()
-					s := m.NewSpace()
-					defer s.Destroy()
-					va := gmi.VA(0x800000)
-					for iter := 0; iter < 50; iter++ {
-						s.MapBatch(va, run, gmi.ProtRW)
-						if !s.MapLarge(va, run, gmi.ProtRW) {
-							panic("MapLarge refused an eligible run")
-						}
-						s.DemoteLarge(va)
-						s.InvalidateRange(va, 4)
-					}
-				}(runs[i])
-			}
-			wg.Wait()
-			st := m.LargeStats()
-			if st.Promotes < workers*50 || st.Demotes < workers*50 {
-				t.Fatalf("LargeStats = %+v, want >= %d of each", st, workers*50)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package mmu
 import (
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
-	"chorusvm/internal/obs"
 	"chorusvm/internal/phys"
 )
 
@@ -15,7 +14,6 @@ import (
 // Flat is the map-based MMU flavour.
 type Flat struct {
 	geometry
-	ext extState
 }
 
 // NewFlat creates the flavour with the given page size.
@@ -23,39 +21,29 @@ func NewFlat(pageSize int, clock *cost.Clock) *Flat {
 	return &Flat{geometry: newGeometry("i386", pageSize, clock)}
 }
 
-// LargeStats implements MMU.
-func (m *Flat) LargeStats() LargeStats { return m.ext.stats() }
-
-// SetTracer implements MMU.
-func (m *Flat) SetTracer(t *obs.Tracer) { m.ext.tracer = t }
-
 // NewSpace implements MMU.
 func (m *Flat) NewSpace() Space {
-	s := &flatSpace{geo: m.geometry, ptes: make(map[uint64]pte)}
-	s.large.init(&s.geo, &m.ext,
-		func(vpn uint64, e pte) { s.ptes[vpn] = e },
-		func(vpn uint64) { delete(s.ptes, vpn) },
-		func(vpn uint64) (pte, bool) { e, ok := s.ptes[vpn]; return e, ok },
-	)
-	return s
+	return &flatSpace{geo: m.geometry, ptes: make(map[uint64]pte)}
 }
 
 type flatSpace struct {
-	geo   geometry
-	ptes  map[uint64]pte
-	large largeTable
+	geo  geometry
+	ptes map[uint64]pte
 }
 
+// setPTE implements ptes.
+func (s *flatSpace) setPTE(vpn uint64, e pte) { s.ptes[vpn] = e }
+
+// getPTE implements ptes.
+func (s *flatSpace) getPTE(vpn uint64) (pte, bool) { e, ok := s.ptes[vpn]; return e, ok }
+
 func (s *flatSpace) Map(va gmi.VA, f *phys.Frame, p gmi.Prot) {
-	vpn := s.geo.vpn(va)
-	s.large.demoteAt(vpn)
-	s.ptes[vpn] = pte{frame: f, prot: p}
+	s.ptes[s.geo.vpn(va)] = pte{frame: f, prot: p}
 	s.geo.clock.Charge(cost.EvPageMap, 1)
 }
 
 func (s *flatSpace) Unmap(va gmi.VA) {
 	vpn := s.geo.vpn(va)
-	s.large.demoteAt(vpn)
 	if _, ok := s.ptes[vpn]; ok {
 		delete(s.ptes, vpn)
 		s.geo.clock.Charge(cost.EvPageUnmap, 1)
@@ -64,7 +52,6 @@ func (s *flatSpace) Unmap(va gmi.VA) {
 
 func (s *flatSpace) Protect(va gmi.VA, p gmi.Prot) {
 	vpn := s.geo.vpn(va)
-	s.large.demoteAt(vpn)
 	if e, ok := s.ptes[vpn]; ok {
 		e.prot = p
 		s.ptes[vpn] = e
@@ -75,13 +62,6 @@ func (s *flatSpace) Protect(va gmi.VA, p gmi.Prot) {
 func (s *flatSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phys.Frame, error) {
 	vpn := s.geo.vpn(va)
 	write := access&gmi.ProtWrite != 0
-	if e, ok := s.large.pteAt(vpn); ok {
-		if err := e.check(va, access, system); err != nil {
-			return nil, err
-		}
-		s.large.markRef(vpn, write)
-		return e.frame, nil
-	}
 	e, ok := s.ptes[vpn]
 	if !ok {
 		return nil, &Fault{VA: va, Access: access, Kind: FaultInvalid}
@@ -103,7 +83,7 @@ func (s *flatSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phys.Fr
 
 func (s *flatSpace) HarvestReferenced(va gmi.VA, npages int, visit func(int, bool)) {
 	vpn := s.geo.vpn(va)
-	cleared := s.large.harvestRange(vpn, npages, visit)
+	cleared := 0
 	for i := 0; i < npages; i++ {
 		e, ok := s.ptes[vpn+uint64(i)]
 		if !ok || !e.ref {
@@ -122,11 +102,7 @@ func (s *flatSpace) HarvestReferenced(va gmi.VA, npages int, visit func(int, boo
 }
 
 func (s *flatSpace) Lookup(va gmi.VA) (*phys.Frame, gmi.Prot, bool) {
-	vpn := s.geo.vpn(va)
-	if e, ok := s.large.pteAt(vpn); ok {
-		return e.frame, e.prot, true
-	}
-	e, ok := s.ptes[vpn]
+	e, ok := s.ptes[s.geo.vpn(va)]
 	if !ok {
 		return nil, 0, false
 	}
@@ -134,7 +110,6 @@ func (s *flatSpace) Lookup(va gmi.VA) (*phys.Frame, gmi.Prot, bool) {
 }
 
 func (s *flatSpace) InvalidateRange(va gmi.VA, npages int) {
-	s.large.demoteRange(s.geo.vpn(va), npages)
 	for i := 0; i < npages; i++ {
 		delete(s.ptes, s.geo.vpn(va+gmi.VA(i<<s.geo.shift)))
 	}
@@ -142,26 +117,13 @@ func (s *flatSpace) InvalidateRange(va gmi.VA, npages int) {
 }
 
 func (s *flatSpace) MapBatch(va gmi.VA, frames []*phys.Frame, p gmi.Prot) {
-	s.large.mapBatch(va, frames, p)
+	mapBatch(s, &s.geo, va, frames, p)
 }
 
 func (s *flatSpace) ProtectRange(va gmi.VA, npages int, p gmi.Prot) {
-	s.large.protectRange(va, npages, p)
+	protectRange(s, &s.geo, va, npages, p)
 }
 
-func (s *flatSpace) MapLarge(va gmi.VA, frames []*phys.Frame, p gmi.Prot) bool {
-	return s.large.mapLarge(va, frames, p)
-}
+func (s *flatSpace) Mapped() int { return len(s.ptes) }
 
-func (s *flatSpace) DemoteLarge(va gmi.VA) (gmi.VA, int) {
-	return s.large.demoteLarge(va)
-}
-
-func (s *flatSpace) LargeMapped() int { return s.large.largeMapped() }
-
-func (s *flatSpace) Mapped() int { return len(s.ptes) + s.large.pages }
-
-func (s *flatSpace) Destroy() {
-	s.ptes = make(map[uint64]pte)
-	s.large.reset()
-}
+func (s *flatSpace) Destroy() { s.ptes = make(map[uint64]pte) }

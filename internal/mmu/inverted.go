@@ -3,7 +3,6 @@ package mmu
 import (
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
-	"chorusvm/internal/obs"
 	"chorusvm/internal/phys"
 )
 
@@ -11,10 +10,7 @@ import (
 // (and of machines like the IBM RT): one hash table shared by all address
 // spaces, keyed by (space id, virtual page number), with chained buckets.
 // The table is sized relative to physical memory, which is exactly the
-// paper's section 4.1 sizing rule. Large translations live in the
-// per-space largeTable, not the shared hash — an inverted table is keyed
-// by base pages, so this models a separate block-translation facility
-// (as the real PMMU's early-termination descriptors did).
+// paper's section 4.1 sizing rule.
 
 // Inverted is the PMMU-style MMU flavour.
 type Inverted struct {
@@ -22,7 +18,6 @@ type Inverted struct {
 	buckets []*invEntry
 	mask    uint64
 	nextSID uint32
-	ext     extState
 }
 
 type invEntry struct {
@@ -46,40 +41,10 @@ func NewInverted(pageSize, buckets int, clock *cost.Clock) *Inverted {
 	}
 }
 
-// LargeStats implements MMU.
-func (m *Inverted) LargeStats() LargeStats { return m.ext.stats() }
-
-// SetTracer implements MMU.
-func (m *Inverted) SetTracer(t *obs.Tracer) { m.ext.tracer = t }
-
 // NewSpace implements MMU.
 func (m *Inverted) NewSpace() Space {
 	m.nextSID++
-	s := &invSpace{mmu: m, sid: m.nextSID}
-	s.large.init(&m.geometry, &m.ext,
-		func(vpn uint64, e pte) {
-			if pp := s.find(vpn); pp != nil {
-				(*pp).pte = e
-				return
-			}
-			b := &m.buckets[m.hash(s.sid, vpn)]
-			*b = &invEntry{sid: s.sid, vpn: vpn, pte: e, next: *b}
-			s.mapped++
-		},
-		func(vpn uint64) {
-			if pp := s.find(vpn); pp != nil {
-				*pp = (*pp).next
-				s.mapped--
-			}
-		},
-		func(vpn uint64) (pte, bool) {
-			if pp := s.find(vpn); pp != nil {
-				return (*pp).pte, true
-			}
-			return pte{}, false
-		},
-	)
-	return s
+	return &invSpace{mmu: m, sid: m.nextSID}
 }
 
 func (m *Inverted) hash(sid uint32, vpn uint64) uint64 {
@@ -92,7 +57,6 @@ type invSpace struct {
 	mmu    *Inverted
 	sid    uint32
 	mapped int
-	large  largeTable
 }
 
 func (s *invSpace) find(vpn uint64) **invEntry {
@@ -106,23 +70,32 @@ func (s *invSpace) find(vpn uint64) **invEntry {
 	return nil
 }
 
-func (s *invSpace) Map(va gmi.VA, f *phys.Frame, p gmi.Prot) {
-	vpn := s.mmu.vpn(va)
-	s.large.demoteAt(vpn)
+// setPTE implements ptes.
+func (s *invSpace) setPTE(vpn uint64, e pte) {
 	if pp := s.find(vpn); pp != nil {
-		(*pp).pte = pte{frame: f, prot: p}
-	} else {
-		b := &s.mmu.buckets[s.mmu.hash(s.sid, vpn)]
-		*b = &invEntry{sid: s.sid, vpn: vpn, pte: pte{frame: f, prot: p}, next: *b}
-		s.mapped++
+		(*pp).pte = e
+		return
 	}
+	b := &s.mmu.buckets[s.mmu.hash(s.sid, vpn)]
+	*b = &invEntry{sid: s.sid, vpn: vpn, pte: e, next: *b}
+	s.mapped++
+}
+
+// getPTE implements ptes.
+func (s *invSpace) getPTE(vpn uint64) (pte, bool) {
+	if pp := s.find(vpn); pp != nil {
+		return (*pp).pte, true
+	}
+	return pte{}, false
+}
+
+func (s *invSpace) Map(va gmi.VA, f *phys.Frame, p gmi.Prot) {
+	s.setPTE(s.mmu.vpn(va), pte{frame: f, prot: p})
 	s.mmu.clock.Charge(cost.EvPageMap, 1)
 }
 
 func (s *invSpace) Unmap(va gmi.VA) {
-	vpn := s.mmu.vpn(va)
-	s.large.demoteAt(vpn)
-	if pp := s.find(vpn); pp != nil {
+	if pp := s.find(s.mmu.vpn(va)); pp != nil {
 		*pp = (*pp).next
 		s.mapped--
 		s.mmu.clock.Charge(cost.EvPageUnmap, 1)
@@ -130,23 +103,13 @@ func (s *invSpace) Unmap(va gmi.VA) {
 }
 
 func (s *invSpace) Protect(va gmi.VA, p gmi.Prot) {
-	vpn := s.mmu.vpn(va)
-	s.large.demoteAt(vpn)
-	if pp := s.find(vpn); pp != nil {
+	if pp := s.find(s.mmu.vpn(va)); pp != nil {
 		(*pp).pte.prot = p
 		s.mmu.clock.Charge(cost.EvPageProtect, 1)
 	}
 }
 
 func (s *invSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phys.Frame, error) {
-	write := access&gmi.ProtWrite != 0
-	if e, ok := s.large.pteAt(s.mmu.vpn(va)); ok {
-		if err := e.check(va, access, system); err != nil {
-			return nil, err
-		}
-		s.large.markRef(s.mmu.vpn(va), write)
-		return e.frame, nil
-	}
 	pp := s.find(s.mmu.vpn(va))
 	if pp == nil {
 		return nil, &Fault{VA: va, Access: access, Kind: FaultInvalid}
@@ -156,7 +119,7 @@ func (s *invSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phys.Fra
 		return nil, err
 	}
 	e.ref = true
-	if write {
+	if access&gmi.ProtWrite != 0 {
 		e.dirty = true
 	}
 	return e.frame, nil
@@ -164,7 +127,7 @@ func (s *invSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phys.Fra
 
 func (s *invSpace) HarvestReferenced(va gmi.VA, npages int, visit func(int, bool)) {
 	vpn := s.mmu.vpn(va)
-	cleared := s.large.harvestRange(vpn, npages, visit)
+	cleared := 0
 	for i := 0; i < npages; i++ {
 		if pp := s.find(vpn + uint64(i)); pp != nil && (*pp).pte.ref {
 			e := &(*pp).pte
@@ -181,9 +144,6 @@ func (s *invSpace) HarvestReferenced(va gmi.VA, npages int, visit func(int, bool
 }
 
 func (s *invSpace) Lookup(va gmi.VA) (*phys.Frame, gmi.Prot, bool) {
-	if e, ok := s.large.pteAt(s.mmu.vpn(va)); ok {
-		return e.frame, e.prot, true
-	}
 	if pp := s.find(s.mmu.vpn(va)); pp != nil {
 		e := (*pp).pte
 		return e.frame, e.prot, true
@@ -192,7 +152,6 @@ func (s *invSpace) Lookup(va gmi.VA) (*phys.Frame, gmi.Prot, bool) {
 }
 
 func (s *invSpace) InvalidateRange(va gmi.VA, npages int) {
-	s.large.demoteRange(s.mmu.vpn(va), npages)
 	for i := 0; i < npages; i++ {
 		if pp := s.find(s.mmu.vpn(va + gmi.VA(i<<s.mmu.shift))); pp != nil {
 			*pp = (*pp).next
@@ -203,24 +162,14 @@ func (s *invSpace) InvalidateRange(va gmi.VA, npages int) {
 }
 
 func (s *invSpace) MapBatch(va gmi.VA, frames []*phys.Frame, p gmi.Prot) {
-	s.large.mapBatch(va, frames, p)
+	mapBatch(s, &s.mmu.geometry, va, frames, p)
 }
 
 func (s *invSpace) ProtectRange(va gmi.VA, npages int, p gmi.Prot) {
-	s.large.protectRange(va, npages, p)
+	protectRange(s, &s.mmu.geometry, va, npages, p)
 }
 
-func (s *invSpace) MapLarge(va gmi.VA, frames []*phys.Frame, p gmi.Prot) bool {
-	return s.large.mapLarge(va, frames, p)
-}
-
-func (s *invSpace) DemoteLarge(va gmi.VA) (gmi.VA, int) {
-	return s.large.demoteLarge(va)
-}
-
-func (s *invSpace) LargeMapped() int { return s.large.largeMapped() }
-
-func (s *invSpace) Mapped() int { return s.mapped + s.large.pages }
+func (s *invSpace) Mapped() int { return s.mapped }
 
 func (s *invSpace) Destroy() {
 	// Walk every bucket and unchain this space's entries.
@@ -235,5 +184,4 @@ func (s *invSpace) Destroy() {
 		}
 	}
 	s.mapped = 0
-	s.large.reset()
 }

@@ -16,7 +16,6 @@ import (
 
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
-	"chorusvm/internal/obs"
 	"chorusvm/internal/phys"
 )
 
@@ -73,8 +72,7 @@ type Space interface {
 
 	// InvalidateRange removes all translations in [va, va+n*pageSize);
 	// the bulk form used at region destruction, cheaper per page than
-	// individual Unmaps. Large translations overlapping the range are
-	// demoted first, so pages outside the range stay mapped.
+	// individual Unmaps.
 	InvalidateRange(va gmi.VA, npages int)
 
 	// MapBatch installs translations for len(frames) consecutive pages
@@ -85,42 +83,19 @@ type Space interface {
 
 	// ProtectRange changes the protection of every mapped page in
 	// [va, va+npages*pageSize) to p, skipping holes — the bulk analogue
-	// of Protect. Large translations overlapping the range are demoted
-	// first.
+	// of Protect.
 	ProtectRange(va gmi.VA, npages int, p gmi.Prot)
-
-	// MapLarge promotes the naturally-aligned run of len(frames) pages at
-	// va to a single large translation. len(frames) must be a power of
-	// two in [2, 1<<MaxLargeOrder], va must be aligned to the run size,
-	// and the frames must be physically contiguous (consecutive Index);
-	// ineligible runs return false with no state change. Existing base
-	// translations in the range are subsumed. Any later base-grain
-	// operation touching the run (Map/Unmap/Protect of a covered page, an
-	// overlapping ProtectRange/InvalidateRange) demotes it automatically.
-	MapLarge(va gmi.VA, frames []*phys.Frame, p gmi.Prot) bool
-
-	// DemoteLarge splinters the large translation covering va back into
-	// base-page translations with identical frames and protection,
-	// returning its base address and page count ((0, 0) when va is not
-	// covered by a large translation).
-	DemoteLarge(va gmi.VA) (base gmi.VA, npages int)
 
 	// HarvestReferenced reads and clears the referenced/modified PTE bits
 	// of the npages pages starting at va, calling visit(i, dirty) for
 	// every page i in the range whose referenced bit was set since the
 	// last harvest (dirty reports the page's modified bit, which is
 	// cleared too — the memory manager's own dirty tracking, not the
-	// hardware bit, is the write-back source of truth). Large
-	// translations keep one bit pair for the whole run, so every covered
-	// page in the range reports the run's bits and the pair is cleared
-	// once. A TLB decorator shoots the range down first: cached
-	// translations bypass the tables, so without the shootdown the
-	// harvested pages' future references would never set fresh bits.
+	// hardware bit, is the write-back source of truth). A TLB decorator
+	// shoots the range down first: cached translations bypass the
+	// tables, so without the shootdown the harvested pages' future
+	// references would never set fresh bits.
 	HarvestReferenced(va gmi.VA, npages int, visit func(i int, dirty bool))
-
-	// LargeMapped returns the number of live large translations, for
-	// tests. Mapped counts a large translation as its full page count.
-	LargeMapped() int
 
 	// Mapped returns the number of live translations, for tests.
 	Mapped() int
@@ -137,12 +112,6 @@ type MMU interface {
 	PageSize() int
 	// NewSpace creates an empty translation map.
 	NewSpace() Space
-	// LargeStats returns the flavour's cumulative large-mapping
-	// promotion/demotion counts across all its spaces.
-	LargeStats() LargeStats
-	// SetTracer wires promote/demote trace events; nil disables them.
-	// Call once at wiring time, before any space exists.
-	SetTracer(t *obs.Tracer)
 }
 
 // geometry holds what every flavour needs: page arithmetic and the clock.
@@ -178,6 +147,41 @@ type pte struct {
 	prot  gmi.Prot
 	ref   bool
 	dirty bool
+}
+
+// ptes is the base-PTE primitive pair every flavour supplies, so the
+// bulk operations are written once (mapBatch, protectRange). Neither
+// method charges costs.
+type ptes interface {
+	setPTE(vpn uint64, e pte) // install or overwrite
+	getPTE(vpn uint64) (pte, bool)
+}
+
+// mapBatch implements Space.MapBatch over a flavour's primitives: one
+// batched charge for the whole run.
+func mapBatch(t ptes, g *geometry, va gmi.VA, frames []*phys.Frame, p gmi.Prot) {
+	vpn := g.vpn(va)
+	for i, f := range frames {
+		t.setPTE(vpn+uint64(i), pte{frame: f, prot: p})
+	}
+	g.clock.Charge(cost.EvPageMap, len(frames))
+}
+
+// protectRange implements Space.ProtectRange over a flavour's
+// primitives, charging one protect per mapped page it changed.
+func protectRange(t ptes, g *geometry, va gmi.VA, npages int, p gmi.Prot) {
+	vpn := g.vpn(va)
+	changed := 0
+	for i := 0; i < npages; i++ {
+		if e, ok := t.getPTE(vpn + uint64(i)); ok {
+			e.prot = p
+			t.setPTE(vpn+uint64(i), e)
+			changed++
+		}
+	}
+	if changed > 0 {
+		g.clock.Charge(cost.EvPageProtect, changed)
+	}
 }
 
 // check validates a reference of type access against the entry, returning

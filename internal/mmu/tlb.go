@@ -5,7 +5,6 @@ import (
 
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
-	"chorusvm/internal/obs"
 	"chorusvm/internal/phys"
 )
 
@@ -49,12 +48,6 @@ func (m *TLBMMU) Name() string { return m.inner.Name() + "+tlb" }
 
 // PageSize implements MMU.
 func (m *TLBMMU) PageSize() int { return m.inner.PageSize() }
-
-// LargeStats implements MMU.
-func (m *TLBMMU) LargeStats() LargeStats { return m.inner.LargeStats() }
-
-// SetTracer implements MMU.
-func (m *TLBMMU) SetTracer(t *obs.Tracer) { m.inner.SetTracer(t) }
 
 // Stats returns the aggregate TLB counters.
 func (m *TLBMMU) Stats() TLBStats {
@@ -161,28 +154,6 @@ func (s *tlbSpace) ProtectRange(va gmi.VA, npages int, p gmi.Prot) {
 	s.inner.ProtectRange(va, npages, p)
 }
 
-// MapLarge implements Space. The TLB caches base-grain entries whose
-// frame and protection the promoted run may change, so the whole range is
-// shot down on success.
-func (s *tlbSpace) MapLarge(va gmi.VA, frames []*phys.Frame, p gmi.Prot) bool {
-	if !s.inner.MapLarge(va, frames, p) {
-		return false
-	}
-	s.shootRange(va, len(frames))
-	return true
-}
-
-// DemoteLarge implements Space: splintering a large translation must
-// invalidate whatever the TLB cached for the run, the classic demotion
-// shootdown.
-func (s *tlbSpace) DemoteLarge(va gmi.VA) (gmi.VA, int) {
-	base, n := s.inner.DemoteLarge(va)
-	if n > 0 {
-		s.shootRange(base, n)
-	}
-	return base, n
-}
-
 // HarvestReferenced implements Space. The range is shot down first: a TLB
 // hit does not re-walk the tables, so referenced bits are set only on a
 // miss refill — without the shootdown, pages the workload keeps touching
@@ -192,9 +163,6 @@ func (s *tlbSpace) HarvestReferenced(va gmi.VA, npages int, visit func(int, bool
 	s.shootRange(va, npages)
 	s.inner.HarvestReferenced(va, npages, visit)
 }
-
-// LargeMapped implements Space.
-func (s *tlbSpace) LargeMapped() int { return s.inner.LargeMapped() }
 
 // Translate implements Space: TLB first, then the walk.
 func (s *tlbSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phys.Frame, error) {

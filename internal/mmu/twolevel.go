@@ -3,7 +3,6 @@ package mmu
 import (
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
-	"chorusvm/internal/obs"
 	"chorusvm/internal/phys"
 )
 
@@ -21,7 +20,6 @@ const (
 // TwoLevel is the Sun-3-style MMU flavour.
 type TwoLevel struct {
 	geometry
-	ext extState
 }
 
 // NewTwoLevel creates the flavour with the given page size.
@@ -29,47 +27,13 @@ func NewTwoLevel(pageSize int, clock *cost.Clock) *TwoLevel {
 	return &TwoLevel{geometry: newGeometry("sun3", pageSize, clock)}
 }
 
-// LargeStats implements MMU.
-func (m *TwoLevel) LargeStats() LargeStats { return m.ext.stats() }
-
-// SetTracer implements MMU.
-func (m *TwoLevel) SetTracer(t *obs.Tracer) { m.ext.tracer = t }
-
 // NewSpace implements MMU.
-func (m *TwoLevel) NewSpace() Space {
-	s := &twoLevelSpace{geo: m.geometry}
-	s.large.init(&s.geo, &m.ext,
-		func(vpn uint64, e pte) {
-			slot := s.slotVPN(vpn, true)
-			if slot == nil {
-				panic("mmu: va outside two-level root coverage")
-			}
-			if slot.frame == nil {
-				s.mapped++
-			}
-			*slot = e
-		},
-		func(vpn uint64) {
-			if slot := s.slotVPN(vpn, false); slot != nil && slot.frame != nil {
-				slot.frame, slot.prot = nil, 0
-				s.mapped--
-			}
-		},
-		func(vpn uint64) (pte, bool) {
-			if slot := s.slotVPN(vpn, false); slot != nil && slot.frame != nil {
-				return *slot, true
-			}
-			return pte{}, false
-		},
-	)
-	return s
-}
+func (m *TwoLevel) NewSpace() Space { return &twoLevelSpace{geo: m.geometry} }
 
 type twoLevelSpace struct {
 	geo    geometry
 	root   [rootSize]*[leafSize]pte
 	mapped int
-	large  largeTable
 }
 
 func (s *twoLevelSpace) slotVPN(vpn uint64, create bool) *pte {
@@ -93,7 +57,6 @@ func (s *twoLevelSpace) slot(va gmi.VA, create bool) *pte {
 }
 
 func (s *twoLevelSpace) Map(va gmi.VA, f *phys.Frame, p gmi.Prot) {
-	s.large.demoteAt(s.geo.vpn(va))
 	e := s.slot(va, true)
 	if e == nil {
 		panic("mmu: va outside two-level root coverage")
@@ -106,7 +69,6 @@ func (s *twoLevelSpace) Map(va gmi.VA, f *phys.Frame, p gmi.Prot) {
 }
 
 func (s *twoLevelSpace) Unmap(va gmi.VA) {
-	s.large.demoteAt(s.geo.vpn(va))
 	if e := s.slot(va, false); e != nil && e.frame != nil {
 		e.frame, e.prot = nil, 0
 		s.mapped--
@@ -115,7 +77,6 @@ func (s *twoLevelSpace) Unmap(va gmi.VA) {
 }
 
 func (s *twoLevelSpace) Protect(va gmi.VA, p gmi.Prot) {
-	s.large.demoteAt(s.geo.vpn(va))
 	if e := s.slot(va, false); e != nil && e.frame != nil {
 		e.prot = p
 		s.geo.clock.Charge(cost.EvPageProtect, 1)
@@ -123,14 +84,6 @@ func (s *twoLevelSpace) Protect(va gmi.VA, p gmi.Prot) {
 }
 
 func (s *twoLevelSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phys.Frame, error) {
-	write := access&gmi.ProtWrite != 0
-	if e, ok := s.large.pteAt(s.geo.vpn(va)); ok {
-		if err := e.check(va, access, system); err != nil {
-			return nil, err
-		}
-		s.large.markRef(s.geo.vpn(va), write)
-		return e.frame, nil
-	}
 	e := s.slot(va, false)
 	if e == nil || e.frame == nil {
 		return nil, &Fault{VA: va, Access: access, Kind: FaultInvalid}
@@ -139,7 +92,7 @@ func (s *twoLevelSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phy
 		return nil, err
 	}
 	e.ref = true
-	if write {
+	if access&gmi.ProtWrite != 0 {
 		e.dirty = true
 	}
 	return e.frame, nil
@@ -147,7 +100,7 @@ func (s *twoLevelSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phy
 
 func (s *twoLevelSpace) HarvestReferenced(va gmi.VA, npages int, visit func(int, bool)) {
 	vpn := s.geo.vpn(va)
-	cleared := s.large.harvestRange(vpn, npages, visit)
+	cleared := 0
 	for i := 0; i < npages; i++ {
 		if e := s.slotVPN(vpn+uint64(i), false); e != nil && e.frame != nil && e.ref {
 			if visit != nil {
@@ -163,9 +116,6 @@ func (s *twoLevelSpace) HarvestReferenced(va gmi.VA, npages int, visit func(int,
 }
 
 func (s *twoLevelSpace) Lookup(va gmi.VA) (*phys.Frame, gmi.Prot, bool) {
-	if e, ok := s.large.pteAt(s.geo.vpn(va)); ok {
-		return e.frame, e.prot, true
-	}
 	e := s.slot(va, false)
 	if e == nil || e.frame == nil {
 		return nil, 0, false
@@ -174,7 +124,6 @@ func (s *twoLevelSpace) Lookup(va gmi.VA) (*phys.Frame, gmi.Prot, bool) {
 }
 
 func (s *twoLevelSpace) InvalidateRange(va gmi.VA, npages int) {
-	s.large.demoteRange(s.geo.vpn(va), npages)
 	for i := 0; i < npages; i++ {
 		if e := s.slot(va+gmi.VA(i<<s.geo.shift), false); e != nil && e.frame != nil {
 			e.frame, e.prot = nil, 0
@@ -184,30 +133,39 @@ func (s *twoLevelSpace) InvalidateRange(va gmi.VA, npages int) {
 	s.geo.clock.Charge(cost.EvPageInvalidate, npages)
 }
 
+// setPTE implements ptes.
+func (s *twoLevelSpace) setPTE(vpn uint64, e pte) {
+	slot := s.slotVPN(vpn, true)
+	if slot == nil {
+		panic("mmu: va outside two-level root coverage")
+	}
+	if slot.frame == nil {
+		s.mapped++
+	}
+	*slot = e
+}
+
+// getPTE implements ptes.
+func (s *twoLevelSpace) getPTE(vpn uint64) (pte, bool) {
+	if slot := s.slotVPN(vpn, false); slot != nil && slot.frame != nil {
+		return *slot, true
+	}
+	return pte{}, false
+}
+
 func (s *twoLevelSpace) MapBatch(va gmi.VA, frames []*phys.Frame, p gmi.Prot) {
-	s.large.mapBatch(va, frames, p)
+	mapBatch(s, &s.geo, va, frames, p)
 }
 
 func (s *twoLevelSpace) ProtectRange(va gmi.VA, npages int, p gmi.Prot) {
-	s.large.protectRange(va, npages, p)
+	protectRange(s, &s.geo, va, npages, p)
 }
 
-func (s *twoLevelSpace) MapLarge(va gmi.VA, frames []*phys.Frame, p gmi.Prot) bool {
-	return s.large.mapLarge(va, frames, p)
-}
-
-func (s *twoLevelSpace) DemoteLarge(va gmi.VA) (gmi.VA, int) {
-	return s.large.demoteLarge(va)
-}
-
-func (s *twoLevelSpace) LargeMapped() int { return s.large.largeMapped() }
-
-func (s *twoLevelSpace) Mapped() int { return s.mapped + s.large.pages }
+func (s *twoLevelSpace) Mapped() int { return s.mapped }
 
 func (s *twoLevelSpace) Destroy() {
 	for i := range s.root {
 		s.root[i] = nil
 	}
 	s.mapped = 0
-	s.large.reset()
 }

@@ -67,8 +67,6 @@ const (
 	KindFillSubmit                  // core: async fill request submitted to a pager
 	KindFillComplete                // core: pager completion published pages + settled stubs
 	KindFaultAround                 // core: one fault mapped resident neighbours (arg2 = pages)
-	KindPromote                     // mmu: run promoted to a large translation (arg1 = va, arg2 = pages)
-	KindDemote                      // mmu: large translation splintered to base pages (arg1 = va, arg2 = pages)
 	KindSpecCancel                  // core: speculative fill dropped under frame pressure (arg2 = offset)
 	KindPolicyWait                  // core: one replacement-policy call (insert/touch/remove/select); dur ≈ policy mutex wait
 	NumKinds
@@ -81,7 +79,7 @@ var kindNames = [NumKinds]string{
 	"copy", "move", "dsminvalidate", "dsmsync", "storeread", "storewrite",
 	"storecompress", "storeretry", "framezero", "framepoolhit",
 	"framepoolmiss", "fillsubmit", "fillcomplete", "faultaround",
-	"promote", "demote", "speccancel", "policywait",
+	"speccancel", "policywait",
 }
 
 func (k Kind) String() string {

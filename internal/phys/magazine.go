@@ -76,23 +76,6 @@ func (m *Memory) magFree(f *Frame) {
 	mag.mu.Unlock()
 }
 
-// flushMagazines returns every magazine's frames to the depot, each
-// magazine under its own lock (magazine before depot, the order magFree
-// uses). Frames only change level, so avail is untouched.
-func (m *Memory) flushMagazines() {
-	for i := range m.mags {
-		mag := &m.mags[i]
-		mag.mu.Lock()
-		if mag.n > 0 {
-			m.depotPushN(mag.fr[:mag.n])
-			clear(mag.fr[:mag.n])
-			mag.n = 0
-			atomic.AddUint64(&m.stats.MagazineFlushes, 1)
-		}
-		mag.mu.Unlock()
-	}
-}
-
 // stealMag pops one frame from any non-empty magazine — the ticket-
 // redemption path's defence against frames stranded in other shards'
 // caches.

@@ -246,92 +246,6 @@ func (m *Memory) Alloc() (*Frame, error) {
 	return f, nil
 }
 
-// AllocRun allocates n physically contiguous frames (consecutive Index,
-// ascending) — the contiguity hint large-mapping promotion feeds on.
-// Best-effort: the depot free list is scanned for a run under its lock;
-// when it holds none, every magazine is flushed back to the depot and
-// the scan is retried once, so frames parked in magazines (up to magCap
-// per magazine, a large share of a small pool at high GOMAXPROCS) do
-// not hide a run. Frames in the pre-zeroed pool are not pulled back.
-// Returns nil (not an error) when no run is available — callers fall
-// back to single allocations.
-func (m *Memory) AllocRun(n int) []*Frame {
-	if n <= 0 || n > len(m.frames) {
-		return nil
-	}
-	// Claim one ticket per frame before touching the list, same ordering
-	// rule as Alloc; released if the depot has no run.
-	claimed := 0
-	for ; claimed < n; claimed++ {
-		if !m.claimAvail() {
-			atomic.AddInt64(&m.avail, int64(claimed))
-			return nil
-		}
-	}
-	m.mu.Lock()
-	run := m.depotFindRun(n)
-	m.mu.Unlock()
-	if run == nil {
-		m.flushMagazines()
-		m.mu.Lock()
-		run = m.depotFindRun(n)
-		m.mu.Unlock()
-	}
-	if run == nil {
-		atomic.AddInt64(&m.avail, int64(n))
-		return nil
-	}
-	for _, f := range run {
-		markAllocated(f)
-	}
-	m.clock.Charge(cost.EvFrameAlloc, n)
-	return run
-}
-
-// depotFindRun finds n consecutive frame indexes in the depot, unlinks
-// them and returns them ascending; nil when no such run exists. Caller
-// holds m.mu and n claimed tickets.
-func (m *Memory) depotFindRun(n int) []*Frame {
-	if m.freeN < n {
-		return nil
-	}
-	inDepot := make([]bool, len(m.frames))
-	for f := m.freeHead; f != nil; f = f.next {
-		inDepot[f.Index] = true
-	}
-	streak, start := 0, -1
-	for i := range inDepot {
-		if !inDepot[i] {
-			streak = 0
-			continue
-		}
-		streak++
-		if streak == n {
-			start = i - n + 1
-			break
-		}
-	}
-	if start < 0 {
-		return nil
-	}
-	pp := &m.freeHead
-	for *pp != nil {
-		f := *pp
-		if f.Index >= start && f.Index < start+n {
-			*pp = f.next
-			f.next = nil
-			continue
-		}
-		pp = &f.next
-	}
-	m.freeN -= n
-	run := make([]*Frame, n)
-	for i := range run {
-		run[i] = &m.frames[start+i]
-	}
-	return run
-}
-
 // Free returns the frame to the pool. Freeing a free frame panics: it
 // always indicates an ownership bug in the layer above.
 func (m *Memory) Free(f *Frame) {
