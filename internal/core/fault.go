@@ -51,6 +51,9 @@ import (
 // the fast path's OnInsert/OnTouch take it while holding a shard mutex,
 // so it is acquired last and never held across any other lock
 // acquisition (the usable filter of SelectVictims takes no lock).
+// Likewise, the sun3 MMU's page-table free list has its own mutex, taken
+// inside Space calls under ctx.spaceMu or an exclusive p.mu: a leaf that
+// takes nothing further.
 //
 // Additional rules:
 //

@@ -28,17 +28,22 @@ func (m *Flat) NewSpace() Space {
 
 type flatSpace struct {
 	geo  geometry
-	ptes map[uint64]pte
+	ptes map[uint64]pte // nil once destroyed
 }
 
 // setPTE implements ptes.
-func (s *flatSpace) setPTE(vpn uint64, e pte) { s.ptes[vpn] = e }
+func (s *flatSpace) setPTE(vpn uint64, e pte) {
+	if s.ptes == nil {
+		panic(errDestroyedMap)
+	}
+	s.ptes[vpn] = e
+}
 
 // getPTE implements ptes.
 func (s *flatSpace) getPTE(vpn uint64) (pte, bool) { e, ok := s.ptes[vpn]; return e, ok }
 
 func (s *flatSpace) Map(va gmi.VA, f *phys.Frame, p gmi.Prot) {
-	s.ptes[s.geo.vpn(va)] = pte{frame: f, prot: p}
+	s.setPTE(s.geo.vpn(va), pte{frame: f, prot: p})
 	s.geo.clock.Charge(cost.EvPageMap, 1)
 }
 
@@ -126,4 +131,4 @@ func (s *flatSpace) ProtectRange(va gmi.VA, npages int, p gmi.Prot) {
 
 func (s *flatSpace) Mapped() int { return len(s.ptes) }
 
-func (s *flatSpace) Destroy() { s.ptes = make(map[uint64]pte) }
+func (s *flatSpace) Destroy() { s.ptes = nil }

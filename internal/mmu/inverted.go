@@ -55,7 +55,7 @@ func (m *Inverted) hash(sid uint32, vpn uint64) uint64 {
 
 type invSpace struct {
 	mmu    *Inverted
-	sid    uint32
+	sid    uint32 // 0 once destroyed; live spaces number from 1
 	mapped int
 }
 
@@ -72,6 +72,9 @@ func (s *invSpace) find(vpn uint64) **invEntry {
 
 // setPTE implements ptes.
 func (s *invSpace) setPTE(vpn uint64, e pte) {
+	if s.sid == 0 {
+		panic(errDestroyedMap)
+	}
 	if pp := s.find(vpn); pp != nil {
 		(*pp).pte = e
 		return
@@ -171,17 +174,20 @@ func (s *invSpace) ProtectRange(va gmi.VA, npages int, p gmi.Prot) {
 
 func (s *invSpace) Mapped() int { return s.mapped }
 
+// Destroy unchains the space's entries from the shared table. A space
+// whose regions were torn down first has none, and returns at once; else
+// the walk stops at the last of them.
 func (s *invSpace) Destroy() {
-	// Walk every bucket and unchain this space's entries.
-	for i := range s.mmu.buckets {
+	for i := 0; i < len(s.mmu.buckets) && s.mapped > 0; i++ {
 		pp := &s.mmu.buckets[i]
 		for *pp != nil {
 			if (*pp).sid == s.sid {
 				*pp = (*pp).next
+				s.mapped--
 				continue
 			}
 			pp = &(*pp).next
 		}
 	}
-	s.mapped = 0
+	s.sid = 0
 }

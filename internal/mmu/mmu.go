@@ -114,6 +114,10 @@ type MMU interface {
 	NewSpace() Space
 }
 
+// errDestroyedMap is the panic of a Map or MapBatch on a destroyed space:
+// its tables may already belong to another space.
+const errDestroyedMap = "mmu: map on a destroyed space"
+
 // geometry holds what every flavour needs: page arithmetic and the clock.
 type geometry struct {
 	name     string

@@ -28,7 +28,8 @@
 //	flush|sync|invalidate NAME          whole-cache data control
 //	lock NAME | unlock NAME             region lockInMemory / unlock
 //	destroy NAME                        destroy a region or cache
-//	pageout N                           force N page reclaims
+//	pageout N                           force N reclaim steps; prints the
+//	                                    frames freed and the steps taken
 //	tree                                print the history tree
 //	stats                               print every PVM counter
 //	clock                               print the simulated clock
@@ -578,8 +579,11 @@ func (in *Interp) cmdPageout(args []string) error {
 	if err != nil {
 		return err
 	}
-	done := in.pvm.PageOut(int(n))
-	fmt.Fprintf(in.out, "pageout reclaimed %d pages\n", done)
+	// PageOut counts steps, and a step may assign a swap segment
+	// instead of freeing a frame; the frames freed are the evictions.
+	ev := in.pvm.Stats().Evictions
+	steps := in.pvm.PageOut(int(n))
+	fmt.Fprintf(in.out, "pageout reclaimed %d pages (%d steps)\n", in.pvm.Stats().Evictions-ev, steps)
 	return nil
 }
 
