@@ -41,8 +41,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -55,33 +57,45 @@ import (
 	"chorusvm/internal/store"
 )
 
-func main() {
-	table := flag.Int("table", 0, "regenerate only table 6 or 7 (0 = both)")
-	derive := flag.Bool("derive", true, "print the section 5.3.2 derived overheads")
-	ablations := flag.Bool("ablations", false, "run the ablation benchmarks")
-	parallel := flag.Bool("parallel", false, "run the parallel fault-throughput benchmark")
-	framepool := flag.Bool("framepool", false, "run the demand-zero frame-pool ablation (pre-zeroed pool off vs on at 1/2/4/8 workers)")
-	iters := flag.Int("iters", 32, "iterations per cell")
-	frames := flag.Int("frames", 2048, "physical frames per memory manager")
-	hist := flag.Bool("hist", false, "print latency histograms and the fault-stage breakdown (wall-clock; implies tracing the -parallel runs)")
-	traceFile := flag.String("trace", "", "write the captured event trace to this file")
-	traceFormat := flag.String("trace-format", obs.FormatChrome, "trace encoding: text, jsonl or chrome (chrome://tracing / Perfetto)")
-	storeKind := flag.String("store", "mem", "backing store for the -parallel worker segments: "+strings.Join(store.Kinds(), ", "))
-	storeDir := flag.String("store-dir", "", "directory for -store file page files (required with -store file; optional journaled cold tier with -store tiered)")
-	storeFaults := flag.Float64("store-faults", 0, "per-op probability of injected transient store faults (0 disables)")
-	tierHot := flag.Int("tier-hot", 0, "hot-tier capacity in pages for -store tiered/remote (0 = default)")
-	tierWarm := flag.Int("tier-warm", 0, "warm-tier capacity in pages for -store tiered/remote (0 = default)")
-	storeAddr := flag.String("store-addr", "", "transport for -store remote: pipe (in-process, default) or tcp (loopback)")
-	syncPager := flag.Bool("sync-pager", false, "force the synchronous pullIn upcall path in -parallel (protocol ablation baseline)")
-	readAhead := flag.Int("readahead", 1, "cluster -parallel fills over up to this many contiguous pages")
-	pages := flag.Int("pages", 64, "pages each -parallel worker faults (larger runs average out timer noise)")
-	faultAround := flag.Int("fault-around", -1, "map up to this many resident neighbours per fault (power of two <= 8; 0 disables; setting >= 0 switches -parallel to the warm-resident soft-fault workload)")
-	faAblation := flag.Bool("fault-around-ablation", false, "run the warm-resident fault-around ablation at widths 0/4/8")
-	faWorkers := flag.Int("fault-around-workers", 2, "concurrent workers in the fault-around ablation (the soft-fault workload is CPU-bound, so match the machine, not the device)")
-	policyName := flag.String("policy", "", "page-replacement policy for the -parallel runs: lru, clock or 2q (empty = PVM default)")
-	pressure := flag.Bool("pressure", false, "run the replacement-policy pressure ablation (lru/clock/2q under Zipf + scan bursts at 0.5x/1x/2x of physical memory)")
-	tierAblation := flag.Bool("tier-ablation", false, "run the tiered-store ablation (policy-driven vs static placement vs flat, at two capacity settings)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, prints the chosen tables and
+// ablations on stdout, and returns the exit status (2 for a usage error,
+// 1 for a failed trace write).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chorusbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.Int("table", 0, "regenerate only table 6 or 7 (0 = both)")
+	derive := fs.Bool("derive", true, "print the section 5.3.2 derived overheads")
+	ablations := fs.Bool("ablations", false, "run the ablation benchmarks")
+	parallel := fs.Bool("parallel", false, "run the parallel fault-throughput benchmark")
+	framepool := fs.Bool("framepool", false, "run the demand-zero frame-pool ablation (pre-zeroed pool off vs on at 1/2/4/8 workers)")
+	iters := fs.Int("iters", 32, "iterations per cell")
+	frames := fs.Int("frames", 2048, "physical frames per memory manager")
+	hist := fs.Bool("hist", false, "print latency histograms and the fault-stage breakdown (wall-clock; implies tracing the -parallel runs)")
+	traceFile := fs.String("trace", "", "write the captured event trace to this file")
+	traceFormat := fs.String("trace-format", obs.FormatChrome, "trace encoding: text, jsonl or chrome (chrome://tracing / Perfetto)")
+	storeKind := fs.String("store", "mem", "backing store for the -parallel worker segments: "+strings.Join(store.Kinds(), ", "))
+	storeDir := fs.String("store-dir", "", "directory for -store file page files (required with -store file; optional journaled cold tier with -store tiered)")
+	storeFaults := fs.Float64("store-faults", 0, "per-op probability of injected transient store faults (0 disables)")
+	tierHot := fs.Int("tier-hot", 0, "hot-tier capacity in pages for -store tiered/remote (0 = default)")
+	tierWarm := fs.Int("tier-warm", 0, "warm-tier capacity in pages for -store tiered/remote (0 = default)")
+	storeAddr := fs.String("store-addr", "", "transport for -store remote: pipe (in-process, default) or tcp (loopback)")
+	syncPager := fs.Bool("sync-pager", false, "force the synchronous pullIn upcall path in -parallel (protocol ablation baseline)")
+	readAhead := fs.Int("readahead", 1, "cluster -parallel fills over up to this many contiguous pages")
+	pages := fs.Int("pages", 64, "pages each -parallel worker faults (larger runs average out timer noise)")
+	faultAround := fs.Int("fault-around", -1, "map up to this many resident neighbours per fault (power of two <= 8; 0 disables; setting >= 0 switches -parallel to the warm-resident soft-fault workload)")
+	faAblation := fs.Bool("fault-around-ablation", false, "run the warm-resident fault-around ablation at widths 0/4/8")
+	faWorkers := fs.Int("fault-around-workers", 2, "concurrent workers in the fault-around ablation (the soft-fault workload is CPU-bound, so match the machine, not the device)")
+	policyName := fs.String("policy", "", "page-replacement policy for the -parallel runs: lru, clock or 2q (empty = PVM default)")
+	pressure := fs.Bool("pressure", false, "run the replacement-policy pressure ablation (lru/clock/2q under Zipf + scan bursts at 0.5x/1x/2x of physical memory)")
+	tierAblation := fs.Bool("tier-ablation", false, "run the tiered-store ablation (policy-driven vs static placement vs flat, at two capacity settings)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// Validate the flag combination before any work: a bad combination is
 	// a usage error, not a mid-run failure.
@@ -90,31 +104,31 @@ func main() {
 		TierHot: *tierHot, TierWarm: *tierWarm, Addr: *storeAddr,
 	}
 	if err := storeCfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "chorusbench: %v\n\n", err)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "chorusbench: %v\n\n", err)
+		fs.Usage()
+		return 2
 	}
 	if *readAhead < 1 {
-		fmt.Fprintf(os.Stderr, "chorusbench: -readahead %d out of range (want >= 1)\n\n", *readAhead)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "chorusbench: -readahead %d out of range (want >= 1)\n\n", *readAhead)
+		fs.Usage()
+		return 2
 	}
 	if *pages < 1 {
-		fmt.Fprintf(os.Stderr, "chorusbench: -pages %d out of range (want >= 1)\n\n", *pages)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "chorusbench: -pages %d out of range (want >= 1)\n\n", *pages)
+		fs.Usage()
+		return 2
 	}
 	if *faultAround > 8 || (*faultAround > 1 && *faultAround&(*faultAround-1) != 0) {
-		fmt.Fprintf(os.Stderr, "chorusbench: -fault-around %d invalid (want a power of two <= 8, or 0 to disable)\n\n", *faultAround)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "chorusbench: -fault-around %d invalid (want a power of two <= 8, or 0 to disable)\n\n", *faultAround)
+		fs.Usage()
+		return 2
 	}
 	if *policyName != "" {
 		if _, err := policy.New(*policyName); err != nil {
-			fmt.Fprintf(os.Stderr, "chorusbench: -policy %q invalid (want one of %s)\n\n",
+			fmt.Fprintf(stderr, "chorusbench: -policy %q invalid (want one of %s)\n\n",
 				*policyName, strings.Join(policy.Names(), ", "))
-			flag.Usage()
-			os.Exit(2)
+			fs.Usage()
+			return 2
 		}
 	}
 
@@ -123,60 +137,60 @@ func main() {
 
 	var t6c, t7c *bench.Matrix
 	if *table == 0 || *table == 6 {
-		fmt.Println("=== Table 6: zero-filled memory allocation ===")
+		fmt.Fprintln(stdout, "=== Table 6: zero-filled memory allocation ===")
 		t6c = bench.Run("Chorus (PVM, history objects)", chorus, bench.ZeroFill, *iters)
-		fmt.Println(t6c.Format(8))
+		fmt.Fprintln(stdout, t6c.Format(8))
 		t6m := bench.Run("Mach (shadow objects)", mach, bench.ZeroFill, *iters)
-		fmt.Println(t6m.Format(8))
+		fmt.Fprintln(stdout, t6m.Format(8))
 	}
 	if *table == 0 || *table == 7 {
-		fmt.Println("=== Table 7: copy-on-write ===")
+		fmt.Fprintln(stdout, "=== Table 7: copy-on-write ===")
 		t7c = bench.Run("Chorus (PVM, history objects)", chorus, bench.CopyOnWrite, *iters)
-		fmt.Println(t7c.Format(8))
+		fmt.Fprintln(stdout, t7c.Format(8))
 		t7m := bench.Run("Mach (shadow objects)", mach, bench.CopyOnWrite, *iters)
-		fmt.Println(t7m.Format(8))
+		fmt.Fprintln(stdout, t7m.Format(8))
 	}
 	if *derive && t6c != nil && t7c != nil {
-		fmt.Println("=== Section 5.3.2: derived overheads ===")
-		fmt.Println(bench.Derive(t6c, t7c).Format())
+		fmt.Fprintln(stdout, "=== Section 5.3.2: derived overheads ===")
+		fmt.Fprintln(stdout, bench.Derive(t6c, t7c).Format())
 	}
 
 	if *ablations {
-		fmt.Println("=== Ablations (DESIGN.md section 5) ===")
+		fmt.Fprintln(stdout, "=== Ablations (DESIGN.md section 5) ===")
 		pts := bench.DeferredCopyCrossover([]int{1, 2, 4, 8, 16, 32, 64}, func(int) int { return 1 }, *iters)
-		fmt.Println(bench.FormatCrossover(pts))
-		fmt.Println(bench.ExecSegmentCache(32, *iters).Format())
-		fmt.Println(bench.HistoryCollapse(8, 32).Format())
+		fmt.Fprintln(stdout, bench.FormatCrossover(pts))
+		fmt.Fprintln(stdout, bench.ExecSegmentCache(32, *iters).Format())
+		fmt.Fprintln(stdout, bench.HistoryCollapse(8, 32).Format())
 		ipcs := bench.IPCTransfer([]int{4 << 10, 16 << 10, 64 << 10}, *iters)
-		fmt.Println(bench.FormatIPC(ipcs))
-		fmt.Println(bench.FormatReadAhead(bench.ReadAhead([]int{1, 2, 4, 8, 16}, 64, *iters)))
-		fmt.Println(bench.DSM(*iters).Format())
-		fmt.Println(bench.MakeWorkload(8, 16).Format())
-		fmt.Println(bench.CopyPolicy(32, *iters).Format())
-		fmt.Println(bench.FormatMMU(bench.MMUPortability(32, 32, *iters)))
+		fmt.Fprintln(stdout, bench.FormatIPC(ipcs))
+		fmt.Fprintln(stdout, bench.FormatReadAhead(bench.ReadAhead([]int{1, 2, 4, 8, 16}, 64, *iters)))
+		fmt.Fprintln(stdout, bench.DSM(*iters).Format())
+		fmt.Fprintln(stdout, bench.MakeWorkload(8, 16).Format())
+		fmt.Fprintln(stdout, bench.CopyPolicy(32, *iters).Format())
+		fmt.Fprintln(stdout, bench.FormatMMU(bench.MMUPortability(32, 32, *iters)))
 	}
 
 	if *framepool {
-		fmt.Println("=== Demand-zero fault throughput: frame-pool ablation ===")
-		fmt.Println(bench.FormatFramePool(bench.FramePoolAblation([]int{1, 2, 4, 8}, 256)))
+		fmt.Fprintln(stdout, "=== Demand-zero fault throughput: frame-pool ablation ===")
+		fmt.Fprintln(stdout, bench.FormatFramePool(bench.FramePoolAblation([]int{1, 2, 4, 8}, 256)))
 	}
 
 	if *pressure {
-		fmt.Println("=== Replacement-policy pressure ablation ===")
+		fmt.Fprintln(stdout, "=== Replacement-policy pressure ablation ===")
 		pts := bench.PressureAblation(policy.Names(), []float64{0.5, 1, 2}, bench.DefaultPressureConfig)
-		fmt.Println(bench.FormatPressure(pts))
+		fmt.Fprintln(stdout, bench.FormatPressure(pts))
 	}
 
 	if *tierAblation {
-		fmt.Println("=== Tiered-store placement ablation ===")
+		fmt.Fprintln(stdout, "=== Tiered-store placement ablation ===")
 		pts := bench.TierAblation([][2]int{{64, 128}, {128, 256}}, bench.DefaultTierConfig)
-		fmt.Println(bench.FormatTier(pts))
+		fmt.Fprintln(stdout, bench.FormatTier(pts))
 	}
 
 	if *faAblation {
-		fmt.Println("=== Warm-resident soft faults: fault-around ablation ===")
+		fmt.Fprintln(stdout, "=== Warm-resident soft faults: fault-around ablation ===")
 		pts := bench.FaultAroundAblation([]int{0, 4, 8}, *faWorkers, *pages, storeCfg)
-		fmt.Println(bench.FormatFaultAround(pts))
+		fmt.Fprintln(stdout, bench.FormatFaultAround(pts))
 	}
 
 	if *parallel {
@@ -189,14 +203,14 @@ func main() {
 		warm := *faultAround >= 0
 		ra := *readAhead
 		if warm {
-			fmt.Printf("=== Parallel soft-fault throughput (warm resident, fault-around %d, %s store) ===\n", *faultAround, storeLabel(cfg))
+			fmt.Fprintf(stdout, "=== Parallel soft-fault throughput (warm resident, fault-around %d, %s store) ===\n", *faultAround, storeLabel(cfg))
 			if ra < 8 {
 				// Pre-touch in whole clusters, as the fault-around
 				// ablation does.
 				ra = 8
 			}
 		} else {
-			fmt.Printf("=== Parallel fault throughput (sharded global map, %s store) ===\n", storeLabel(cfg))
+			fmt.Fprintf(stdout, "=== Parallel fault throughput (sharded global map, %s store) ===\n", storeLabel(cfg))
 		}
 		var rs []bench.ParallelResult
 		for _, w := range []int{1, 2, 4, 8} {
@@ -219,23 +233,24 @@ func main() {
 				FaultAround: max(*faultAround, 0),
 			}))
 		}
-		fmt.Println(bench.FormatParallel(rs))
+		fmt.Fprintln(stdout, bench.FormatParallel(rs))
 		if cfg.Kind != "mem" || cfg.FaultProb > 0 {
-			fmt.Println(bench.FormatParallelStore(rs))
+			fmt.Fprintln(stdout, bench.FormatParallelStore(rs))
 		}
 		if tracer != nil {
 			snap := tracer.Snapshot()
 			if *hist {
-				fmt.Println(snap.FaultBreakdown())
-				fmt.Println(bench.FormatParallelStats(rs))
-				fmt.Println(snap.String())
+				fmt.Fprintln(stdout, snap.FaultBreakdown())
+				fmt.Fprintln(stdout, bench.FormatParallelStats(rs))
+				fmt.Fprintln(stdout, snap.String())
 			}
 			if err := writeTrace(*traceFile, *traceFormat, tracer); err != nil {
-				fmt.Fprintln(os.Stderr, "chorusbench:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "chorusbench:", err)
+				return 1
 			}
 		}
 	}
+	return 0
 }
 
 // storeLabel names the backend configuration in the section header.

@@ -11,6 +11,11 @@
 // claims, or that two rows claim, is an error and the command exits 1, so
 // a new package cannot slip out of the yardstick unnoticed.
 //
+// Each row also carries a committed budget of Go (non-test) lines, and
+// the command exits 1 when a row exceeds it. A change that must grow a
+// row raises its budget here and says why in CHANGES.md; a change that
+// shrinks a row lowers it.
+//
 // Usage: sizes [-root dir]
 package main
 
@@ -27,8 +32,9 @@ import (
 
 // component groups source files for one table row.
 type component struct {
-	name  string
-	match func(path string) bool
+	name   string
+	match  func(path string) bool
+	budget int // most Go (non-test) lines the row may hold
 }
 
 // section is one block of rows, printed with its own subtotal.
@@ -73,40 +79,40 @@ var mmuPaper = exactFiles(mmuFile("mmu.go"), mmuFile("twolevel.go"), mmuFile("in
 // rows first, then what this repository adds.
 var layout = []section{
 	{"Machine-Independent Part (paper components)", []component{
-		{"GMI (generic interface)", internal("gmi")},
-		{"PVM: machine-independent", anyOf(internal("core"), internal("phys"))},
-		{"Nucleus MM part (segment mgr, actors)", internal("nucleus")},
-		{"IPC + transit segment", internal("ipc")},
-		{"MIX process manager", internal("mix")},
-		{"Segment managers (mappers)", internal("seg")},
+		{"GMI (generic interface)", internal("gmi"), 425},
+		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 6086},
+		{"Nucleus MM part (segment mgr, actors)", internal("nucleus"), 630},
+		{"IPC + transit segment", internal("ipc"), 307},
+		{"MIX process manager", internal("mix"), 555},
+		{"Segment managers (mappers)", internal("seg"), 515},
 	}},
 	{"MMU-Dependent Part (paper components)", []component{
-		{"MMU layer: shared", exactFiles(mmuFile("mmu.go"))},
-		{"MMU: sun3 (two-level)", exactFiles(mmuFile("twolevel.go"))},
-		{"MMU: pmmu (inverted)", exactFiles(mmuFile("inverted.go"))},
-		{"MMU: i386 (flat)", exactFiles(mmuFile("flat.go"))},
+		{"MMU layer: shared", exactFiles(mmuFile("mmu.go")), 204},
+		{"MMU: sun3 (two-level)", exactFiles(mmuFile("twolevel.go")), 262},
+		{"MMU: pmmu (inverted)", exactFiles(mmuFile("inverted.go")), 230},
+		{"MMU: i386 (flat)", exactFiles(mmuFile("flat.go")), 134},
 	}},
 	{"Extensions (not in the paper's Table 5)", []component{
-		{"Backing store (engine, backends)", internal("store")},
-		{"Storage tiers + remote wire", internal("tier")},
-		{"Replacement policies", internal("policy")},
-		{"MMU: TLB model; MMU tests", func(p string) bool {
+		{"Backing store (engine, backends)", internal("store"), 2187},
+		{"Storage tiers + remote wire", internal("tier"), 1701},
+		{"Replacement policies", internal("policy"), 686},
+		{"MMU tests", func(p string) bool {
 			return underDir(filepath.Join("internal", "mmu"))(p) && !mmuPaper(p)
-		}},
-		{"Observability (spans, histograms)", internal("obs")},
-		{"DSM extension (coherence manager)", internal("dsm")},
+		}, 0},
+		{"Observability (spans, histograms)", internal("obs"), 815},
+		{"DSM extension (coherence manager)", internal("dsm"), 358},
 	}},
 	{"Tooling, baselines and harnesses", []component{
-		{"Cost model (simulated clock)", internal("cost")},
-		{"Mach baseline (comparison)", internal("machvm")},
-		{"Trace-script interpreter", internal("script")},
-		{"GMI conformance suite", internal("conformance")},
-		{"Benchmark harness", internal("bench")},
-		{"Goroutine leak check (tests)", internal("leakcheck")},
-		{"Commands (cmd/*)", underDir("cmd")},
-		{"Examples", underDir("examples")},
-		{"Repository benchmark (perfbench)", underDir("perfbench")},
-		{"Root package (doc, benchmarks)", exactFiles("doc.go", "bench_test.go")},
+		{"Cost model (simulated clock)", internal("cost"), 365},
+		{"Mach baseline (comparison)", internal("machvm"), 1503},
+		{"Trace-script interpreter", internal("script"), 689},
+		{"GMI conformance suite", internal("conformance"), 0},
+		{"Benchmark harness", internal("bench"), 2070},
+		{"Goroutine leak check (tests)", internal("leakcheck"), 107},
+		{"Commands (cmd/*)", underDir("cmd"), 1012},
+		{"Examples", underDir("examples"), 630},
+		{"Repository benchmark (perfbench)", underDir("perfbench"), 1746},
+		{"Root package (doc, benchmarks)", exactFiles("doc.go", "bench_test.go"), 23},
 	}},
 }
 
@@ -178,6 +184,19 @@ func tally(root string) (map[string][2]int, error) {
 	return counts, nil
 }
 
+// overBudget describes every row whose Go lines exceed its budget.
+func overBudget(counts map[string][2]int) []string {
+	var over []string
+	for _, s := range layout {
+		for _, c := range s.rows {
+			if n := counts[c.name][0]; n > c.budget {
+				over = append(over, fmt.Sprintf("%s: %d Go lines, budget %d", c.name, n, c.budget))
+			}
+		}
+	}
+	return over
+}
+
 func render(w io.Writer, counts map[string][2]int) {
 	fmt.Fprintln(w, "Table 5 (this repository): memory-management component sizes")
 	totC, totT := 0, 0
@@ -213,6 +232,10 @@ func main() {
 		os.Exit(1)
 	}
 	render(os.Stdout, counts)
+	if over := overBudget(counts); len(over) > 0 {
+		fmt.Fprintf(os.Stderr, "sizes: rows over their line budget (raise a budget only with a reason in CHANGES.md):\n  %s\n", strings.Join(over, "\n  "))
+		os.Exit(1)
+	}
 }
 
 func countLines(path string) (int, error) {

@@ -11,8 +11,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strings"
 
@@ -220,25 +223,25 @@ func (w *world) pageBoxes(c gmi.Cache, pages int) string {
 	return b.String()
 }
 
-func fig3() {
-	fmt.Println("Figure 3.a — cpy1 is a copy-on-write of pages 1-3 of src;")
-	fmt.Println("page 2 updated in src, page 3 updated in cpy1:")
+func fig3(out io.Writer) {
+	fmt.Fprintln(out, "Figure 3.a — cpy1 is a copy-on-write of pages 1-3 of src;")
+	fmt.Fprintln(out, "page 2 updated in src, page 3 updated in cpy1:")
 	w := newWorld()
 	src := w.newCache("src", 3)
 	w.fill(src, 3)
 	cpy1 := w.copyTo(src, "cpy1", 3)
 	w.modify(src, 1)  // page 2
 	w.modify(cpy1, 2) // page 3
-	fmt.Println(w.render(3))
+	fmt.Fprintln(out, w.render(3))
 
-	fmt.Println("Figure 3.b — then cpy1 is copied to copyOfCpy1; page 3 of cpy1 modified:")
+	fmt.Fprintln(out, "Figure 3.b — then cpy1 is copied to copyOfCpy1; page 3 of cpy1 modified:")
 	w.copyTo(cpy1, "copyOfCpy1", 3)
 	w.modify(cpy1, 2)
-	fmt.Println(w.render(3))
+	fmt.Fprintln(out, w.render(3))
 	w.close()
 
-	fmt.Println("Figure 3.c — pages 1-4 of src copied twice (cpy1, cpy2): a working")
-	fmt.Println("object w1 appears; modified: src page 3, cpy1 page 3, cpy2 page 4:")
+	fmt.Fprintln(out, "Figure 3.c — pages 1-4 of src copied twice (cpy1, cpy2): a working")
+	fmt.Fprintln(out, "object w1 appears; modified: src page 3, cpy1 page 3, cpy2 page 4:")
 	w = newWorld()
 	src = w.newCache("src", 4)
 	w.fill(src, 4)
@@ -247,11 +250,11 @@ func fig3() {
 	w.modify(src, 2)
 	w.modify(cpy1, 2)
 	w.modify(w.byName("cpy2"), 3)
-	fmt.Println(w.render(4))
+	fmt.Fprintln(out, w.render(4))
 
-	fmt.Println("Figure 3.d — a third copy of src inserts a second working object:")
+	fmt.Fprintln(out, "Figure 3.d — a third copy of src inserts a second working object:")
 	w.copyTo(src, "cpy3", 4)
-	fmt.Println(w.render(4))
+	fmt.Fprintln(out, w.render(4))
 	w.close()
 }
 
@@ -264,9 +267,9 @@ func (w *world) byName(name string) gmi.Cache {
 	panic("unknown cache " + name)
 }
 
-func collapseDemo() {
-	fmt.Println("Fork-exit chain: each generation deferred-copies the image and the")
-	fmt.Println("parent exits; the collapse GC keeps the tree flat:")
+func collapseDemo(out io.Writer) {
+	fmt.Fprintln(out, "Fork-exit chain: each generation deferred-copies the image and the")
+	fmt.Fprintln(out, "parent exits; the collapse GC keeps the tree flat:")
 	w := newWorld()
 	cur := w.newCache("gen0", 3)
 	w.fill(cur, 3)
@@ -278,17 +281,29 @@ func collapseDemo() {
 			panic(err)
 		}
 		cur = child
-		fmt.Printf("after generation %d:\n%s\n", g, w.render(3))
+		fmt.Fprintf(out, "after generation %d:\n%s\n", g, w.render(3))
 	}
-	fmt.Printf("live cache descriptors: %d\n", w.pvm.CacheCount())
+	fmt.Fprintf(out, "live cache descriptors: %d\n", w.pvm.CacheCount())
 	w.close()
 }
 
-func main() {
-	collapse := flag.Bool("collapse", false, "also demonstrate history-chain collapse")
-	flag.Parse()
-	fig3()
-	if *collapse {
-		collapseDemo()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, prints the scenarios on
+// stdout and returns the exit status (2 for a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	collapse := fs.Bool("collapse", false, "also demonstrate history-chain collapse")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	fig3(stdout)
+	if *collapse {
+		collapseDemo(stdout)
+	}
+	return 0
 }

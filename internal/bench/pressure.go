@@ -136,7 +136,7 @@ func pressureRun(policyName string, overcommit float64, cfg PressureConfig) Pres
 	scanNext := 0
 	for a := 0; a < cfg.Accesses; a++ {
 		if a%pressureHarvestEvery == 0 {
-			p.PolicyTick(low)
+			p.PolicyTick()
 		}
 		if a > 0 && a%pressureScanEvery == 0 {
 			// Sequential single-use burst, cycling through the region.

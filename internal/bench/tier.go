@@ -166,7 +166,7 @@ func tierRun(mode string, hot, warm int, cfg TierConfig) TierPoint {
 	wallStart := time.Now()
 	for a := 0; a < cfg.Accesses; a++ {
 		if a%tierHarvestEvery == 0 {
-			p.PolicyTick(low)
+			p.PolicyTick()
 		}
 		if tb != nil && a%tierDrainEvery == 0 {
 			// The pageout daemon's migration step: drain queued advice.

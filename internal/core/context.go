@@ -8,7 +8,6 @@ import (
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
 	"chorusvm/internal/mmu"
-	"chorusvm/internal/policy"
 )
 
 // This file implements contexts (address spaces) and regions — the Table 2
@@ -19,8 +18,8 @@ import (
 // region list of section 4.1.1.
 type context struct {
 	pvm *PVM
-	// spaceMu is a leaf mutex guarding space (mmu.Space implementations
-	// are not concurrency-safe). Taken by the fast fault path and the
+	// spaceMu is a leaf mutex guarding space (an mmu.Space is serialized
+	// by its caller). Taken by the fast fault path and the
 	// load/store path under p.mu.RLock; the structural path (p.mu held
 	// exclusively) also takes it in invalidateMappings/protectMappings/
 	// mapPage, and may touch space directly elsewhere — safe, because
@@ -29,22 +28,6 @@ type context struct {
 	space     mmu.Space
 	regions   []*region // sorted by start address, non-overlapping
 	destroyed bool
-
-	// Admission control (Options.AdmissionControl): ws estimates the
-	// context's working set from harvested referenced bits (updated under
-	// p.mu exclusively); tickFaults counts faults since the last harvest
-	// tick — a fault proves a page was referenced in the interval but not
-	// resident at its reference, demand the referenced-bit snapshot
-	// misses (without it a thrasher's estimate is capped by simultaneous
-	// residency and aggregate demand could never exceed physical memory).
-	// admMu is a leaf mutex guarding the park channel. resumeCh is
-	// non-nil while the context's fault service is parked; parole counts
-	// harvest ticks since suspension.
-	ws         policy.WSEstimator
-	tickFaults atomic.Uint64
-	admMu      sync.Mutex
-	resumeCh   chan struct{}
-	parole     int
 }
 
 var _ gmi.Context = (*context)(nil)
@@ -163,9 +146,6 @@ func (ctx *context) Destroy() error {
 	}
 	ctx.destroyed = true
 	ctx.space.Destroy()
-	// Wake any faulter parked by admission control; it will observe
-	// destroyed and fail cleanly.
-	p.resumeContext(ctx)
 	delete(p.contexts, ctx)
 	if p.current == ctx {
 		p.current = nil
@@ -208,12 +188,6 @@ func (ctx *context) accessPage(va gmi.VA, chunk []byte, mode gmi.Prot) error {
 	p := ctx.pvm
 	faulted := false
 	for attempt := 0; attempt < 64; attempt++ {
-		// Thrashing control parks the whole fault service of a suspended
-		// context here, before any lock is taken. One atomic load when
-		// the feature is idle.
-		if p.admission && p.suspended.Load() > 0 {
-			ctx.parkIfSuspended()
-		}
 		p.mu.RLock()
 		if ctx.destroyed {
 			p.mu.RUnlock()

@@ -41,14 +41,13 @@ type CacheInfo struct {
 // (TestStatsStringAndDeltaCoverEveryField keeps it exhaustive).
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"faults=%d softfaults=%d segv=%d protfaults=%d zerofills=%d cowbreaks=%d historypushes=%d stubbreaks=%d pullins=%d fillsubmits=%d fillcompletes=%d pushouts=%d asyncbatches=%d evictions=%d collapses=%d zombies=%d faultaround=%d speccancels=%d zeropoolhits=%d zeropoolmisses=%d magazinerefills=%d batchfrees=%d harvests=%d secondchances=%d polpromotions=%d wssuspend=%d wsresume=%d tierpromos=%d tierdemos=%d rretries=%d",
+		"faults=%d softfaults=%d segv=%d protfaults=%d zerofills=%d cowbreaks=%d historypushes=%d stubbreaks=%d pullins=%d fillsubmits=%d fillcompletes=%d pushouts=%d asyncbatches=%d evictions=%d collapses=%d zombies=%d faultaround=%d speccancels=%d zeropoolhits=%d zeropoolmisses=%d magazinerefills=%d batchfrees=%d harvests=%d secondchances=%d polpromotions=%d tierpromos=%d tierdemos=%d rretries=%d",
 		s.Faults, s.SoftFaults, s.SegvFaults, s.ProtFaults, s.ZeroFills, s.CowBreaks, s.HistoryPushes,
 		s.StubBreaks, s.PullIns, s.FillSubmits, s.FillCompletes, s.PushOuts, s.AsyncBatches,
 		s.Evictions, s.Collapses, s.Zombies,
 		s.FaultAroundMapped, s.SpeculationsCancelled,
 		s.ZeroPoolHits, s.ZeroPoolMisses, s.MagazineRefills, s.BatchFrees,
 		s.PolicyHarvests, s.PolicySecondChances, s.PolicyPromotions,
-		s.WSSuspensions, s.WSResumes,
 		s.TierPromotions, s.TierDemotions, s.RemoteRetries)
 }
 

@@ -94,7 +94,6 @@ func (p *PVM) handleFault(ctx *context, va gmi.VA, access gmi.Prot, refault bool
 	var span obs.FaultSpan
 	if !refault {
 		atomic.AddUint64(&p.stats.Faults, 1)
-		ctx.tickFaults.Add(1)
 		span = p.obs.FaultBegin()
 	}
 	// worked tracks whether resolution did anything beyond installing a

@@ -40,11 +40,9 @@ func TestStatsDelta(t *testing.T) {
 		}
 	}
 
-	// Same for the counters mirrored from the replacement policy and the
-	// working-set controller.
+	// Same for the counters mirrored from the replacement policy.
 	for _, name := range []string{
 		"PolicyHarvests", "PolicySecondChances", "PolicyPromotions",
-		"WSSuspensions", "WSResumes",
 	} {
 		if _, ok := dv.Type().FieldByName(name); !ok {
 			t.Errorf("Stats.%s dropped — policy counter no longer reported", name)

@@ -335,17 +335,13 @@ func (p *PVM) StartPageoutDaemon(low, high int, interval time.Duration) (stop fu
 			}
 			// Cheap unlocked pre-check to keep idle wakeups off the
 			// structural lock; the authoritative check repeats below.
-			// While admission control holds a context parked, the tick
-			// must run even above the watermark, or nothing would ever
-			// resume it.
-			if p.mem.FreeFrames() >= low && !(p.admission && p.suspended.Load() > 0) {
+			if p.mem.FreeFrames() >= low {
 				continue
 			}
 			p.mu.Lock()
-			// Harvest referenced bits and run the thrashing check; this
-			// is the "periodic" in periodic working-set estimation — the
-			// daemon's tick is its clock.
-			p.policyTickLocked(low)
+			// Harvest referenced bits for the replacement policy and the
+			// tier advice; the daemon's tick is the harvest's clock.
+			p.policyTickLocked()
 			// Re-validate under the lock: frames may have been freed (or
 			// another reclaimer run) since the sample above, in which
 			// case evicting up to the high watermark would over-evict.
@@ -371,15 +367,7 @@ func (p *PVM) StartPageoutDaemon(low, high int, interval time.Duration) (stop fu
 	}()
 	var once sync.Once
 	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-			// With the daemon's ticks gone nothing else ends a
-			// suspension; leave no faulter parked behind.
-			if p.admission {
-				p.resumeAll()
-			}
-		})
+		once.Do(func() { close(done) })
 		wg.Wait()
 	}
 }

@@ -50,9 +50,6 @@ type Options struct {
 	// MMU selects the machine-dependent flavour: "sun3" (two-level,
 	// default), "pmmu" (inverted) or "i386" (flat).
 	MMU string
-	// TLBEntries, when positive, wraps the MMU with a TLB model of that
-	// many entries per space (see mmu.WithTLB).
-	TLBEntries int
 	// Clock is the simulated clock; default cost.New().
 	Clock *cost.Clock
 	// SegAlloc services segmentCreate upcalls for unilaterally created
@@ -89,14 +86,6 @@ type Options struct {
 	// global queue, default), "clock" (second-chance, lock-free touch) or
 	// "2q" (scan-resistant two-queue). See internal/policy.
 	Policy string
-	// AdmissionControl enables per-context thrashing control: the harvest
-	// tick (PolicyTick, driven by the pageout daemon) estimates each
-	// context's working set from referenced bits and, under sustained
-	// frame pressure with aggregate demand above physical memory, parks
-	// the largest context's fault service until pressure clears (or a
-	// parole interval passes, guaranteeing liveness). Default false: no
-	// fault is ever delayed, the original behaviour.
-	AdmissionControl bool
 	// Tracer, when non-nil, receives trace events and latency
 	// observations from every layer (see internal/obs). The nil default
 	// costs one predictable branch per probe site and zero allocations.
@@ -183,14 +172,12 @@ type Stats struct {
 	MagazineRefills uint64 // magazine batch refills from the depot
 	BatchFrees      uint64 // batched frame-free depot transactions
 
-	// Replacement-policy and thrashing-control counters. The policy pair
-	// is mirrored from the Replacer's own counters (internal/policy), like
-	// the frame-allocator counters above.
+	// Replacement-policy counters. The last two are mirrored from the
+	// Replacer's own counters (internal/policy), like the frame-allocator
+	// counters above.
 	PolicyHarvests      uint64 // referenced-bit harvest ticks performed
 	PolicySecondChances uint64 // victims spared by a set reference bit (clock, 2q)
 	PolicyPromotions    uint64 // 2q admission-queue pages promoted on reuse
-	WSSuspensions       uint64 // contexts parked by admission control
-	WSResumes           uint64 // parked contexts resumed
 
 	// Tiered-backing-store counters, mirrored from internal/tier's
 	// process-wide totals (like the policy mirrors above):
@@ -256,12 +243,6 @@ type PVM struct {
 	reserveMu sync.Mutex
 	reserved  int // frames promised to in-flight fault handling
 
-	// Admission control (Options.AdmissionControl): suspended counts
-	// currently-parked contexts so the fault path's check stays one
-	// atomic load when the feature is idle.
-	admission bool
-	suspended atomic.Int32
-
 	caches      map[*cache]struct{}
 	contexts    map[*context]struct{}
 	current     *context
@@ -293,7 +274,6 @@ func New(o Options) *PVM {
 		copyOnRef:   o.CopyOnReference,
 		collapse:    !o.DisableCollapse,
 		faultAround: o.FaultAroundPages,
-		admission:   o.AdmissionControl,
 		caches:      make(map[*cache]struct{}),
 		contexts:    make(map[*context]struct{}),
 		obs:         o.Tracer,
@@ -321,9 +301,6 @@ func New(o Options) *PVM {
 		p.hw = mmu.NewFlat(o.PageSize, o.Clock)
 	default:
 		panic(fmt.Sprintf("core: unknown MMU flavour %q", o.MMU))
-	}
-	if o.TLBEntries > 0 {
-		p.hw = mmu.WithTLB(p.hw, o.TLBEntries, o.Clock)
 	}
 	return p
 }
@@ -455,8 +432,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		PolicyHarvests:      s.PolicyHarvests - prev.PolicyHarvests,
 		PolicySecondChances: s.PolicySecondChances - prev.PolicySecondChances,
 		PolicyPromotions:    s.PolicyPromotions - prev.PolicyPromotions,
-		WSSuspensions:       s.WSSuspensions - prev.WSSuspensions,
-		WSResumes:           s.WSResumes - prev.WSResumes,
 
 		TierPromotions: s.TierPromotions - prev.TierPromotions,
 		TierDemotions:  s.TierDemotions - prev.TierDemotions,
@@ -505,8 +480,6 @@ func (p *PVM) Stats() Stats {
 		PolicyHarvests:      atomic.LoadUint64(&s.PolicyHarvests),
 		PolicySecondChances: ps.SecondChances,
 		PolicyPromotions:    ps.Promotions,
-		WSSuspensions:       atomic.LoadUint64(&s.WSSuspensions),
-		WSResumes:           atomic.LoadUint64(&s.WSResumes),
 
 		TierPromotions: ts.Promotions,
 		TierDemotions:  ts.Demotions,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"chorusvm/internal/gmi"
-	"chorusvm/internal/mmu"
 	"chorusvm/internal/seg"
 )
 
@@ -37,44 +36,6 @@ func TestLargeSparseSegment(t *testing.T) {
 	// Structure sizes follow residency, not virtual size.
 	if n := c.Resident(); n != len(offsets) {
 		t.Fatalf("resident=%d, want %d", n, len(offsets))
-	}
-	check(t, p)
-}
-
-// TestTLBUnderPVM runs a COW workload with the TLB decorator and verifies
-// (a) correctness is unchanged and (b) the decorator observed traffic.
-func TestTLBUnderPVM(t *testing.T) {
-	p, _ := newTestPVM(t, 128, func(o *Options) { o.TLBEntries = 64 })
-	ctx, _ := p.ContextCreate()
-	src := p.TempCacheCreate()
-	orig := pattern(0x2C, 4*pg)
-	mustRegion(t, ctx, base, 4*pg, gmi.ProtRW, src, 0)
-	mustWrite(t, ctx, base, orig)
-
-	cpy := p.TempCacheCreate()
-	if err := src.Copy(cpy, 0, 0, 4*pg); err != nil {
-		t.Fatal(err)
-	}
-	dbase := base + 8*pg
-	mustRegion(t, ctx, dbase, 4*pg, gmi.ProtRW, cpy, 0)
-	// Repeated reads hit the TLB; the COW break must still be honoured
-	// (the protect shootdown invalidates the cached write permission).
-	for i := 0; i < 4; i++ {
-		if got := mustRead(t, ctx, dbase, 64); !bytes.Equal(got, orig[:64]) {
-			t.Fatal("read through TLB wrong")
-		}
-	}
-	mustWrite(t, ctx, base, pattern(0x77, pg))
-	if got := mustRead(t, ctx, dbase, 64); !bytes.Equal(got, orig[:64]) {
-		t.Fatal("copy lost original with TLB enabled")
-	}
-	tlb, ok := p.MMU().(*mmu.TLBMMU)
-	if !ok {
-		t.Fatal("TLB decorator not installed")
-	}
-	st := tlb.Stats()
-	if st.Hits == 0 || st.Flushes == 0 {
-		t.Fatalf("TLB saw no traffic: %+v", st)
 	}
 	check(t, p)
 }

@@ -199,6 +199,10 @@ func TestConcurrentSharedReaders(t *testing.T) {
 // the neighbour translations fault-around installed, not only the
 // faulted page's, so the oracle doubles as the fault-around coherence
 // check: a stale neighbour translation diverges the content.
+// The pmmu and i386 variants run the baseline fight on the other two MMU
+// ports. pmmu's hash table is shared by every space, so concurrent faults
+// in distinct contexts race on it unless the port locks it (mmu.Space's
+// concurrency contract).
 func TestConcurrentOracleStress(t *testing.T) {
 	t.Run("baseline", func(t *testing.T) { runOracleStress(t, false) })
 	t.Run("framepool", func(t *testing.T) { runOracleStress(t, true) })
@@ -206,6 +210,11 @@ func TestConcurrentOracleStress(t *testing.T) {
 	t.Run("2q", func(t *testing.T) {
 		runOracleStress(t, true, func(o *Options) { o.Policy = "2q" })
 	})
+	for _, hw := range []string{"pmmu", "i386"} {
+		t.Run(hw, func(t *testing.T) {
+			runOracleStress(t, false, func(o *Options) { o.MMU = hw })
+		})
+	}
 }
 
 func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {

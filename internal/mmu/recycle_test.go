@@ -84,7 +84,7 @@ func TestRecycleDestroyedSpaceIsDead(t *testing.T) {
 			vas = append(vas, r.va+gmi.VA(j*pg))
 		}
 	}
-	for _, m := range extentFlavours(clock) {
+	for _, m := range flavours(clock) {
 		t.Run(m.Name(), func(t *testing.T) {
 			old := m.NewSpace()
 			mapForkLayout(old, frames)

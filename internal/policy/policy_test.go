@@ -329,29 +329,6 @@ func TestDrainReturnsHeldVictims(t *testing.T) {
 	}
 }
 
-func TestWSEstimator(t *testing.T) {
-	var e WSEstimator
-	if e.Estimate() != 0 {
-		t.Fatalf("empty estimate = %d", e.Estimate())
-	}
-	e.Observe(10)
-	e.Observe(40)
-	e.Observe(5)
-	if got := e.Estimate(); got != 40 {
-		t.Fatalf("estimate = %d, want the window max 40", got)
-	}
-	// The 40 falls out of the window after wsWindow more ticks.
-	for i := 0; i < wsWindow; i++ {
-		e.Observe(7)
-	}
-	if got := e.Estimate(); got != 7 {
-		t.Fatalf("estimate after window slide = %d, want 7", got)
-	}
-	if e.Ticks() != wsWindow {
-		t.Fatalf("Ticks = %d, want saturation at %d", e.Ticks(), wsWindow)
-	}
-}
-
 // TestConcurrentTouch races lock-free touches against scans and
 // insert/remove churn under -race.
 func TestConcurrentTouch(t *testing.T) {

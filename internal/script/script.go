@@ -41,7 +41,7 @@
 //	policy [NAME]                       print the replacement policy, or
 //	                                    switch to lru, clock or 2q
 //	harvest                             run one referenced-bit harvest
-//	                                    tick (policy + working-set update)
+//	                                    tick (feeds the replacement policy)
 //
 // Offsets and addresses accept 0x-hex or decimal; OFF/LEN are bytes.
 package script
@@ -214,7 +214,7 @@ func (in *Interp) exec(raw string) error {
 	case "policy":
 		return in.cmdPolicy(args)
 	case "harvest":
-		in.pvm.PolicyTick(0)
+		in.pvm.PolicyTick()
 		return nil
 	case "clock":
 		fmt.Fprintf(in.out, "simulated %v\n", in.clock.Elapsed())
