@@ -155,31 +155,21 @@ func BenchmarkParallelFaultThroughput(b *testing.B) {
 // BenchmarkParallelFaultThroughputDemandZero is the allocation-bound
 // variant: every worker touches a private temporary cache, so each fault
 // is a pure demand-zero fill with no device wait — the frame allocator
-// and the in-fault bzero are the whole cost. The FramePool sub-variant
-// runs the background zeroer with a pre-warmed pre-zeroed pool, so faults
-// take the pool-hit path; the gap between the two is the bzero the zeroer
-// moves off the fault path (the ablation chorusbench -framepool tables).
+// and the in-fault bzero are the whole cost.
 func BenchmarkParallelFaultThroughputDemandZero(b *testing.B) {
 	const pagesPerWorker = 64
-	for _, pool := range []bool{false, true} {
-		name := "pool=off"
-		if pool {
-			name = "pool=on"
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				var last bench.ParallelResult
-				for i := 0; i < b.N; i++ {
-					last = bench.ParallelFaultThroughputOpts(bench.ParallelOptions{
-						Workers:        workers,
-						PagesPerWorker: pagesPerWorker,
-						DemandZero:     true,
-						FramePool:      pool,
-					})
-				}
-				b.ReportMetric(last.FaultsSec, "faults/sec")
-			})
-		}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var last bench.ParallelResult
+			for i := 0; i < b.N; i++ {
+				last = bench.ParallelFaultThroughputOpts(bench.ParallelOptions{
+					Workers:        workers,
+					PagesPerWorker: pagesPerWorker,
+					DemandZero:     true,
+				})
+			}
+			b.ReportMetric(last.FaultsSec, "faults/sec")
+		})
 	}
 }
 

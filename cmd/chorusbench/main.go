@@ -21,8 +21,6 @@
 //	                           # synchronous pullIn baseline (protocol ablation)
 //	chorusbench -parallel -store flate -store-faults 0.05
 //	                           # compressing store under injected faults
-//	chorusbench -framepool     # demand-zero faults at 1/2/4/8 workers,
-//	                           # pre-zeroed frame pool off vs on
 //	chorusbench -parallel -fault-around 8
 //	                           # warm-resident soft faults, mapping 8-page
 //	                           # clusters per fault (0 = same workload, off)
@@ -69,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	derive := fs.Bool("derive", true, "print the section 5.3.2 derived overheads")
 	ablations := fs.Bool("ablations", false, "run the ablation benchmarks")
 	parallel := fs.Bool("parallel", false, "run the parallel fault-throughput benchmark")
-	framepool := fs.Bool("framepool", false, "run the demand-zero frame-pool ablation (pre-zeroed pool off vs on at 1/2/4/8 workers)")
 	iters := fs.Int("iters", 32, "iterations per cell")
 	frames := fs.Int("frames", 2048, "physical frames per memory manager")
 	hist := fs.Bool("hist", false, "print latency histograms and the fault-stage breakdown (wall-clock; implies tracing the -parallel runs)")
@@ -168,11 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, bench.MakeWorkload(8, 16).Format())
 		fmt.Fprintln(stdout, bench.CopyPolicy(32, *iters).Format())
 		fmt.Fprintln(stdout, bench.FormatMMU(bench.MMUPortability(32, 32, *iters)))
-	}
-
-	if *framepool {
-		fmt.Fprintln(stdout, "=== Demand-zero fault throughput: frame-pool ablation ===")
-		fmt.Fprintln(stdout, bench.FormatFramePool(bench.FramePoolAblation([]int{1, 2, 4, 8}, 256)))
 	}
 
 	if *pressure {

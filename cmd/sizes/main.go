@@ -80,7 +80,7 @@ var mmuPaper = exactFiles(mmuFile("mmu.go"), mmuFile("twolevel.go"), mmuFile("in
 var layout = []section{
 	{"Machine-Independent Part (paper components)", []component{
 		{"GMI (generic interface)", internal("gmi"), 425},
-		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 6086},
+		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 5643},
 		{"Nucleus MM part (segment mgr, actors)", internal("nucleus"), 630},
 		{"IPC + transit segment", internal("ipc"), 307},
 		{"MIX process manager", internal("mix"), 555},
@@ -99,18 +99,18 @@ var layout = []section{
 		{"MMU tests", func(p string) bool {
 			return underDir(filepath.Join("internal", "mmu"))(p) && !mmuPaper(p)
 		}, 0},
-		{"Observability (spans, histograms)", internal("obs"), 815},
+		{"Observability (spans, histograms)", internal("obs"), 809},
 		{"DSM extension (coherence manager)", internal("dsm"), 358},
 	}},
 	{"Tooling, baselines and harnesses", []component{
 		{"Cost model (simulated clock)", internal("cost"), 365},
 		{"Mach baseline (comparison)", internal("machvm"), 1503},
-		{"Trace-script interpreter", internal("script"), 689},
+		{"Trace-script interpreter", internal("script"), 647},
 		{"GMI conformance suite", internal("conformance"), 0},
-		{"Benchmark harness", internal("bench"), 2070},
+		{"Benchmark harness", internal("bench"), 2002},
 		{"Goroutine leak check (tests)", internal("leakcheck"), 107},
-		{"Commands (cmd/*)", underDir("cmd"), 1012},
-		{"Examples", underDir("examples"), 630},
+		{"Commands (cmd/*)", underDir("cmd"), 996},
+		{"Examples", underDir("examples"), 684},
 		{"Repository benchmark (perfbench)", underDir("perfbench"), 1746},
 		{"Root package (doc, benchmarks)", exactFiles("doc.go", "bench_test.go"), 23},
 	}},

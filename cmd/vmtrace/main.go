@@ -63,7 +63,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	tierHot := fs.Int("tier-hot", 0, "-store tiered/remote: hot-tier capacity in pages (0 = default)")
 	tierWarm := fs.Int("tier-warm", 0, "-store tiered/remote: warm-tier capacity in pages (0 = default)")
 	storeAddr := fs.String("store-addr", "", "-store remote transport: pipe (default) or tcp")
-	framepool := fs.Bool("framepool", false, "start the background frame zeroer before the script (scripts can also toggle it with `framepool on|off`)")
 	faultAround := fs.Int("fault-around", 0, "map up to this many resident neighbours per fault (power of two <= 8, 0 disables)")
 	policyName := fs.String("policy", "", "page-replacement policy: lru, clock or 2q (empty = PVM default; scripts can switch with the `policy` statement)")
 	if err := fs.Parse(args); err != nil {
@@ -110,13 +109,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "vmtrace:", err)
 		return 1
-	}
-	defer in.Close()
-	if *framepool {
-		if ferr := in.Run(strings.NewReader("framepool on\n")); ferr != nil {
-			fmt.Fprintln(stderr, "vmtrace:", ferr)
-			return 1
-		}
 	}
 	if *storeKind != "mem" || *storeFaults > 0 || *tierHot > 0 || *tierWarm > 0 {
 		if serr := in.SetStore(storeCfg); serr != nil {

@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"chorusvm/internal/core"
 	"chorusvm/internal/cost"
@@ -25,7 +27,17 @@ const (
 	pages    = 8
 )
 
-func main() {
+func main() { os.Exit(run(os.Stdout)) }
+
+// fail reports err on stderr and returns the exit status for run.
+func fail(err error) int {
+	log.Print(err)
+	return 1
+}
+
+// run plays the example, writing its report to w; it returns the exit
+// status.
+func run(w io.Writer) int {
 	clock := cost.New()
 	site := nucleus.NewSite(clock, func(sa gmi.SegmentAllocator) gmi.MemoryManager {
 		return core.New(core.Options{Frames: 1024, PageSize: pageSize, Clock: clock, SegAlloc: sa})
@@ -39,73 +51,74 @@ func main() {
 		content[i] = byte('A' + i/pageSize)
 	}
 	if err := files.Preload(capa, 0, content); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	// Two actors map the same segment; the segment manager hands both
 	// the same local cache.
 	a1, err := site.NewActor()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	a2, err := site.NewActor()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if _, err := a1.RgnMap(base, pages*pageSize, gmi.ProtRW, capa, 0); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if _, err := a2.RgnMap(base, pages*pageSize, gmi.ProtRW, capa, 0); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	// Both touch every page; explicit access reads the same cache.
 	buf := make([]byte, pages*pageSize)
 	if err := a1.Ctx.Read(base, buf); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if err := a2.Ctx.Read(base, buf); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	cache, err := site.SegMgr.Acquire(capa)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if err := cache.ReadAt(0, buf[:16]); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("two mappings + explicit access, first bytes: %q\n", buf[:8])
-	fmt.Printf("pages resident: %d — pulled exactly once each despite three readers\n",
+	fmt.Fprintf(w, "two mappings + explicit access, first bytes: %q\n", buf[:8])
+	fmt.Fprintf(w, "pages resident: %d — pulled exactly once each despite three readers\n",
 		cache.Resident())
 
 	// Actor 1 writes; actor 2 sees it immediately (same cache, same
 	// frames).
 	if err := a1.Ctx.Write(base+pageSize, []byte("written by actor 1")); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	check := make([]byte, 18)
 	if err := a2.Ctx.Read(base+pageSize, check); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("actor 2 reads actor 1's write: %q\n", check)
+	fmt.Fprintf(w, "actor 2 reads actor 1's write: %q\n", check)
 
 	// A coherence-minded mapper revokes write access and syncs the page
 	// home, then invalidates; the next access faults it back in.
 	if err := cache.SetProtection(pageSize, pageSize, gmi.ProtRead); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if err := cache.Sync(pageSize, pageSize); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if err := cache.Invalidate(pageSize, pageSize); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("after revoke+sync+invalidate: resident=%d\n", cache.Resident())
+	fmt.Fprintf(w, "after revoke+sync+invalidate: resident=%d\n", cache.Resident())
 	if err := a2.Ctx.Read(base+pageSize, check); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("refetched from mapper: %q\n", check)
+	fmt.Fprintf(w, "refetched from mapper: %q\n", check)
 	site.SegMgr.Release(capa)
 
-	fmt.Printf("\nsimulated time: %v\n", clock.Elapsed())
+	fmt.Fprintf(w, "\nsimulated time: %v\n", clock.Elapsed())
+	return 0
 }

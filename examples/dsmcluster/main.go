@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"chorusvm/internal/core"
 	"chorusvm/internal/cost"
@@ -32,7 +34,17 @@ type machine struct {
 	swap *seg.SwapAllocator
 }
 
-func main() {
+func main() { os.Exit(run(os.Stdout)) }
+
+// fail reports err on stderr and returns the exit status for run.
+func fail(err error) int {
+	log.Print(err)
+	return 1
+}
+
+// run plays the example, writing its report to w; it returns the exit
+// status.
+func run(w io.Writer) int {
 	mgr := dsm.NewManager(pageSize, cost.New())
 	mgr.Home().WriteAt(0, []byte("initial contents from the home site"))
 
@@ -47,10 +59,10 @@ func main() {
 		site, cache := mgr.Attach(name, mm)
 		ctx, err := mm.ContextCreate()
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		if _, err := ctx.RegionCreate(base, pages*pageSize, gmi.ProtRW, cache, 0); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		cluster = append(cluster, &machine{name: name, site: site, ctx: ctx, swap: swap})
 	}
@@ -59,51 +71,52 @@ func main() {
 	buf := make([]byte, 35)
 	for _, m := range cluster {
 		if err := m.ctx.Read(base, buf); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%-6s reads: %q\n", m.name, buf)
+		fmt.Fprintf(w, "%-6s reads: %q\n", m.name, buf)
 	}
 
 	// Alpha writes: its first store upgrades via getWriteAccess and the
 	// other copies are invalidated.
 	if err := cluster[0].ctx.Write(base, []byte("alpha was here, coherently.........")); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Println("\nalpha writes the page...")
+	fmt.Fprintln(w, "\nalpha writes the page...")
 	for _, m := range cluster[1:] {
 		if err := m.ctx.Read(base, buf); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%-6s reads: %q\n", m.name, buf)
+		fmt.Fprintf(w, "%-6s reads: %q\n", m.name, buf)
 	}
 
 	// Beta takes the page over.
 	if err := cluster[1].ctx.Write(base, []byte("beta overwrites it afterwards......")); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Println("\nbeta writes the page...")
+	fmt.Fprintln(w, "\nbeta writes the page...")
 	for _, m := range []*machine{cluster[0], cluster[2]} {
 		if err := m.ctx.Read(base, buf); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%-6s reads: %q\n", m.name, buf)
+		fmt.Fprintf(w, "%-6s reads: %q\n", m.name, buf)
 	}
 
-	fmt.Println("\ncoherence traffic:")
+	fmt.Fprintln(w, "\ncoherence traffic:")
 	for _, m := range cluster {
-		fmt.Printf("  %-6s fetches=%d upgrades=%d downgrades=%d invalidates=%d\n",
+		fmt.Fprintf(w, "  %-6s fetches=%d upgrades=%d downgrades=%d invalidates=%d\n",
 			m.name, m.site.Fetches, m.site.Upgrades, m.site.Downgrades, m.site.Invalidates)
 	}
 	if err := mgr.Invariant(); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Println("directory invariant holds: single writer or multiple readers, per page")
+	fmt.Fprintln(w, "directory invariant holds: single writer or multiple readers, per page")
 
 	// Each machine's swap allocator owns the swap segments it made;
 	// closing it stops their I/O workers.
 	for _, m := range cluster {
 		if err := m.swap.Close(); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 	}
+	return 0
 }

@@ -10,7 +10,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"chorusvm/internal/core"
 	"chorusvm/internal/cost"
@@ -21,7 +23,17 @@ import (
 
 const pageSize = 8192
 
-func main() {
+func main() { os.Exit(run(os.Stdout)) }
+
+// fail reports err on stderr and returns the exit status for run.
+func fail(err error) int {
+	log.Print(err)
+	return 1
+}
+
+// run plays the example, writing its report to w; it returns the exit
+// status.
+func run(w io.Writer) int {
 	clock := cost.New()
 	site := nucleus.NewSite(clock, func(sa gmi.SegmentAllocator) gmi.MemoryManager {
 		return core.New(core.Options{Frames: 2048, PageSize: pageSize, Clock: clock, SegAlloc: sa})
@@ -38,14 +50,12 @@ func main() {
 	}
 	shell, err := sys.InstallBinary("shell", text, data)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
-	done := make(chan struct{})
-	_, err = sys.Spawn(shell, func(p *mix.Process) int {
-		defer close(done)
+	sh, err := sys.Spawn(shell, func(p *mix.Process) int {
 		before := pvm.Stats()
-		fmt.Printf("parent up: %d pages of data mapped\n", 64)
+		fmt.Fprintf(w, "parent up: %d pages of data mapped\n", 64)
 
 		// Fork three children, shell-style; each touches a few pages
 		// and exits.
@@ -67,13 +77,13 @@ func main() {
 				return 0
 			})
 			if err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
 			if st := child.Wait(); st != 0 {
-				log.Fatalf("child failed: %d", st)
+				return fail(fmt.Errorf("child failed: %d", st))
 			}
 			post := pvm.Stats()
-			fmt.Printf("fork %d: copies materialized by child writes: %d pages "+
+			fmt.Fprintf(w, "fork %d: copies materialized by child writes: %d pages "+
 				"(of 64 copied logically); history pushes: %d\n",
 				round,
 				post.CowBreaks-preFork.CowBreaks,
@@ -84,23 +94,28 @@ func main() {
 		// preservation is needed.
 		preWrite := pvm.Stats()
 		if err := p.Write(mix.DataBase+5*pageSize, []byte("parent writes")); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		postWrite := pvm.Stats()
-		fmt.Printf("parent write after children exit: %d history pushes (expected 0)\n",
+		fmt.Fprintf(w, "parent write after children exit: %d history pushes (expected 0)\n",
 			postWrite.HistoryPushes-preWrite.HistoryPushes)
 
 		after := pvm.Stats()
-		fmt.Printf("\ntotals: faults=%d cow-breaks=%d history-pushes=%d collapses=%d\n",
+		fmt.Fprintf(w, "\ntotals: faults=%d cow-breaks=%d history-pushes=%d collapses=%d\n",
 			after.Faults-before.Faults, after.CowBreaks-before.CowBreaks,
 			after.HistoryPushes-before.HistoryPushes, after.Collapses-before.Collapses)
-		fmt.Printf("live cache descriptors: %d (the tree collapsed behind the children)\n",
+		fmt.Fprintf(w, "live cache descriptors: %d (the tree collapsed behind the children)\n",
 			pvm.CacheCount())
 		return 0
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	<-done
-	fmt.Printf("simulated time: %v\n", clock.Elapsed())
+	// Wait returns once the shell has exited and its address space is
+	// torn down, so the clock below includes the teardown.
+	if st := sh.Wait(); st != 0 {
+		return st
+	}
+	fmt.Fprintf(w, "simulated time: %v\n", clock.Elapsed())
+	return 0
 }

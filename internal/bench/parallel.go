@@ -94,10 +94,6 @@ type ParallelOptions struct {
 	// workload where the frame allocator itself — not mapper latency — is
 	// the bottleneck. Store, Preload and PullLatency are ignored.
 	DemandZero bool
-	// FramePool, with DemandZero, starts the background frame zeroer and
-	// pre-warms the pre-zeroed pool before the measured interval, so the
-	// faults take the pool-hit path instead of zeroing synchronously.
-	FramePool bool
 	// SyncPager hides each worker segment's SubmitPull (syncOnly), so
 	// every fill takes the synchronous PullIn upcall — the
 	// pre-submit/complete baseline, kept for the protocol ablation.
@@ -261,25 +257,6 @@ func ParallelFaultThroughputOpts(o ParallelOptions) ParallelResult {
 		o.Tracer.SetEnabled(true)
 	}
 
-	stopZeroer := func() {}
-	if o.FramePool {
-		// Keep the pool between faults-outstanding and the whole working
-		// set, and pre-warm it to the high mark (bounded wait: the zeroer
-		// fills at bzero speed) so the measured interval starts hot.
-		high := o.Workers * o.PagesPerWorker
-		if max := p.Memory().TotalFrames() - 8; high > max {
-			high = max
-		}
-		low := high / 4
-		if low < 1 {
-			low = 1
-		}
-		stopZeroer = p.StartFrameZeroer(low, high)
-		for deadline := time.Now().Add(3 * time.Second); p.Memory().ZeroPoolSize() < high && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-	}
-
 	passes := 1
 	if o.WarmResident && o.Passes > 1 {
 		passes = o.Passes
@@ -323,7 +300,6 @@ func ParallelFaultThroughputOpts(o ParallelOptions) ParallelResult {
 		wg.Wait()
 		elapsed += time.Since(t0)
 	}
-	stopZeroer()
 
 	storeStats := aggregateStoreStats(segs)
 	for i := range segs {
@@ -382,50 +358,6 @@ func FormatParallelStore(rs []ParallelResult) string {
 		fmt.Fprintf(&b, "%8d %8d %8d %9d %8d %8d\n",
 			r.Workers, r.Store.Reads, r.Store.Batches, r.Store.Coalesced,
 			r.Store.Retries, r.Store.Corruptions)
-	}
-	return b.String()
-}
-
-// FramePoolPoint is one frame-pool ablation row: the same demand-zero
-// workload measured with the pre-zeroed pool off (synchronous in-fault
-// bzero through the magazine allocator) and on (background zeroer,
-// pool-hit fast path).
-type FramePoolPoint struct {
-	Workers int
-	Off     ParallelResult
-	On      ParallelResult
-}
-
-// FramePoolAblation measures demand-zero fault throughput at each worker
-// count with the frame pool disabled and enabled. Unlike the pull-latency
-// benchmark this workload is CPU-bound, so the on/off gap is the in-fault
-// bzero cost the background zeroer absorbs.
-func FramePoolAblation(workerCounts []int, pagesPerWorker int) []FramePoolPoint {
-	pts := make([]FramePoolPoint, 0, len(workerCounts))
-	for _, w := range workerCounts {
-		o := ParallelOptions{Workers: w, PagesPerWorker: pagesPerWorker, DemandZero: true}
-		off := ParallelFaultThroughputOpts(o)
-		o.FramePool = true
-		on := ParallelFaultThroughputOpts(o)
-		pts = append(pts, FramePoolPoint{Workers: w, Off: off, On: on})
-	}
-	return pts
-}
-
-// FormatFramePool renders the frame-pool ablation table.
-func FormatFramePool(pts []FramePoolPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "demand-zero fault throughput: pre-zeroed frame pool ablation\n")
-	fmt.Fprintf(&b, "%8s %14s %14s %8s %9s %9s\n",
-		"workers", "off flt/s", "on flt/s", "on/off", "poolhits", "poolmiss")
-	for _, pt := range pts {
-		ratio := 0.0
-		if pt.Off.FaultsSec > 0 {
-			ratio = pt.On.FaultsSec / pt.Off.FaultsSec
-		}
-		fmt.Fprintf(&b, "%8d %14.0f %14.0f %7.2fx %9d %9d\n",
-			pt.Workers, pt.Off.FaultsSec, pt.On.FaultsSec, ratio,
-			pt.On.Stats.ZeroPoolHits, pt.On.Stats.ZeroPoolMisses)
 	}
 	return b.String()
 }

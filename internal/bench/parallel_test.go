@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"chorusvm/internal/store"
@@ -36,36 +35,15 @@ func TestParallelOptsBackends(t *testing.T) {
 	}
 }
 
-// TestFramePoolAblation smoke-runs the demand-zero pool-off/pool-on
-// ablation at small scale: both variants must complete every fault, the
-// pool-on run must actually hit the pre-zeroed pool, and the table must
-// render a row per worker count.
-func TestFramePoolAblation(t *testing.T) {
-	pts := FramePoolAblation([]int{1, 2}, 16)
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
-	}
-	for _, pt := range pts {
-		want := pt.Workers * 16
-		if pt.Off.Faults != want || pt.On.Faults != want {
-			t.Fatalf("workers=%d: faults off=%d on=%d, want %d",
-				pt.Workers, pt.Off.Faults, pt.On.Faults, want)
-		}
-		if pt.Off.Stats.ZeroFills != uint64(want) || pt.On.Stats.ZeroFills != uint64(want) {
-			t.Fatalf("workers=%d: not a pure demand-zero run: off=%d on=%d zerofills",
-				pt.Workers, pt.Off.Stats.ZeroFills, pt.On.Stats.ZeroFills)
-		}
-		if pt.On.Stats.ZeroPoolHits == 0 {
-			t.Fatalf("workers=%d: pool-on run never hit the pre-zeroed pool", pt.Workers)
-		}
-		if pt.Off.Stats.ZeroPoolHits != 0 {
-			t.Fatalf("workers=%d: pool-off run hit a pool that should not exist", pt.Workers)
-		}
-	}
-	out := FormatFramePool(pts)
-	for _, want := range []string{"workers", "1", "2"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
+// TestParallelDemandZero smoke-runs the allocation-bound workload at
+// small scale: every fault must be a demand-zero fill, with no pull-in.
+func TestParallelDemandZero(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		r := ParallelFaultThroughputOpts(ParallelOptions{Workers: workers, PagesPerWorker: 16, DemandZero: true})
+		want := workers * 16
+		if r.Faults != want || r.Stats.ZeroFills != uint64(want) || r.Stats.PullIns != 0 {
+			t.Fatalf("workers=%d: faults=%d zerofills=%d pullins=%d, want %d demand-zero faults",
+				workers, r.Faults, r.Stats.ZeroFills, r.Stats.PullIns, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"chorusvm/internal/cost"
@@ -293,7 +294,7 @@ func (p *PVM) fastFaultOnce(ctx *context, va gmi.VA, access gmi.Prot, span *obs.
 			// fast path here — each neighbour key is stubbed under its
 			// own shard mutex.
 			*worked = true
-			return p.fastSubmitPull(c, off, key, sh, pager, access, span)
+			return p.fastSubmitPull(c, off, r.coff+r.size, key, sh, pager, access, span)
 		}
 		// A synchronous PullIn upcall is answered by FillUp, which takes
 		// p.mu exclusively: the exclusive tier issues it.
@@ -328,8 +329,6 @@ func (p *PVM) fastZeroFill(ctx *context, r *region, pva gmi.VA, c *cache, off in
 	// Obtain a zeroed private frame with no shard lock held. The RLock is
 	// retained: no structural operation can run, so nothing can resolve
 	// or replace the stub meanwhile, and AllocZeroed takes no PVM locks.
-	// A pre-zeroed pool hit skips the in-fault bzero entirely; a miss
-	// zeroes synchronously, exactly the old Alloc-then-Zero path.
 	span.Mark(obs.StageResolve)
 	f, err := p.mem.AllocZeroed()
 	if err != nil {
@@ -652,7 +651,10 @@ func (p *PVM) bringIn(c *cache, off int64, access gmi.Prot, span *obs.FaultSpan)
 	// Submit/complete protocol from the exclusive tier, with the same
 	// builder and completion as the fast path: we park on the primary
 	// stub with the lock released and let the caller re-resolve.
-	req := p.stubFill(c, off, access|gmi.ProtRead, stub, release)
+	// The window of the region that faulted is in the faulting cache's
+	// offsets, while c may be an ancestor reached through history
+	// fragments; the exclusive tier's cluster is left unbounded.
+	req := p.stubFill(c, off, math.MaxInt64, access|gmi.ProtRead, stub, release)
 	span.Mark(obs.StageResolve)
 	p.mu.Unlock()
 	err = p.awaitFill(pager, c, off, stub, span, req)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
 	"chorusvm/internal/seg"
 )
@@ -75,20 +76,22 @@ func TestFaultAroundExactCounts(t *testing.T) {
 		t.Fatalf("FaultAroundMapped = %d, want 14", st.FaultAroundMapped)
 	}
 	// The simulated clock pins every charge of the sequence above. The
-	// first fault also read ahead the next cluster (offsets 8-15), which
-	// an engine worker publishes on its own schedule; wait until it has,
-	// so its charges are in. Describe holds p.mu exclusively, so it never
-	// sees a publish half done.
-	for dl := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if info, _ := p.Describe(c); len(info.Resident) == 16 {
-			break
-		}
-		if time.Now().After(dl) {
-			t.Fatal("the read-ahead cluster never became resident")
-		}
+	// read-ahead cluster ends with the region, so the first fault filled
+	// offsets 0-7 only, and all of its charges are in once the read
+	// returns: no fill of offsets 8-15 is in flight or still to come.
+	// One seek is the setup write's, the other the fill's.
+	clk := p.Clock()
+	if st.PullIns != 1 || clk.Count(cost.EvDiskSeek) != 2 || clk.Count(cost.EvDiskRead) != 8 {
+		t.Fatalf("PullIns=%d disk seeks=%d reads=%d, want 1/2/8",
+			st.PullIns, clk.Count(cost.EvDiskSeek), clk.Count(cost.EvDiskRead))
 	}
-	if got := p.Clock().Elapsed(); got != 206247560*time.Nanosecond {
-		t.Fatalf("simulated clock = %v, want 206.24756ms", got)
+	if info, _ := p.Describe(c); len(info.Resident) != 8 {
+		t.Fatalf("%d pages resident, want the region's 8", len(info.Resident))
+	}
+	// A speculated cluster of 8 would add 71.75 ms: one pullIn, one seek,
+	// 8 page reads, 8 frame allocations and 8 bcopies.
+	if got := clk.Elapsed(); got != 134497560*time.Nanosecond {
+		t.Fatalf("simulated clock = %v, want 134.49756ms", got)
 	}
 	check(t, p)
 }
@@ -144,7 +147,9 @@ func TestSpeculationCancelledUnderFramePressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustRegion(t, ctx, base, 8*pg, gmi.ProtRead, c, 0)
+	// The region spans two clusters, so the next one is inside its
+	// window and the first fault speculates it.
+	mustRegion(t, ctx, base, 16*pg, gmi.ProtRead, c, 0)
 
 	if got := mustRead(t, ctx, base, pg); !bytes.Equal(got, want[:pg]) {
 		t.Fatal("content mismatch under frame pressure")
@@ -156,6 +161,35 @@ func TestSpeculationCancelledUnderFramePressure(t *testing.T) {
 	// The demand cluster itself was served in full.
 	if got := mustRead(t, ctx, base, 8*pg); !bytes.Equal(got, want) {
 		t.Fatal("demand cluster content mismatch")
+	}
+	check(t, p)
+}
+
+// TestReadAheadStopsAtRegionEnd: a region narrower than the read-ahead
+// cluster fills only the pages of its window, on demand and by
+// speculation, though the segment holds data past it.
+func TestReadAheadStopsAtRegionEnd(t *testing.T) {
+	p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 8 })
+	sg := seg.NewSegment("file", pg, p.Clock())
+	want := pattern(0x3C, 16*pg)
+	sg.Store().WriteAt(0, want)
+	c := p.CacheCreate(sg)
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, 3*pg, gmi.ProtRead, c, 0)
+	if got := mustRead(t, ctx, base, 3*pg); !bytes.Equal(got, want[:3*pg]) {
+		t.Fatal("content mismatch")
+	}
+	if st := p.Stats(); st.PullIns != 1 || st.Faults != 3 {
+		t.Fatalf("PullIns=%d Faults=%d, want 1/3", st.PullIns, st.Faults)
+	}
+	if n := p.Clock().Count(cost.EvDiskRead); n != 3 {
+		t.Fatalf("%d pages read from disk, want 3", n)
+	}
+	if info, _ := p.Describe(c); len(info.Resident) != 3 {
+		t.Fatalf("%d pages resident, want the region's 3", len(info.Resident))
 	}
 	check(t, p)
 }

@@ -91,7 +91,7 @@ func (p *PVM) evict(max int) (done, failed int, err error) {
 	sel := p.pol.SelectVictims(nil, max, p.usable)
 	p.obs.Span(obs.KindPolicyWait, obs.OpPolicyWait, 0, int64(len(sel)), start)
 	var (
-		frames []*phys.Frame // freed in whole-pass depot transactions
+		frames []*phys.Frame // freed with one FreeBatch per pass
 		dirty  []*page
 		noSeg  []*cache
 	)

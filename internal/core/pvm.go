@@ -165,12 +165,12 @@ type Stats struct {
 	FaultAroundMapped     uint64 // resident neighbours mapped by fault-around
 	SpeculationsCancelled uint64 // speculative fills dropped under frame pressure
 
-	// Frame-allocator counters, mirrored from phys.Memory.AllocStats:
-	// the two-level magazine allocator and the pre-zeroed frame pool.
-	ZeroPoolHits    uint64 // demand-zero faults served a pre-zeroed frame
-	ZeroPoolMisses  uint64 // demand-zero faults that zeroed synchronously
-	MagazineRefills uint64 // magazine batch refills from the depot
-	BatchFrees      uint64 // batched frame-free depot transactions
+	// Frame-allocator counters, mirrored from phys.Memory.
+	// MagazineRefills always reads 0: the allocator is one free list
+	// with no per-CPU magazines to refill. It stays because the
+	// repository benchmark reports it (phys.magazine_refills_per_kop).
+	MagazineRefills uint64
+	BatchFrees      uint64 // FreeBatch calls of more than one frame
 
 	// Replacement-policy counters. The last two are mirrored from the
 	// Replacer's own counters (internal/policy), like the frame-allocator
@@ -291,7 +291,6 @@ func New(o Options) *PVM {
 		p.shards[i].m = make(map[pageKey]mapEntry)
 	}
 	p.mem = phys.NewMemory(o.Frames, o.PageSize, o.Clock)
-	p.mem.SetTracer(o.Tracer)
 	switch o.MMU {
 	case "sun3":
 		p.hw = mmu.NewTwoLevel(o.PageSize, o.Clock)
@@ -384,17 +383,6 @@ func (p *PVM) Tracer() *obs.Tracer { return p.obs }
 // Memory returns the physical memory pool (for tests and tools).
 func (p *PVM) Memory() *phys.Memory { return p.mem }
 
-// StartFrameZeroer starts the background frame zeroer that keeps the
-// physical pool's pre-zeroed cache between the given water marks, so
-// demand-zero faults can skip their in-fault bzero (phys.StartZeroer).
-// Optional, like the pageout daemon: without it AllocZeroed simply zeroes
-// synchronously, which is deterministic and is what the simulated-cost
-// tables use. The returned stop function is idempotent and waits for the
-// goroutine to exit.
-func (p *PVM) StartFrameZeroer(low, high int) (stop func()) {
-	return p.mem.StartZeroer(low, high)
-}
-
 // MMU returns the machine-dependent layer in use.
 func (p *PVM) MMU() mmu.MMU { return p.hw }
 
@@ -424,8 +412,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		FaultAroundMapped:     s.FaultAroundMapped - prev.FaultAroundMapped,
 		SpeculationsCancelled: s.SpeculationsCancelled - prev.SpeculationsCancelled,
 
-		ZeroPoolHits:    s.ZeroPoolHits - prev.ZeroPoolHits,
-		ZeroPoolMisses:  s.ZeroPoolMisses - prev.ZeroPoolMisses,
 		MagazineRefills: s.MagazineRefills - prev.MagazineRefills,
 		BatchFrees:      s.BatchFrees - prev.BatchFrees,
 
@@ -444,7 +430,6 @@ func (s Stats) Delta(prev Stats) Stats {
 // field-by-field and is not one consistent cut while the PVM is active.
 func (p *PVM) Stats() Stats {
 	s := &p.stats
-	as := p.mem.AllocStats()
 	ts := tier.GlobalCounters()
 	// The replacer pointer is swapped under exclusive mu (SetPolicy), so
 	// it is the one field the snapshot reads under the shared lock.
@@ -472,10 +457,7 @@ func (p *PVM) Stats() Stats {
 		FaultAroundMapped:     atomic.LoadUint64(&s.FaultAroundMapped),
 		SpeculationsCancelled: atomic.LoadUint64(&s.SpeculationsCancelled),
 
-		ZeroPoolHits:    as.ZeroPoolHits,
-		ZeroPoolMisses:  as.ZeroPoolMisses,
-		MagazineRefills: as.MagazineRefills,
-		BatchFrees:      as.BatchFrees,
+		BatchFrees: p.mem.BatchFrees(),
 
 		PolicyHarvests:      atomic.LoadUint64(&s.PolicyHarvests),
 		PolicySecondChances: ps.SecondChances,

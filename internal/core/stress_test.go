@@ -187,12 +187,9 @@ func TestConcurrentSharedReaders(t *testing.T) {
 // them. Run with -race. Invariants (DESIGN.md section 6) are checked only
 // at quiescence: the frame-accounting invariant is allowed to be
 // transiently unobservable mid-fault, never at rest.
+// The oracle doubles as the stale-bytes check: a recycled frame carrying
+// a previous owner's bytes shows up as content divergence.
 //
-// The framepool variant additionally runs the background frame zeroer, so
-// demand-zero faults recycle frames through the pre-zeroed pool while the
-// pageout daemon is stealing them — the full three-way custody fight. The
-// oracle then doubles as the stale-bytes check: a pool frame carrying a
-// previous owner's bytes shows up as content divergence.
 // The extent variant runs the same fight with clustered async pulls and
 // fault-around batch-mapping each cluster's resident neighbours. Every
 // write after a deferred copy, every flush and every reclaim must reach
@@ -204,29 +201,20 @@ func TestConcurrentSharedReaders(t *testing.T) {
 // in distinct contexts race on it unless the port locks it (mmu.Space's
 // concurrency contract).
 func TestConcurrentOracleStress(t *testing.T) {
-	t.Run("baseline", func(t *testing.T) { runOracleStress(t, false) })
-	t.Run("framepool", func(t *testing.T) { runOracleStress(t, true) })
-	t.Run("extent", func(t *testing.T) { runOracleStress(t, false, withExtent) })
+	t.Run("baseline", func(t *testing.T) { runOracleStress(t) })
+	t.Run("extent", func(t *testing.T) { runOracleStress(t, withExtent) })
 	t.Run("2q", func(t *testing.T) {
-		runOracleStress(t, true, func(o *Options) { o.Policy = "2q" })
+		runOracleStress(t, func(o *Options) { o.Policy = "2q" })
 	})
 	for _, hw := range []string{"pmmu", "i386"} {
 		t.Run(hw, func(t *testing.T) {
-			runOracleStress(t, false, func(o *Options) { o.MMU = hw })
+			runOracleStress(t, func(o *Options) { o.MMU = hw })
 		})
 	}
 }
 
-func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
+func runOracleStress(t *testing.T, opts ...func(*Options)) {
 	p, _ := newTestPVM(t, 96, opts...)
-	if framepool {
-		stopZeroer := p.StartFrameZeroer(8, 24)
-		defer stopZeroer()
-		deadline := time.Now().Add(3 * time.Second)
-		for p.Memory().ZeroPoolSize() < 8 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	const (
 		workers = 6
@@ -400,11 +388,6 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 	if p.Memory().FreeFrames() != p.Memory().TotalFrames() {
 		t.Fatalf("frames leaked: %d/%d free", p.Memory().FreeFrames(), p.Memory().TotalFrames())
 	}
-	if framepool {
-		if st := p.Stats(); st.ZeroPoolHits == 0 {
-			t.Fatal("zero pool never served a demand-zero fault")
-		}
-	}
 	if p.faultAround > 1 {
 		// Fault-around must have mapped neighbours, first on worker 0's
 		// cluster read before any reclaimer ran, or the oracle never
@@ -418,19 +401,13 @@ func runOracleStress(t *testing.T, framepool bool, opts ...func(*Options)) {
 	}
 }
 
-// TestDemandZeroPoolStaleBytes recycles every frame through dirty caches
-// and the pre-zeroed pool in a tight loop: each round scribbles over a
-// whole region, tears it down (returning dirty frames), then demand-zero
-// faults a fresh region and requires every byte to read zero. With the
-// zeroer racing the teardown this is the end-to-end version of the phys
-// stale-bytes regression. Run with -race.
+// TestDemandZeroPoolStaleBytes recycles every frame of the pool through
+// dirty caches in a tight loop: each round scribbles over a whole region,
+// tears it down (returning dirty frames), then demand-zero faults a fresh
+// region and requires every byte to read zero. It is the end-to-end
+// version of the phys stale-bytes regression.
 func TestDemandZeroPoolStaleBytes(t *testing.T) {
 	p, _ := newTestPVM(t, 32)
-	stopZeroer := p.StartFrameZeroer(8, 16)
-	defer stopZeroer()
-	for deadline := time.Now().Add(3 * time.Second); p.Memory().ZeroPoolSize() < 8 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
 
 	const pages = 8
 	junk := bytes.Repeat([]byte{0xAB}, pages*pg)
@@ -466,8 +443,8 @@ func TestDemandZeroPoolStaleBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := p.Stats(); st.ZeroPoolHits == 0 {
-		t.Fatal("pool never hit: the regression path was not exercised")
+	if st := p.Stats(); st.ZeroFills < 50*pages {
+		t.Fatalf("%d zero fills, want at least %d: the demand-zero path was not exercised", st.ZeroFills, 50*pages)
 	}
 	check(t, p)
 }

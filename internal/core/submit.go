@@ -291,13 +291,20 @@ func (p *PVM) cancelSpeculation(c *cache, off int64, stubs []*syncStub, releases
 }
 
 // stubFill extends the stub just installed at (c, off), whose frame
-// reservation is release, over the rest of the read-ahead cluster, and
-// builds the cluster's fill request. It is the one submit builder of
-// both fault tiers. Returns nil when the fill failed before submission.
-// p.mu held in either mode, no shard mutex.
-func (p *PVM) stubFill(c *cache, off int64, mode gmi.Prot, stub *syncStub, release func()) *gmi.PageRequest {
-	more, moreRel, _ := p.installStubRun(c, off+p.pageSize, p.readAhead-1)
+// reservation is release, over the rest of the read-ahead cluster up to
+// cache offset end, and builds the cluster's fill request. It is the one
+// submit builder of both fault tiers. Returns nil when the fill failed
+// before submission. p.mu held in either mode, no shard mutex.
+func (p *PVM) stubFill(c *cache, off, end int64, mode gmi.Prot, stub *syncStub, release func()) *gmi.PageRequest {
+	next := off + p.pageSize
+	more, moreRel, _ := p.installStubRun(c, next, p.pagesBefore(next, end, p.readAhead-1))
 	return p.newFillRequest(c, off, mode, append([]*syncStub{stub}, more...), append([]func(){release}, moreRel...))
+}
+
+// pagesBefore returns how many of up to limit pages starting at off lie
+// below cache offset end.
+func (p *PVM) pagesBefore(off, end int64, limit int) int {
+	return int(min(max((end-off)/p.pageSize, 0), int64(limit)))
 }
 
 // newFillRequest builds the PageRequest for a stub run, turning the
@@ -378,8 +385,10 @@ func (p *PVM) awaitFill(pager gmi.Pager, c *cache, off int64, stub *syncStub, sp
 
 // fastSubmitPull is the fast path's fill: entered from fastFaultOnce
 // holding p.mu.RLock and the primary key's shard mutex, with the key
-// empty and the cache in the simple state (own content only). It
-// installs stubs over the read-ahead cluster, submits one PageRequest,
+// empty and the cache in the simple state (own content only). end is
+// the cache offset where the faulting region's window ends; no page at
+// or past it is filled, on demand or by speculation. It installs stubs
+// over the read-ahead cluster, submits one PageRequest,
 // releases the RLock and parks on the primary stub. On success the
 // caller retries the fast path, which finds the published page and maps
 // it. A fault that would have to evict for its frame bails out to the
@@ -392,7 +401,7 @@ func (p *PVM) awaitFill(pager gmi.Pager, c *cache, off int64, stub *syncStub, sp
 // the current cluster. The synchronous PullIn upcall cannot pipeline this
 // way without dedicating a blocked thread to every speculation — it is
 // the capability the submit/complete protocol buys.
-func (p *PVM) fastSubmitPull(c *cache, off int64, key pageKey, sh *gmapShard, pager gmi.Pager, access gmi.Prot, span *obs.FaultSpan) (bool, bool, error) {
+func (p *PVM) fastSubmitPull(c *cache, off, end int64, key pageKey, sh *gmapShard, pager gmi.Pager, access gmi.Prot, span *obs.FaultSpan) (bool, bool, error) {
 	release, ok := p.tryReserveFrames(1)
 	if !ok {
 		// Needs eviction: slow path.
@@ -405,11 +414,11 @@ func (p *PVM) fastSubmitPull(c *cache, off int64, key pageKey, sh *gmapShard, pa
 	p.clock.Charge(cost.EvGlobalMapOp, 1)
 	sh.mu.Unlock()
 
-	req := p.stubFill(c, off, access|gmi.ProtRead, stub, release)
+	req := p.stubFill(c, off, end, access|gmi.ProtRead, stub, release)
 	var spec *gmi.PageRequest
-	if p.readAhead > 1 && req != nil {
+	if p.readAhead > 1 && req != nil && off+req.Size < end {
 		specOff := off + req.Size
-		sstubs, srel, starved := p.installStubRun(c, specOff, p.readAhead)
+		sstubs, srel, starved := p.installStubRun(c, specOff, p.pagesBefore(specOff, end, p.readAhead))
 		switch {
 		case starved:
 			// Free frames ran out mid-install. Nobody waits on a

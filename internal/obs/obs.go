@@ -61,9 +61,6 @@ const (
 	KindStoreWrite                  // store: engine write enqueue or writeback batch
 	KindStoreCompress               // store: flate page (de)compression
 	KindStoreRetry                  // store: transient failure retried (arg1 = backoff ns)
-	KindFrameZero                   // phys: background zeroer pre-zeroed a frame (arg1 = frame)
-	KindFramePoolHit                // phys: AllocZeroed served from the pre-zeroed pool
-	KindFramePoolMiss               // phys: AllocZeroed fell back to a synchronous bzero
 	KindFillSubmit                  // core: async fill request submitted to a pager
 	KindFillComplete                // core: pager completion published pages + settled stubs
 	KindFaultAround                 // core: one fault mapped resident neighbours (arg2 = pages)
@@ -77,9 +74,8 @@ var kindNames = [NumKinds]string{
 	"historyinsert", "historycollapse", "evict", "pullin", "pushout",
 	"getwrite", "segcreate", "segpull", "segpush", "ipcsend", "ipcrecv",
 	"copy", "move", "dsminvalidate", "dsmsync", "storeread", "storewrite",
-	"storecompress", "storeretry", "framezero", "framepoolhit",
-	"framepoolmiss", "fillsubmit", "fillcomplete", "faultaround",
-	"speccancel", "policywait",
+	"storecompress", "storeretry", "fillsubmit", "fillcomplete",
+	"faultaround", "speccancel", "policywait",
 }
 
 func (k Kind) String() string {
@@ -116,7 +112,6 @@ const (
 	OpStoreWrite              // store-engine write latency (enqueue and batch)
 	OpStoreCompress           // flate page (de)compression latency
 	OpStoreRetry              // backoff taken per retried transient failure
-	OpFrameZero               // phys: background zeroer per-frame bzero latency
 	OpFaultAround             // core: fault-around neighbour scan + batched map latency
 	OpPolicyWait              // core: replacement-policy call latency (mutex wait + bookkeeping)
 	NumOps
@@ -127,8 +122,7 @@ var opNames = [NumOps]string{
 	"fault.complete", "fault.content", "pullin", "pushout", "getwrite", "seg.pull",
 	"seg.push", "ipc.send", "ipc.recv", "copy", "move",
 	"dsm.invalidate", "dsm.sync", "store.read", "store.write",
-	"store.compress", "store.retry", "frame.zero", "fault.around",
-	"policy.wait",
+	"store.compress", "store.retry", "fault.around", "policy.wait",
 }
 
 func (o Op) String() string {

@@ -35,9 +35,6 @@
 //	clock                               print the simulated clock
 //	trace on|off                        enable/disable the event tracer
 //	hist                                print the latency histograms
-//	framepool on|off                    start/stop the background frame
-//	                                    zeroer (pre-zeroed pool for
-//	                                    demand-zero faults)
 //	policy [NAME]                       print the replacement policy, or
 //	                                    switch to lru, clock or 2q
 //	harvest                             run one referenced-bit harvest
@@ -79,9 +76,6 @@ type Interp struct {
 	// storeCfg selects the backend behind segments the interpreter
 	// creates (preloaded caches, swap segments). Zero value = in-memory.
 	storeCfg store.Config
-
-	// zeroStop stops the running frame zeroer; nil when off.
-	zeroStop func()
 }
 
 type regionInfo struct {
@@ -132,15 +126,6 @@ func New(out io.Writer, opts core.Options) (*Interp, error) {
 
 // PVM exposes the interpreter's memory manager (tests inspect it).
 func (in *Interp) PVM() *core.PVM { return in.pvm }
-
-// Close releases background resources — today, the frame zeroer if a
-// `framepool on` left it running. Idempotent.
-func (in *Interp) Close() {
-	if in.zeroStop != nil {
-		in.zeroStop()
-		in.zeroStop = nil
-	}
-}
 
 // SetStore selects the backing store for segments the interpreter
 // creates from now on — preloaded caches and the swap segments the
@@ -228,36 +213,9 @@ func (in *Interp) exec(raw string) error {
 	case "hist":
 		fmt.Fprint(in.out, in.pvm.Tracer().Snapshot().String())
 		return nil
-	case "framepool":
-		return in.cmdFramePool(args)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-}
-
-// cmdFramePool starts or stops the PVM's background frame zeroer, with
-// water marks derived from the pool size (keep up to a quarter of physical
-// memory pre-zeroed). Idempotent in both directions.
-func (in *Interp) cmdFramePool(args []string) error {
-	if len(args) != 1 || (args[0] != "on" && args[0] != "off") {
-		return fmt.Errorf("framepool: need on|off")
-	}
-	if args[0] == "off" {
-		if in.zeroStop != nil {
-			in.zeroStop()
-			in.zeroStop = nil
-		}
-		return nil
-	}
-	if in.zeroStop != nil {
-		return nil
-	}
-	high := in.pvm.Memory().TotalFrames() / 4
-	if high < 1 {
-		high = 1
-	}
-	in.zeroStop = in.pvm.StartFrameZeroer(high/4, high)
-	return nil
 }
 
 // cmdPolicy prints or switches the page-replacement policy; a switch
