@@ -38,8 +38,8 @@ func (l *latencySegment) PullIn(c gmi.Cache, off, size int64, mode gmi.Prot) err
 
 // SubmitPull must be overridden alongside PullIn: the promoted method from
 // the embedded *seg.Segment would skip the simulated device latency
-// entirely. The sleep happens on a private goroutine — SubmitPull must not
-// block on the device — and then the request is handed to the real driver.
+// entirely. The sleep happens on a private goroutine, so a demand fill and
+// its speculation overlap their latencies; then the driver gets the request.
 func (l *latencySegment) SubmitPull(r *gmi.PageRequest) {
 	go func() {
 		time.Sleep(l.latency)

@@ -311,9 +311,9 @@ func (p *PVM) Name() string { return "pvm" }
 // of the caches freed under it (see freeCache). Releasing a segment
 // waits for its engine's workers, and a worker may be running a fill
 // completion that takes p.mu, so it is never done under the lock.
-// Operations that can free a cache unlock this way. Fill completions run
-// on engine workers and call p.mu.Unlock instead: a segment freed by one
-// waits for the next operation's unlock.
+// Operations that can free a cache unlock this way. Fill completions
+// (on the faulter or a driver goroutine) call p.mu.Unlock instead: a
+// segment freed by one waits for the next operation's unlock.
 func (p *PVM) unlock() {
 	segs := p.released
 	if len(segs) > 0 {

@@ -15,14 +15,13 @@ import (
 // every page of the read-ahead cluster, submits one gmi.PageRequest
 // whose Dst points the driver at those frames, and parks on the primary
 // stub's channel. The driver reads each page straight into its frame and
-// completes the request from whatever goroutine its device finishes on;
-// the completion runs right there, publishing the frames as resident
-// pages, settling the stubs and waking every context that faulted on
-// them — one device round-trip serves all waiters, no page is copied,
-// and read-ahead pages install without any faulting thread. Each
-// fast-path fill also speculates the next cluster with a second,
-// fire-and-forget request that nobody waits on, pipelining sequential
-// reads.
+// completes the request (a demand fill typically inside SubmitPull); the
+// completion runs right there, publishing the frames as resident pages,
+// settling the stubs and waking every context that faulted on them — one
+// device round-trip serves all waiters, no page is copied, and read-ahead
+// pages install without any faulting thread. Each fast-path fill also
+// speculates the next cluster with a second, fire-and-forget request
+// (Speculative) served off the submitter, pipelining sequential reads.
 //
 // Both fault tiers submit the same way. The fast path (fastSubmitPull)
 // reserves the primary frame without evicting and bails out to the
@@ -52,12 +51,12 @@ import (
 //     FillUp: a copy that landed on a page in flight makes the exclusive
 //     publish's supersedeParent reap a parent, which may fill pages.)
 //     Outside that case it cannot deadlock against the goroutine it
-//     runs on (a store.Engine worker, a mapper goroutine): no PVM path holds
-//     p.mu, in either mode, while it waits for a driver's goroutine or
-//     for a page in transit — waitStub, waitBusy and the fast fault path
-//     release it before they park, and upcalls, submissions included,
-//     are issued unlocked, so a driver may even complete synchronously
-//     inside SubmitPull.
+//     runs on (the submitter, a store.Engine worker, a mapper goroutine):
+//     no PVM path holds p.mu, in either mode, while it waits for a
+//     driver's goroutine or for a page in transit — waitStub, waitBusy
+//     and the fast fault path release it before they park, and upcalls,
+//     submissions included, are issued unlocked, so a driver may even
+//     complete synchronously inside SubmitPull.
 //
 // # Who owns an in-flight frame
 //
@@ -298,7 +297,7 @@ func (p *PVM) cancelSpeculation(c *cache, off int64, stubs []*syncStub, releases
 func (p *PVM) stubFill(c *cache, off, end int64, mode gmi.Prot, stub *syncStub, release func()) *gmi.PageRequest {
 	next := off + p.pageSize
 	more, moreRel, _ := p.installStubRun(c, next, p.pagesBefore(next, end, p.readAhead-1))
-	return p.newFillRequest(c, off, mode, append([]*syncStub{stub}, more...), append([]func(){release}, moreRel...))
+	return p.newFillRequest(c, off, mode, false, append([]*syncStub{stub}, more...), append([]func(){release}, moreRel...))
 }
 
 // pagesBefore returns how many of up to limit pages starting at off lie
@@ -309,12 +308,12 @@ func (p *PVM) pagesBefore(off, end int64, limit int) int {
 
 // newFillRequest builds the PageRequest for a stub run, turning the
 // run's frame reservations into the frames the driver reads into
-// (r.Dst). Its completion callback stamps the outcome and runs
-// completeFill inline, on whatever goroutine the driver finishes on. The
-// reservations make allocation failure unreachable; should it happen
-// anyway, the fill fails with gmi.ErrNoMemory before it is submitted and
-// nil is returned. p.mu held in either mode, no shard mutex.
-func (p *PVM) newFillRequest(c *cache, off int64, mode gmi.Prot, stubs []*syncStub, releases []func()) *gmi.PageRequest {
+// (r.Dst); speculative sets r.Speculative. Its completion callback
+// stamps the outcome and runs completeFill inline, on whatever goroutine
+// the driver finishes on. The reservations make allocation failure
+// unreachable; should it happen anyway, the fill fails with
+// gmi.ErrNoMemory before it is submitted and nil is returned. p.mu held in either mode, no shard mutex.
+func (p *PVM) newFillRequest(c *cache, off int64, mode gmi.Prot, speculative bool, stubs []*syncStub, releases []func()) *gmi.PageRequest {
 	fc := &fillCompletion{c: c, off: off, stubs: stubs}
 	frames, err := p.allocFillFrames(len(stubs))
 	for _, r := range releases {
@@ -335,6 +334,7 @@ func (p *PVM) newFillRequest(c *cache, off int64, mode gmi.Prot, stubs []*syncSt
 			}
 			p.completeFill(fc)
 		})
+	req.Speculative = speculative
 	req.Dst = make([][]byte, len(frames))
 	for i, f := range frames {
 		req.Dst[i] = f.Data
@@ -427,7 +427,7 @@ func (p *PVM) fastSubmitPull(c *cache, off, end int64, key pageKey, sh *gmapShar
 			// drop the whole cluster and give the reservations back.
 			p.cancelSpeculation(c, specOff, sstubs, srel)
 		case len(sstubs) > 0:
-			spec = p.newFillRequest(c, specOff, gmi.ProtRead, sstubs, srel)
+			spec = p.newFillRequest(c, specOff, gmi.ProtRead, true, sstubs, srel)
 		}
 	}
 	p.mu.RUnlock()

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -695,9 +697,9 @@ func (s *submitProbe) SubmitPull(r *gmi.PageRequest) {
 // TestExclusiveFillEvictsAtSubmit: an exclusive-tier fill (a cache with
 // history) with no free frame evicts for its frame at submit, on the
 // faulting goroutine — here pushing a dirty page out to the very store
-// whose one engine worker later runs the completion. The completion
-// publishes the frame the fill brought with it and neither reserves nor
-// evicts, so it cannot wait on that worker.
+// that then serves the fill, whose one engine worker takes that
+// writeback. The completion publishes the frame the fill brought with it
+// and neither reserves nor evicts, so it cannot wait on that worker.
 func TestExclusiveFillEvictsAtSubmit(t *testing.T) {
 	leakcheck.Check(t)
 	const frames = 8
@@ -741,6 +743,151 @@ func TestExclusiveFillEvictsAtSubmit(t *testing.T) {
 	}
 	if got := p.Stats().Evictions; got != sg.evictions.Load() {
 		t.Fatalf("Evictions went %d -> %d after submission: the completion evicted", sg.evictions.Load(), got)
+	}
+	check(t, p)
+}
+
+// fillProbe forwards every request to its segment unchanged and records,
+// per request, whether it was speculative and whether it was complete
+// by the time SubmitPull returned.
+type fillProbe struct {
+	*seg.Segment
+	mu                 sync.Mutex
+	spec, doneAtReturn []bool
+}
+
+func (s *fillProbe) SubmitPull(r *gmi.PageRequest) {
+	s.Segment.SubmitPull(r)
+	s.mu.Lock()
+	s.spec = append(s.spec, r.Speculative)
+	s.doneAtReturn = append(s.doneAtReturn, r.Done())
+	s.mu.Unlock()
+}
+
+// TestDemandFillCompletesInline: a demand fill on a seg driver is read
+// and published on the faulting goroutine — the request is complete
+// before SubmitPull returns, and no engine worker reads for it.
+func TestDemandFillCompletesInline(t *testing.T) {
+	leakcheck.Check(t)
+	p, _ := newTestPVM(t, 64)
+	sg := &fillProbe{Segment: closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock()))}
+	want := pattern(0x4E, 2*pg)
+	if err := sg.Store().WriteAt(0, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := sg.Store().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	c := p.CacheCreate(sg)
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, 2*pg, gmi.ProtRW, c, 0)
+	if got := mustRead(t, ctx, base, 2*pg); !bytes.Equal(got, want) {
+		t.Fatal("demand fills read wrong bytes")
+	}
+	sg.mu.Lock()
+	spec, done := sg.spec, sg.doneAtReturn
+	sg.mu.Unlock()
+	if len(spec) != 2 || spec[0] || spec[1] || !done[0] || !done[1] {
+		t.Fatalf("requests speculative=%v complete-at-return=%v, want two demand fills complete at return", spec, done)
+	}
+	if n := sg.Store().Engine().StatsSnapshot().AsyncReads; n != 0 {
+		t.Fatalf("AsyncReads=%d, want 0 (demand fills read inline)", n)
+	}
+	check(t, p)
+}
+
+// TestSpeculativeFillOnWorker: with read-ahead, the fault's own cluster
+// is a demand fill served inline, and the fire-and-forget next cluster
+// is marked Speculative and read by an engine worker.
+func TestSpeculativeFillOnWorker(t *testing.T) {
+	leakcheck.Check(t)
+	p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 4 })
+	sg := &fillProbe{Segment: closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock()))}
+	want := pattern(0x5F, 8*pg)
+	if err := sg.Store().WriteAt(0, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := sg.Store().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	c := p.CacheCreate(sg)
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, 8*pg, gmi.ProtRW, c, 0)
+	// Reading every page parks on the speculative cluster's stubs until
+	// its worker completes it.
+	if got := mustRead(t, ctx, base, 8*pg); !bytes.Equal(got, want) {
+		t.Fatal("clustered fills read wrong bytes")
+	}
+	sg.mu.Lock()
+	spec, done := sg.spec, sg.doneAtReturn
+	sg.mu.Unlock()
+	if len(spec) != 2 || spec[0] || !spec[1] || !done[0] {
+		t.Fatalf("requests speculative=%v complete-at-return=%v, want an inline demand fill, then a speculative one", spec, done)
+	}
+	if n := sg.Store().Engine().StatsSnapshot().AsyncReads; n != 1 {
+		t.Fatalf("AsyncReads=%d, want 1 (the speculative cluster)", n)
+	}
+	check(t, p)
+}
+
+// TestCorruptPageFaultIsErrIO: a page whose bytes were damaged on disk
+// behind a page file's back fails its fault with gmi.ErrIO wrapping
+// store.ErrCorrupt, through the whole stack; the damage is counted once,
+// the PVM stays consistent, and the other pages still fault in.
+func TestCorruptPageFaultIsErrIO(t *testing.T) {
+	leakcheck.Check(t)
+	p, _ := newTestPVM(t, 64)
+	path := filepath.Join(t.TempDir(), "data")
+	f, err := store.NewFile(path, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg := seg.NewSegmentOn("data", f, p.Clock())
+	want := pattern(0x17, 4*pg)
+	if err := sg.Store().WriteAt(0, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := sg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The four pages went out in one batch, into slots 0-3: flip a byte
+	// of page 1's slot.
+	raw, err := os.ReadFile(path + ".pages")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[pg+13] ^= 0x01
+	if err := os.WriteFile(path+".pages", raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err = store.NewFile(path, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg = closeOnCleanup(t, seg.NewSegmentOn("data", f, p.Clock()))
+	c := p.CacheCreate(sg)
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, 4*pg, gmi.ProtRW, c, 0)
+
+	err = ctx.Read(base+pg, make([]byte, 64))
+	if !errors.Is(err, gmi.ErrIO) || !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("fault on the damaged page = %v, want gmi.ErrIO wrapping store.ErrCorrupt", err)
+	}
+	if n := sg.Store().Engine().StatsSnapshot().Corruptions; n != 1 {
+		t.Fatalf("Corruptions=%d, want 1", n)
+	}
+	check(t, p)
+	if got := mustRead(t, ctx, base+2*pg, pg); !bytes.Equal(got, want[2*pg:3*pg]) {
+		t.Fatal("fault on an intact page read wrong bytes")
 	}
 	check(t, p)
 }

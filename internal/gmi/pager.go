@@ -2,12 +2,11 @@ package gmi
 
 import "sync/atomic"
 
-// PageRequest is one asynchronous fill request flowing from a memory
-// manager down to a pager driver. The manager builds it with
-// NewPageRequest, hands it to Pager.SubmitPull and parks the faulting
-// context; the driver fills the bytes on whatever goroutine its device
-// completes on and calls Complete exactly once. Complete is idempotent
-// and race-safe: the first caller wins, later calls are dropped, so a
+// PageRequest is one fill request flowing from a memory manager down to
+// a pager driver. The manager builds it with NewPageRequest, hands it to
+// Pager.SubmitPull and parks the faulting context; the driver fills the
+// bytes and calls Complete exactly once. Complete is idempotent and
+// race-safe: the first caller wins, later calls are dropped, so a
 // driver may wire both a success path and a timeout/cancel path to the
 // same request without coordinating them.
 type PageRequest struct {
@@ -32,15 +31,19 @@ type PageRequest struct {
 	// manager copies them in. The driver must not touch Dst after
 	// calling Complete.
 	Dst [][]byte
+	// Speculative marks read-ahead that no context waits on (see
+	// Pager). NewPageRequest, a decorator's re-wrap included, leaves it
+	// false: a demand fill.
+	Speculative bool
 
 	done     atomic.Bool
 	complete func(data []byte, granted Prot, err error)
 }
 
-// NewPageRequest builds a request whose completion invokes fn exactly
-// once, with no destinations (Dst nil). fn runs inline on the completing
-// goroutine — drivers call Complete from device workers — so it must
-// not assume any manager lock is held.
+// NewPageRequest builds a demand request whose completion invokes fn
+// exactly once, with no destinations (Dst nil). fn runs inline on the
+// completing goroutine — the submitter's or a device worker's — so it
+// must not assume any manager lock is held.
 func NewPageRequest(c Cache, off, size int64, mode Prot, fn func(data []byte, granted Prot, err error)) *PageRequest {
 	return &PageRequest{Cache: c, Off: off, Size: size, Mode: mode, complete: fn}
 }
@@ -71,24 +74,29 @@ func (r *PageRequest) Complete(data []byte, granted Prot, err error) bool {
 // Done reports whether the request has already been completed.
 func (r *PageRequest) Done() bool { return r.done.Load() }
 
-// Pager is the asynchronous mapper protocol: a segment that can accept
-// fill requests and complete them later, from its own goroutines, instead
-// of blocking the faulting context inside PullIn. Managers probe for it
-// with a type assertion — any Segment that does not implement Pager is
-// driven through the synchronous PullIn path exactly as before, so
+// Pager is the submit/complete mapper protocol: a segment that accepts
+// fill requests and completes them itself, on the submitting goroutine
+// or later from its own, instead of answering PullIn with FillUp.
+// Managers probe for it with a type assertion — any Segment that does
+// not implement Pager is driven through the synchronous PullIn path, so
 // wrappers that only forward the Segment interface (fault injectors,
-// decorators) transparently opt their segment out of the async path.
+// decorators) transparently opt their segment out of the protocol.
 //
 // Contract:
-//   - SubmitPull must not block on the device; it queues the request and
-//     returns. Quick validation (and immediate Complete on malformed
+//   - A driver may serve a demand request on the calling goroutine,
+//     device wait included, completing it before SubmitPull returns: a
+//     faulting context waits for it anyway.
+//   - SubmitPull must not block on the device for a speculative request;
+//     it queues it and returns, so read-ahead overlaps the submitter's
+//     work. Quick validation (and immediate Complete on malformed
 //     requests) is fine.
 //   - Every submitted request must eventually be Completed, even on
 //     driver shutdown — a lost completion parks faulting contexts
 //     forever.
 //   - Completions may be delivered from any goroutine and in any order
 //     relative to submission — including synchronously, from inside
-//     SubmitPull: the manager holds no lock when it submits.
+//     SubmitPull: the manager holds no lock when it submits, on either
+//     fault tier.
 //   - Complete runs the manager's completion inline (see Complete). The
 //     manager never holds its structural lock, in either mode, while it
 //     waits for a pager's device goroutine or for a page in transit. So

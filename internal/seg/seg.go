@@ -8,7 +8,7 @@
 // Since the internal/store subsystem landed, a segment's pages live in a
 // pluggable store.Backend (in-memory, persistent page file, or
 // compressing) behind a store.Engine that batches writeback and serves
-// async reads on its own workers. A Segment owns its Store and the
+// speculative reads on its own workers. A Segment owns its Store and the
 // Store owns its engine: closing or releasing the segment stops the
 // engine's workers. The mapper layer adds what the paper's mappers add:
 // the upcall protocol, simulated device cost, and the retry discipline —
@@ -87,12 +87,24 @@ func (s *Store) ReadAt(off int64, buf []byte) error {
 	return err
 }
 
-// ReadAsync hands a read of the pages starting at off to the engine's
-// worker pool, reading page i straight into dst[i], and invokes fn with
-// the outcome from a worker goroutine (see store.Engine.ReadAsync). The
-// simulated device cost is charged at submission, like ReadAt; the
-// engine owns the transient-error retries for async reads.
+// ReadPages reads the pages starting at off on the calling goroutine,
+// page i straight into dst[i], with the engine's retries (see
+// store.Engine.ReadPages). The device cost is charged as by ReadAt.
+func (s *Store) ReadPages(off int64, dst [][]byte) error {
+	s.chargePages(dst)
+	return s.eng.ReadPages(off, dst)
+}
+
+// ReadAsync is ReadPages on an engine worker, which invokes fn with the
+// outcome (see store.Engine.ReadAsync); the cost is charged at
+// submission.
 func (s *Store) ReadAsync(off int64, dst [][]byte, fn func(err error)) {
+	s.chargePages(dst)
+	s.eng.ReadAsync(off, dst, fn)
+}
+
+// chargePages charges the simulated device cost of reading into dst.
+func (s *Store) chargePages(dst [][]byte) {
 	var size int64
 	for _, d := range dst {
 		size += int64(len(d))
@@ -100,7 +112,6 @@ func (s *Store) ReadAsync(off int64, dst [][]byte, fn func(err error)) {
 	ps := int64(s.pageSize)
 	s.clock.Charge(cost.EvDiskSeek, 1)
 	s.clock.Charge(cost.EvDiskRead, int((size+ps-1)/ps))
-	s.eng.ReadAsync(off, dst, fn)
 }
 
 // DebugWriteHook, when set, observes every store write (test diagnostics).
@@ -235,47 +246,56 @@ func (s *Segment) PullIn(c gmi.Cache, off, size int64, mode gmi.Prot) error {
 	if err := s.retry.Do(func() error { return s.store.ReadAt(off, buf) }); err != nil {
 		return fmt.Errorf("%w: segment %q pullIn at %#x: %w", gmi.ErrIO, s.name, off, err)
 	}
-	grant := s.Grant
-	if grant == 0 {
-		grant = gmi.ProtRWX
-	}
-	err := c.FillUp(off, buf, grant)
+	err := c.FillUp(off, buf, s.grant())
 	s.tr.Span(obs.KindSegPull, obs.OpSegPull, off, size, start)
 	return err
 }
 
-// SubmitPull implements gmi.Pager: the pullIn request goes to the store
-// engine's worker pool and the completion fires from whatever worker the
-// read finishes on — no mapper thread blocks on the device. Each page is
-// read straight into the request's destination frame (r.Dst) and the
-// request completes with nil data; a request without destinations (one
-// re-wrapped by a decorator) is read into one buffer, sliced into
-// per-page views for the same engine path, and completes with that
-// buffer. The engine owns the transient-error retries on this path;
-// exhausted retries come back through the completion as gmi.ErrIO,
-// exactly like PullIn.
+// SubmitPull implements gmi.Pager. A demand request is read on the
+// calling goroutine and completes before SubmitPull returns — the
+// paper's pullIn/fillUp round-trip, with no hand-off to a worker and
+// back for a fill the faulting context waits on anyway. A speculative
+// request is read by a store engine worker and completes from there, so
+// read-ahead overlaps the submitter's work. Each page is read straight
+// into the request's destination frame (r.Dst) and the request completes
+// with nil data; a request without destinations (one re-wrapped by a
+// decorator) is read into one buffer, sliced into per-page views for
+// the same engine path, and completes with that buffer. The engine owns
+// the transient-error retries on both paths; exhausted retries come back
+// through the completion as gmi.ErrIO, exactly like PullIn.
 func (s *Segment) SubmitPull(r *gmi.PageRequest) {
 	s.pullIns.Add(1)
-	grant := s.Grant
-	if grant == 0 {
-		grant = gmi.ProtRWX
-	}
 	start := s.tr.Clock()
-	off, size := r.Off, r.Size
 	dst, buf := r.Dst, []byte(nil)
 	if dst == nil {
-		buf = make([]byte, size)
+		buf = make([]byte, r.Size)
 		dst = pageViews(buf, int64(s.store.pageSize))
 	}
-	s.store.ReadAsync(off, dst, func(err error) {
-		if err != nil {
-			err = fmt.Errorf("%w: segment %q pullIn at %#x: %w", gmi.ErrIO, s.name, off, err)
-			r.Complete(nil, gmi.ProtNone, err)
-			return
-		}
-		s.tr.Span(obs.KindSegPull, obs.OpSegPull, off, size, start)
-		r.Complete(buf, grant, nil)
-	})
+	if !r.Speculative {
+		s.completePull(r, buf, start, s.store.ReadPages(r.Off, dst))
+		return
+	}
+	s.store.ReadAsync(r.Off, dst, func(err error) { s.completePull(r, buf, start, err) })
+}
+
+// completePull completes a SubmitPull request with the outcome of its
+// read; buf holds the bytes of a request without destinations.
+func (s *Segment) completePull(r *gmi.PageRequest, buf []byte, start int64, err error) {
+	if err != nil {
+		err = fmt.Errorf("%w: segment %q pullIn at %#x: %w", gmi.ErrIO, s.name, r.Off, err)
+		r.Complete(nil, gmi.ProtNone, err)
+		return
+	}
+	s.tr.Span(obs.KindSegPull, obs.OpSegPull, r.Off, r.Size, start)
+	r.Complete(buf, s.grant(), nil)
+}
+
+// grant returns the access mode granted on pullIn: Grant, or ProtRWX.
+func (s *Segment) grant() gmi.Prot {
+	if s.Grant == 0 {
+		return gmi.ProtRWX
+	}
+	return s.Grant
 }
 
 // pageViews slices buf into consecutive views of at most ps bytes.

@@ -387,3 +387,42 @@ func TestDroppedSegmentStopsWorkers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestSubmitPullDemandReadsInline: a demand request is read on the
+// submitting goroutine and completed before SubmitPull returns, with no
+// engine worker involved, and a transient device error on that read is
+// retried under the engine's policy.
+func TestSubmitPullDemandReadsInline(t *testing.T) {
+	f := store.NewFaulty(store.NewMem(pg), store.FaultConfig{Seed: 5, Prob: 1, MaxConsecutive: 2})
+	sg := NewSegmentOn("flaky-dev", f, cost.New())
+	defer sg.Close()
+	pol := store.DefaultPolicy()
+	pol.Base, pol.Max = time.Microsecond, time.Microsecond
+	sg.Store().Engine().SetRetry(pol)
+	want := bytes.Repeat([]byte("inline"), pg/6+1)[:pg]
+	if err := sg.Store().WriteAt(0, want); err != nil {
+		t.Fatalf("preload: %v", err)
+	}
+	if err := sg.Store().Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	before := sg.Store().Engine().StatsSnapshot()
+
+	var fillErr error
+	r := gmi.NewPageRequest(&fakeCache{}, 0, pg, gmi.ProtRead, func(data []byte, granted gmi.Prot, err error) { fillErr = err })
+	r.Dst = [][]byte{make([]byte, pg)}
+	sg.SubmitPull(r)
+	if !r.Done() {
+		t.Fatal("demand request not complete when SubmitPull returned")
+	}
+	if fillErr != nil {
+		t.Fatalf("demand fill through transient faults: %v", fillErr)
+	}
+	if !bytes.Equal(r.Dst[0], want) {
+		t.Fatal("demand fill read wrong bytes")
+	}
+	d := sg.Store().Engine().StatsSnapshot().Delta(before)
+	if d.AsyncReads != 0 || d.Retries == 0 {
+		t.Fatalf("AsyncReads=%d Retries=%d, want 0 and some", d.AsyncReads, d.Retries)
+	}
+}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
@@ -12,9 +13,10 @@ import (
 // Options configures an Engine.
 type Options struct {
 	// Workers bounds the engine's worker goroutines, which serve
-	// ReadAsync requests and writeback (default 2). They start on demand,
-	// up to this many, and then live until Close: an idle worker parks
-	// until new work arrives.
+	// ReadAsync requests (speculative page-ins; demand ones use
+	// ReadPages on the caller) and writeback (default 2). They start on
+	// demand, up to this many, and then live until Close: an idle
+	// worker parks until new work arrives.
 	Workers int
 	// MaxBatchPages caps how many adjacent dirty pages one backend
 	// WriteAt may coalesce (default 16).
@@ -37,7 +39,7 @@ type Stats struct {
 	QueueHits           uint64 // reads served from the writeback queue
 	Retries             uint64 // transient failures retried (all paths)
 	WriteErrors         uint64 // writeback batches abandoned permanently
-	Corruptions         uint64 // checksum mismatches detected
+	Corruptions         uint64 // checksum mismatches detected, here or by the backend
 }
 
 // Delta returns the counter activity since an earlier snapshot.
@@ -77,9 +79,11 @@ func (s *Stats) Add(o Stats) {
 // Engine is the async I/O layer over a Backend. Writes enqueue full
 // pages into a writeback queue drained by a bounded worker pool that
 // coalesces adjacent pages into batched WriteAts; reads are served
-// coherently (queue first, then the backend) and verified against
-// per-page checksums recorded at write time. ReadAsync hands a read to
-// the same workers, which read straight into the caller's pages.
+// coherently (queue first, then the backend), and each page read from
+// the backend is checksummed once: by a bare File or Flate itself,
+// otherwise against the crc32 the engine recorded at write time.
+// ReadPages reads straight into the caller's pages; ReadAsync hands the
+// same read to the workers.
 //
 // Workers start on demand, up to Options.Workers, and then live until
 // Close: an idle worker parks until new work arrives, so a stream of
@@ -104,7 +108,7 @@ type Engine struct {
 	dirty    map[int64][]byte // pages awaiting writeback (latest content)
 	inflight map[int64][]byte // pages inside a backend WriteAt right now
 	reads    []asyncRead      // ReadAsync requests not yet taken
-	sums     map[int64]uint32 // crc32 of every page written through us
+	sums     map[int64]uint32 // crc32 of every page written through us; nil for a self-checking backend
 	workers  int              // workers started and not yet exited
 	idle     int              // parked workers that no enqueuer has woken
 	err      error            // latched permanent writeback failure
@@ -127,12 +131,25 @@ func NewEngine(b Backend, o Options) *Engine {
 		tr:       o.Tracer,
 		dirty:    make(map[int64][]byte),
 		inflight: make(map[int64][]byte),
-		sums:     make(map[int64]uint32),
+	}
+	if !selfChecking(b) {
+		e.sums = make(map[int64]uint32)
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.wake = sync.NewCond(&e.mu)
 	e.SetRetry(o.Retry)
 	return e
+}
+
+// selfChecking reports whether b verifies every page it returns against
+// a checksum it recorded at write time. Only a bare File or Flate does:
+// a wrapper (Faulty, a tier, a decorator) promises no check of its own.
+func selfChecking(b Backend) bool {
+	switch b.(type) {
+	case *File, *Flate:
+		return true
+	}
+	return false
 }
 
 // SetTracer attaches an observability tracer; call before the engine
@@ -198,7 +215,9 @@ func (e *Engine) Write(off int64, data []byte) error {
 			e.dirty[po] = pg
 		}
 		copy(pg[b:b+n], data[bufOff:bufOff+n])
-		e.sums[po] = crc32.ChecksumIEEE(pg)
+		if e.sums != nil {
+			e.sums[po] = crc32.ChecksumIEEE(pg)
+		}
 		return nil
 	})
 	e.kickLocked()
@@ -261,7 +280,9 @@ func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte) error {
 			// caller's buffer; only a partial one needs a page of its
 			// own. A Write to this page that lands meanwhile records the
 			// checksum of content the backend may not hold yet, so the
-			// page is looked up again (and the slice overwritten).
+			// page is looked up again (and the slice overwritten). A
+			// self-checking backend (no sums) checked the page itself,
+			// and either version is a valid answer.
 			sum, ok := e.sums[po]
 			e.mu.Unlock()
 			pg := dst
@@ -271,9 +292,12 @@ func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte) error {
 			err := e.b.ReadAt(po, pg)
 			e.mu.Lock()
 			if err != nil {
+				if errors.Is(err, ErrCorrupt) {
+					e.st.Corruptions++
+				}
 				return err
 			}
-			if e.sumMovedLocked(po, sum, ok) {
+			if e.sums != nil && e.sumMovedLocked(po, sum, ok) {
 				continue
 			}
 			if ok && crc32.ChecksumIEEE(pg) != sum {
@@ -291,22 +315,36 @@ func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte) error {
 	return rerr
 }
 
-// asyncRead is one pending ReadAsync request.
-type asyncRead struct {
-	off  int64
-	dst  [][]byte
-	size int64
-	fn   func(err error)
+// ReadPages reads the pages starting at the page-aligned offset off
+// straight into dst — dst[i] receives page i, and every dst[i] but the
+// last is exactly one page long — on the calling goroutine, with the
+// engine's retry policy. It is the read a worker performs for ReadAsync,
+// and the demand page-in of the pager protocol: a faulting context waits
+// for it anyway, so it skips the hand-off to a worker and back. On
+// error the contents of dst are unspecified, as with Read.
+func (e *Engine) ReadPages(off int64, dst [][]byte) error {
+	var size int64
+	for i, d := range dst {
+		if i < len(dst)-1 && int64(len(d)) != e.ps {
+			panic("store: read destination is not a whole page")
+		}
+		size += int64(len(d))
+	}
+	return e.retry.Load().Do(func() error {
+		return e.read(off, size, func(bufOff, n int64) []byte { return dst[bufOff/e.ps][:n] })
+	})
 }
 
-// ReadAsync queues a coherent read of the pages starting at the
-// page-aligned offset off into dst — dst[i] receives page i, and every
-// dst[i] but the last is exactly one page long — and returns
-// immediately. A worker goroutine performs the read, straight into dst,
-// with the engine's retry policy (there is no caller left to retry), and
-// invokes fn exactly once with the outcome; on error the contents of dst
-// are unspecified, as with Read. The engine allocates no page buffer for
-// the request.
+// asyncRead is one pending ReadAsync request.
+type asyncRead struct {
+	off int64
+	dst [][]byte
+	fn  func(err error)
+}
+
+// ReadAsync queues ReadPages(off, dst) and returns immediately. A worker
+// goroutine performs the read and invokes fn exactly once with the
+// outcome. The engine allocates no page buffer for the request.
 //
 // fn runs on the worker (or, if the engine is already closed, on the
 // calling goroutine). It may block on locks and may Write to this or any
@@ -316,24 +354,16 @@ type asyncRead struct {
 // under a lock fn can take. The memory manager's inline fill completion
 // (internal/core) relies on exactly this.
 //
-// This is the device half of the pager submit/complete protocol: the seg
-// driver turns a gmi.PageRequest into one ReadAsync, reading into the
-// request's destination frames, and completes the request from fn.
+// The seg driver serves a speculative gmi.PageRequest with one
+// ReadAsync into the request's destination frames, completing it from fn.
 func (e *Engine) ReadAsync(off int64, dst [][]byte, fn func(err error)) {
-	var size int64
-	for i, d := range dst {
-		if i < len(dst)-1 && int64(len(d)) != e.ps {
-			panic("store: ReadAsync destination is not a whole page")
-		}
-		size += int64(len(d))
-	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		fn(ErrClosed)
 		return
 	}
-	e.reads = append(e.reads, asyncRead{off: off, dst: dst, size: size, fn: fn})
+	e.reads = append(e.reads, asyncRead{off: off, dst: dst, fn: fn})
 	e.kickLocked()
 	e.mu.Unlock()
 }
@@ -382,10 +412,7 @@ func (e *Engine) worker() {
 			e.reads = e.reads[1:]
 			e.st.AsyncReads++
 			e.mu.Unlock()
-			err := e.retry.Load().Do(func() error {
-				return e.read(r.off, r.size, func(bufOff, n int64) []byte { return r.dst[bufOff/e.ps][:n] })
-			})
-			r.fn(err)
+			r.fn(e.ReadPages(r.off, r.dst))
 			e.mu.Lock()
 			continue
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,6 +103,76 @@ func TestEngineDetectsCorruption(t *testing.T) {
 	}
 	if st := e.StatsSnapshot(); st.Corruptions != 1 {
 		t.Fatalf("Corruptions = %d, want 1", st.Corruptions)
+	}
+}
+
+// TestEngineChecksumsOnlyUncheckedBackends: each page read from the
+// backend is checksummed once. A bare File or Flate verifies its own
+// pages, so the engine records no checksum for them; every other
+// backend, a wrapped File included, keeps the engine's.
+func TestEngineChecksumsOnlyUncheckedBackends(t *testing.T) {
+	newFile := func() Backend {
+		f, err := NewFile(filepath.Join(t.TempDir(), "seg"), psTest)
+		if err != nil {
+			t.Fatalf("NewFile: %v", err)
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		name   string
+		b      Backend
+		engine bool // the engine records and checks checksums
+	}{
+		{"file", newFile(), false},
+		{"flate", NewFlate(psTest), false},
+		{"mem", NewMem(psTest), true},
+		{"faulty(file)", NewFaulty(newFile(), FaultConfig{Seed: 3}), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(tc.b, Options{})
+			defer e.Close()
+			if err := e.Write(0, pattern(0x3C, psTest)); err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			got := make([]byte, psTest)
+			if err := e.Read(0, got); err != nil || !bytes.Equal(got, pattern(0x3C, psTest)) {
+				t.Fatalf("Read = %v, or wrong bytes", err)
+			}
+			e.mu.Lock()
+			n := len(e.sums)
+			e.mu.Unlock()
+			if want := map[bool]int{true: 1, false: 0}[tc.engine]; n != want {
+				t.Fatalf("engine holds %d checksums, want %d", n, want)
+			}
+		})
+	}
+}
+
+// TestEngineCountsBackendCorruption: a self-checking backend's own
+// corruption report reaches the caller as ErrCorrupt and is counted in
+// the engine's Corruptions, exactly once.
+func TestEngineCountsBackendCorruption(t *testing.T) {
+	z := NewFlate(psTest)
+	e := NewEngine(z, Options{})
+	defer e.Close()
+	if err := e.Write(0, pattern(0x5A, psTest)); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	z.mu.Lock()
+	z.crcs[0] ^= 1 // the stored page no longer matches its checksum
+	z.mu.Unlock()
+	err := e.ReadPages(0, [][]byte{make([]byte, psTest)})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadPages of a damaged page = %v, want ErrCorrupt", err)
+	}
+	if st := e.StatsSnapshot(); st.Corruptions != 1 || st.Retries != 0 {
+		t.Fatalf("Corruptions=%d Retries=%d, want 1 and 0", st.Corruptions, st.Retries)
 	}
 }
 

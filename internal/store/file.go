@@ -16,7 +16,10 @@ import (
 // long-lived page file reuses holes instead of growing forever. Sync
 // rewrites the index atomically (temp file + rename) after fsyncing the
 // data, so a crash between syncs loses at most the writes since the last
-// one — never the index's internal consistency.
+// one — never the index's internal consistency. The per-page crc32 is
+// recorded at write time, persisted in the index across reopen and
+// checked on every page returned, so an Engine over a bare File leaves
+// the integrity check to it.
 type File struct {
 	ps   int64
 	path string // base path; .pages and .idx are derived

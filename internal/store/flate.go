@@ -16,7 +16,9 @@ import (
 // DEFLATE blob (stdlib compress/flate) plus a checksum of the
 // uncompressed content. It trades CPU on the read/write path for
 // physical bytes — the zswap/zram trade — and tracks logical vs physical
-// bytes so the ratio is observable.
+// bytes so the ratio is observable. Every page returned is checked
+// against its checksum, so an Engine over a bare Flate leaves the
+// integrity check to it.
 type Flate struct {
 	ps    int64
 	level int

@@ -14,11 +14,13 @@
 //     map, a persistent page file with a free-extent slot allocator, and
 //     a compressing store (compress/flate) tracking logical vs physical
 //     bytes.
-//   - Engine: an async I/O layer over any Backend — a bounded pool of
-//     long-lived workers that serves async reads and coalesces adjacent
-//     writeback pages into batched WriteAts, and per-page checksums
-//     verified on every read (corruption surfaces as ErrCorrupt, never
-//     as a silent wrong byte).
+//   - Engine: an I/O layer over any Backend — synchronous page reads on
+//     the caller, a bounded pool of long-lived workers that serves async
+//     reads and coalesces adjacent writeback pages into batched
+//     WriteAts, and one checksum verification per page read: the
+//     engine's own, unless the backend checks its pages itself (File,
+//     Flate). Corruption surfaces as ErrCorrupt, never as a silent wrong
+//     byte.
 //   - Faulty: a deterministic, seeded fault-injection wrapper (transient
 //     errors and latency spikes) for exercising the retry paths.
 //   - Policy: the bounded exponential retry/backoff used by the engine's
