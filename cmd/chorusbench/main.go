@@ -30,12 +30,6 @@
 //	                           # under Zipf + scan at 0.5x/1x/2x of memory
 //	chorusbench -parallel -policy clock
 //	                           # policy bookkeeping overhead on the fault path
-//	chorusbench -parallel -store tiered -tier-hot 64 -tier-warm 256
-//	                           # hot/warm/cold tiered backing store
-//	chorusbench -parallel -store remote -store-addr tcp
-//	                           # the tiered store behind a wire
-//	chorusbench -tier-ablation
-//	                           # policy-driven vs static placement vs flat
 package main
 
 import (
@@ -72,12 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hist := fs.Bool("hist", false, "print latency histograms and the fault-stage breakdown (wall-clock; implies tracing the -parallel runs)")
 	traceFile := fs.String("trace", "", "write the captured event trace to this file")
 	traceFormat := fs.String("trace-format", obs.FormatChrome, "trace encoding: text, jsonl or chrome (chrome://tracing / Perfetto)")
-	storeKind := fs.String("store", "mem", "backing store for the -parallel worker segments: "+strings.Join(store.Kinds(), ", "))
-	storeDir := fs.String("store-dir", "", "directory for -store file page files (required with -store file; optional journaled cold tier with -store tiered)")
+	storeKind := fs.String("store", "mem", "backing store for the -parallel worker segments: mem, file or flate")
+	storeDir := fs.String("store-dir", "", "directory for -store file page files (required with -store file)")
 	storeFaults := fs.Float64("store-faults", 0, "per-op probability of injected transient store faults (0 disables)")
-	tierHot := fs.Int("tier-hot", 0, "hot-tier capacity in pages for -store tiered/remote (0 = default)")
-	tierWarm := fs.Int("tier-warm", 0, "warm-tier capacity in pages for -store tiered/remote (0 = default)")
-	storeAddr := fs.String("store-addr", "", "transport for -store remote: pipe (in-process, default) or tcp (loopback)")
 	syncPager := fs.Bool("sync-pager", false, "force the synchronous pullIn upcall path in -parallel (protocol ablation baseline)")
 	readAhead := fs.Int("readahead", 1, "cluster -parallel fills over up to this many contiguous pages")
 	pages := fs.Int("pages", 64, "pages each -parallel worker faults (larger runs average out timer noise)")
@@ -86,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faWorkers := fs.Int("fault-around-workers", 2, "concurrent workers in the fault-around ablation (the soft-fault workload is CPU-bound, so match the machine, not the device)")
 	policyName := fs.String("policy", "", "page-replacement policy for the -parallel runs: lru, clock or 2q (empty = PVM default)")
 	pressure := fs.Bool("pressure", false, "run the replacement-policy pressure ablation (lru/clock/2q under Zipf + scan bursts at 0.5x/1x/2x of physical memory)")
-	tierAblation := fs.Bool("tier-ablation", false, "run the tiered-store ablation (policy-driven vs static placement vs flat, at two capacity settings)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -96,10 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Validate the flag combination before any work: a bad combination is
 	// a usage error, not a mid-run failure.
-	storeCfg := store.Config{
-		Kind: *storeKind, Dir: *storeDir, FaultProb: *storeFaults, Seed: 1,
-		TierHot: *tierHot, TierWarm: *tierWarm, Addr: *storeAddr,
-	}
+	storeCfg := store.Config{Kind: *storeKind, Dir: *storeDir, FaultProb: *storeFaults, Seed: 1}
 	if err := storeCfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "chorusbench: %v\n\n", err)
 		fs.Usage()
@@ -171,12 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "=== Replacement-policy pressure ablation ===")
 		pts := bench.PressureAblation(policy.Names(), []float64{0.5, 1, 2}, bench.DefaultPressureConfig)
 		fmt.Fprintln(stdout, bench.FormatPressure(pts))
-	}
-
-	if *tierAblation {
-		fmt.Fprintln(stdout, "=== Tiered-store placement ablation ===")
-		pts := bench.TierAblation([][2]int{{64, 128}, {128, 256}}, bench.DefaultTierConfig)
-		fmt.Fprintln(stdout, bench.FormatTier(pts))
 	}
 
 	if *faAblation {

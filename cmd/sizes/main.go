@@ -79,12 +79,12 @@ var mmuPaper = exactFiles(mmuFile("mmu.go"), mmuFile("twolevel.go"), mmuFile("in
 // rows first, then what this repository adds.
 var layout = []section{
 	{"Machine-Independent Part (paper components)", []component{
-		{"GMI (generic interface)", internal("gmi"), 433},
-		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 5643},
+		{"GMI (generic interface)", internal("gmi"), 423},
+		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 5581},
 		{"Nucleus MM part (segment mgr, actors)", internal("nucleus"), 630},
 		{"IPC + transit segment", internal("ipc"), 307},
 		{"MIX process manager", internal("mix"), 555},
-		{"Segment managers (mappers)", internal("seg"), 535},
+		{"Segment managers (mappers)", internal("seg"), 517},
 	}},
 	{"MMU-Dependent Part (paper components)", []component{
 		{"MMU layer: shared", exactFiles(mmuFile("mmu.go")), 204},
@@ -93,23 +93,23 @@ var layout = []section{
 		{"MMU: i386 (flat)", exactFiles(mmuFile("flat.go")), 134},
 	}},
 	{"Extensions (not in the paper's Table 5)", []component{
-		{"Backing store (engine, backends)", internal("store"), 2232},
-		{"Storage tiers + remote wire", internal("tier"), 1701},
+		{"Backing store (engine, backends)", internal("store"), 2135},
+		{"Tiered store + journal (unreached)", internal("tier"), 1041},
 		{"Replacement policies", internal("policy"), 686},
 		{"MMU tests", func(p string) bool {
 			return underDir(filepath.Join("internal", "mmu"))(p) && !mmuPaper(p)
 		}, 0},
 		{"Observability (spans, histograms)", internal("obs"), 809},
-		{"DSM extension (coherence manager)", internal("dsm"), 358},
+		{"DSM extension (coherence manager)", internal("dsm"), 357},
 	}},
 	{"Tooling, baselines and harnesses", []component{
 		{"Cost model (simulated clock)", internal("cost"), 365},
 		{"Mach baseline (comparison)", internal("machvm"), 1503},
-		{"Trace-script interpreter", internal("script"), 647},
+		{"Trace-script interpreter", internal("script"), 629},
 		{"GMI conformance suite", internal("conformance"), 0},
-		{"Benchmark harness", internal("bench"), 2002},
+		{"Benchmark harness", internal("bench"), 1777},
 		{"Goroutine leak check (tests)", internal("leakcheck"), 107},
-		{"Commands (cmd/*)", underDir("cmd"), 996},
+		{"Commands (cmd/*)", underDir("cmd"), 971},
 		{"Examples", underDir("examples"), 702},
 		{"Repository benchmark (perfbench)", underDir("perfbench"), 1746},
 		{"Root package (doc, benchmarks)", exactFiles("doc.go", "bench_test.go"), 23},

@@ -57,12 +57,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	traceFile := fs.String("trace", "", "write the captured event trace to this file (enables tracing)")
 	traceFormat := fs.String("trace-format", obs.FormatChrome, "trace encoding: text, jsonl or chrome (chrome://tracing / Perfetto)")
 	hist := fs.Bool("hist", false, "print latency histograms after the script (enables tracing)")
-	storeKind := fs.String("store", "mem", "backing store for script-created segments: "+strings.Join(store.Kinds(), ", ")+" (scripts can override with the `store` statement)")
-	storeDir := fs.String("store-dir", "", "directory for -store file page files (required with -store file; with -store tiered it makes the cold tier a journaled page file)")
+	storeKind := fs.String("store", "mem", "backing store for script-created segments: mem, file or flate (scripts can override with the `store` statement)")
+	storeDir := fs.String("store-dir", "", "directory for -store file page files (required with -store file)")
 	storeFaults := fs.Float64("store-faults", 0, "per-op probability of injected transient store faults (0 disables)")
-	tierHot := fs.Int("tier-hot", 0, "-store tiered/remote: hot-tier capacity in pages (0 = default)")
-	tierWarm := fs.Int("tier-warm", 0, "-store tiered/remote: warm-tier capacity in pages (0 = default)")
-	storeAddr := fs.String("store-addr", "", "-store remote transport: pipe (default) or tcp")
 	faultAround := fs.Int("fault-around", 0, "map up to this many resident neighbours per fault (power of two <= 8, 0 disables)")
 	policyName := fs.String("policy", "", "page-replacement policy: lru, clock or 2q (empty = PVM default; scripts can switch with the `policy` statement)")
 	if err := fs.Parse(args); err != nil {
@@ -74,10 +71,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	// Validate the flag combination before building anything: a bad
 	// combination is a usage error, not a mid-run failure.
-	storeCfg := store.Config{
-		Kind: *storeKind, Dir: *storeDir, FaultProb: *storeFaults, Seed: 1,
-		TierHot: *tierHot, TierWarm: *tierWarm, Addr: *storeAddr,
-	}
+	storeCfg := store.Config{Kind: *storeKind, Dir: *storeDir, FaultProb: *storeFaults, Seed: 1}
 	if err := storeCfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "vmtrace: %v\n\n", err)
 		fs.Usage()
@@ -110,7 +104,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vmtrace:", err)
 		return 1
 	}
-	if *storeKind != "mem" || *storeFaults > 0 || *tierHot > 0 || *tierWarm > 0 {
+	if *storeKind != "mem" || *storeFaults > 0 {
 		if serr := in.SetStore(storeCfg); serr != nil {
 			fmt.Fprintln(stderr, "vmtrace:", serr)
 			return 1

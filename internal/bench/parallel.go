@@ -367,15 +367,13 @@ func FormatParallelStore(rs []ParallelResult) string {
 func FormatParallelStats(rs []ParallelResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "per-run PVM counters (Stats delta over the measured interval)\n")
-	fmt.Fprintf(&b, "%8s %8s %9s %9s %8s %9s %8s %9s %10s %9s %8s\n",
-		"workers", "faults", "softflts", "zerofills", "pullins", "evictions", "faround", "2ndchance",
-		"tierpromos", "tierdemos", "rretries")
+	fmt.Fprintf(&b, "%8s %8s %9s %9s %8s %9s %8s %9s\n",
+		"workers", "faults", "softflts", "zerofills", "pullins", "evictions", "faround", "2ndchance")
 	for _, r := range rs {
-		fmt.Fprintf(&b, "%8d %8d %9d %9d %8d %9d %8d %9d %10d %9d %8d\n",
+		fmt.Fprintf(&b, "%8d %8d %9d %9d %8d %9d %8d %9d\n",
 			r.Workers, r.Stats.Faults, r.Stats.SoftFaults, r.Stats.ZeroFills,
 			r.Stats.PullIns, r.Stats.Evictions, r.Stats.FaultAroundMapped,
-			r.Stats.PolicySecondChances,
-			r.Stats.TierPromotions, r.Stats.TierDemotions, r.Stats.RemoteRetries)
+			r.Stats.PolicySecondChances)
 	}
 	return b.String()
 }

@@ -49,16 +49,6 @@ func TestStatsDelta(t *testing.T) {
 		}
 	}
 
-	// Same for the counters mirrored from the tiered backing store and the
-	// remote-store client.
-	for _, name := range []string{
-		"TierPromotions", "TierDemotions", "RemoteRetries",
-	} {
-		if _, ok := dv.Type().FieldByName(name); !ok {
-			t.Errorf("Stats.%s dropped — tier counter no longer reported", name)
-		}
-	}
-
 	// And once end-to-end against a live PVM.
 	p, _ := newTestPVM(t, 64)
 	ctx, err := p.ContextCreate()

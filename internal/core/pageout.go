@@ -21,16 +21,6 @@ import (
 // declared to the upper layer with segmentCreate when they first need
 // backing store (section 5.1.2).
 
-// noteEvict forwards an eviction to the victim's segment manager when
-// its backing store can act on usage signals (a tiered store demotes
-// the page). Advisory and enqueue-only per the gmi.UsageAdviser
-// contract, so calling it under p.mu is safe.
-func noteEvict(c *cache, off, size int64) {
-	if ua, ok := c.seg.(gmi.UsageAdviser); ok {
-		ua.NoteEvict(off, size)
-	}
-}
-
 // reserveFrames guarantees that k subsequent Alloc calls will succeed,
 // evicting pages as needed. It may release and reacquire p.mu; the caller
 // must re-validate earlier lookups. The returned release function gives
@@ -184,7 +174,6 @@ func (p *PVM) evictStep() (bool, error) {
 // took the page out of memory while it was being pushed. p.mu held.
 func (p *PVM) evictPage(pg *page, frames []*phys.Frame) []*phys.Frame {
 	c := pg.cache
-	noteEvict(c, pg.off, p.pageSize)
 	if pg.frame != nil {
 		p.moveStubsToRemote(pg)
 		frames = append(frames, p.unlinkResident(pg))
@@ -339,8 +328,8 @@ func (p *PVM) StartPageoutDaemon(low, high int, interval time.Duration) (stop fu
 				continue
 			}
 			p.mu.Lock()
-			// Harvest referenced bits for the replacement policy and the
-			// tier advice; the daemon's tick is the harvest's clock.
+			// Harvest referenced bits for the replacement policy; the
+			// daemon's tick is the harvest's clock.
 			p.policyTickLocked()
 			// Re-validate under the lock: frames may have been freed (or
 			// another reclaimer run) since the sample above, in which

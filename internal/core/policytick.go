@@ -18,8 +18,7 @@ const harvestChunk = 512
 
 // PolicyTick runs one harvest tick: referenced/modified bits are collected
 // from every context's MMU (batched per region) and fed to the replacement
-// policy, and tiered segments hear which of their resident pages went
-// unreferenced. The pageout daemon calls this whenever it finds the
+// policy. The pageout daemon calls this whenever it finds the
 // system under pressure; tests and tools may call it directly.
 func (p *PVM) PolicyTick() {
 	p.mu.Lock()
@@ -29,21 +28,8 @@ func (p *PVM) PolicyTick() {
 
 func (p *PVM) policyTickLocked() {
 	atomic.AddUint64(&p.stats.PolicyHarvests, 1)
-	// Caches whose segment manager consumes usage advice (a tiered
-	// backing store): their referenced pages are collected during the
-	// harvest, and the unreferenced remainder is reported idle below —
-	// the downward half of the policy feedback loop.
-	var advisable map[*cache]gmi.UsageAdviser
-	var referenced map[*page]struct{}
 	for ctx := range p.contexts {
 		for _, r := range ctx.regions {
-			if ua, ok := r.cache.seg.(gmi.UsageAdviser); ok {
-				if advisable == nil {
-					advisable = make(map[*cache]gmi.UsageAdviser)
-					referenced = make(map[*page]struct{})
-				}
-				advisable[r.cache] = ua
-			}
 			npages := int(r.size / p.pageSize)
 			for o := 0; o < npages; o += harvestChunk {
 				n := min(harvestChunk, npages-o)
@@ -59,28 +45,10 @@ func (p *PVM) policyTickLocked() {
 					// the ones a write would re-materialize anyway.
 					if pg := p.ownPage(r.cache, base+int64(i)*p.pageSize); pg != nil && pg.pnode.Linked() {
 						p.pol.OnHarvest(&pg.pnode, true, dirty)
-						if referenced != nil {
-							referenced[pg] = struct{}{}
-						}
 					}
 				})
 				ctx.spaceMu.Unlock()
 			}
-		}
-	}
-	// Report pages that stayed resident but went unreferenced this tick
-	// to their segment manager, which can sink them a storage tier.
-	// Pinned and in-flight pages are skipped; NoteIdle only enqueues
-	// (the gmi.UsageAdviser contract), so calling under p.mu is safe.
-	for c, ua := range advisable {
-		for pg := c.pageHead; pg != nil; pg = pg.nextInCache {
-			if pg.busy || pg.pin > 0 {
-				continue
-			}
-			if _, ok := referenced[pg]; ok {
-				continue
-			}
-			ua.NoteIdle(pg.off, p.pageSize)
 		}
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"chorusvm/internal/obs"
 	"chorusvm/internal/phys"
 	"chorusvm/internal/policy"
-	"chorusvm/internal/tier"
 )
 
 // Options configures a PVM instance.
@@ -178,14 +177,6 @@ type Stats struct {
 	PolicyHarvests      uint64 // referenced-bit harvest ticks performed
 	PolicySecondChances uint64 // victims spared by a set reference bit (clock, 2q)
 	PolicyPromotions    uint64 // 2q admission-queue pages promoted on reuse
-
-	// Tiered-backing-store counters, mirrored from internal/tier's
-	// process-wide totals (like the policy mirrors above):
-	// migration activity between storage tiers and retry-eligible remote
-	// failures, summed across every tiered/remote backend in the process.
-	TierPromotions uint64 // pages promoted toward the hot tier
-	TierDemotions  uint64 // pages demoted toward the cold tier
-	RemoteRetries  uint64 // remote store ops that failed transiently (timeout or injected)
 }
 
 // PVM is a Paged Virtual memory Manager. It implements
@@ -418,10 +409,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		PolicyHarvests:      s.PolicyHarvests - prev.PolicyHarvests,
 		PolicySecondChances: s.PolicySecondChances - prev.PolicySecondChances,
 		PolicyPromotions:    s.PolicyPromotions - prev.PolicyPromotions,
-
-		TierPromotions: s.TierPromotions - prev.TierPromotions,
-		TierDemotions:  s.TierDemotions - prev.TierDemotions,
-		RemoteRetries:  s.RemoteRetries - prev.RemoteRetries,
 	}
 }
 
@@ -430,7 +417,6 @@ func (s Stats) Delta(prev Stats) Stats {
 // field-by-field and is not one consistent cut while the PVM is active.
 func (p *PVM) Stats() Stats {
 	s := &p.stats
-	ts := tier.GlobalCounters()
 	// The replacer pointer is swapped under exclusive mu (SetPolicy), so
 	// it is the one field the snapshot reads under the shared lock.
 	p.mu.RLock()
@@ -462,10 +448,6 @@ func (p *PVM) Stats() Stats {
 		PolicyHarvests:      atomic.LoadUint64(&s.PolicyHarvests),
 		PolicySecondChances: ps.SecondChances,
 		PolicyPromotions:    ps.Promotions,
-
-		TierPromotions: ts.Promotions,
-		TierDemotions:  ts.Demotions,
-		RemoteRetries:  ts.RemoteRetries,
 	}
 }
 

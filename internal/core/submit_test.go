@@ -836,6 +836,34 @@ func TestSpeculativeFillOnWorker(t *testing.T) {
 	check(t, p)
 }
 
+// TestReadAheadRidesOutTransientFaults: with read-ahead, a fault's
+// cluster is one multi-page store read. Over a device where every
+// operation fails twice before it succeeds, each page is retried on its
+// own, so both the demand cluster and the speculative one come in.
+func TestReadAheadRidesOutTransientFaults(t *testing.T) {
+	leakcheck.Check(t)
+	p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 4 })
+	f := store.NewFaulty(store.NewMem(pg), store.FaultConfig{Seed: 1, Prob: 1, MaxConsecutive: 2})
+	sg := closeOnCleanup(t, seg.NewSegmentOn("faulty", f, p.Clock()))
+	want := pattern(0x6B, 8*pg)
+	if err := sg.Store().WriteAt(0, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := sg.Store().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	c := p.CacheCreate(sg)
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, 8*pg, gmi.ProtRW, c, 0)
+	if got := mustRead(t, ctx, base, 8*pg); !bytes.Equal(got, want) {
+		t.Fatal("clustered fills read wrong bytes")
+	}
+	check(t, p)
+}
+
 // TestCorruptPageFaultIsErrIO: a page whose bytes were damaged on disk
 // behind a page file's back fails its fault with gmi.ErrIO wrapping
 // store.ErrCorrupt, through the whole stack; the damage is counted once,

@@ -47,8 +47,8 @@ type Manager struct {
 	pages map[int64]*pageDir
 	sites []*Site
 
-	// retry absorbs transient home-store failures (a remote or faulty
-	// backend); exhaustion surfaces as gmi.ErrIO to the faulting site.
+	// retry absorbs transient home-store failures; exhaustion surfaces
+	// as gmi.ErrIO to the faulting site.
 	retryMu sync.Mutex
 	retry   store.Policy
 
@@ -92,8 +92,7 @@ func NewManager(pageSize int, clock *cost.Clock) *Manager {
 }
 
 // NewManagerOn creates a coherence manager whose home copy lives on an
-// arbitrary backend — a tiered store, or a tier.Client reaching a remote
-// store server, which makes the DSM page against distributed swap. The
+// arbitrary backend, such as a page file or a fault-injecting wrapper. The
 // manager owns the backend from here on (Close closes it). Panics if the
 // backend's page size differs from pageSize: the directory is keyed by
 // page-aligned offsets and a mismatch would corrupt it silently.
@@ -252,9 +251,9 @@ func (m *Manager) fetchFor(s *Site, c gmi.Cache, off int64) error {
 	m.mu.Unlock()
 
 	buf := make([]byte, m.pageSize)
-	// The home store may sit behind a wire (tier.Client): transient
-	// failures are retried here, and only exhaustion travels up the GMI
-	// error path, marked gmi.ErrIO like any segment I/O failure.
+	// Transient home-store failures are retried here, and only
+	// exhaustion travels up the GMI error path, marked gmi.ErrIO like any
+	// segment I/O failure.
 	if err := m.retryPolicy().Do(func() error { return m.home.ReadAt(off, buf) }); err != nil {
 		return fmt.Errorf("%w: dsm pullIn at %#x: %w", gmi.ErrIO, off, err)
 	}

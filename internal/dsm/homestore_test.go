@@ -3,6 +3,7 @@ package dsm
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,38 +11,31 @@ import (
 	"chorusvm/internal/gmi"
 	"chorusvm/internal/leakcheck"
 	"chorusvm/internal/store"
-	"chorusvm/internal/tier"
 )
 
-// These tests run the DSM against a remote home store — a tiered backend
-// behind tier.Loopback, the distributed-swap configuration — with
-// deterministic fault injection on the server side of the wire. The
-// transient test must ride out injected failures through the manager's
-// retry policy; the permanent test must surface gmi.ErrIO to the
-// faulting site and leave no goroutines behind.
+// These tests run the DSM against a home store that fails: a Faulty
+// injector over Mem with a deterministic seed. The transient test must
+// ride out injected failures through the retry policies below the GMI;
+// the permanent test must surface gmi.ErrIO to the faulting site and
+// leave no goroutines behind.
 
-// remoteHome builds a manager paged against a remote tiered store with
-// the given fault configuration on the server side of the wire.
-func remoteHome(t *testing.T, fc store.FaultConfig) *Manager {
-	t.Helper()
-	inner := tier.NewDefault(pg, tier.Options{HotPages: 2, WarmPages: 4})
-	var b store.Backend = inner
-	if fc.Prob > 0 {
-		b = store.NewFaulty(inner, fc)
-	}
-	client, err := tier.Loopback(b, tier.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewManagerOn(pg, cost.New(), client)
+// faultyHome builds a manager whose home copy lives behind a Faulty
+// injector with the given configuration.
+func faultyHome(fc store.FaultConfig) (*Manager, *store.Faulty) {
+	f := store.NewFaulty(store.NewMem(pg), fc)
+	return NewManagerOn(pg, cost.New(), f), f
 }
 
-func TestRemoteHomeTransientFaults(t *testing.T) {
+func TestHomeStoreTransientFaults(t *testing.T) {
 	leakcheck.Check(t)
-	before := tier.GlobalCounters()
 
-	mgr := remoteHome(t, store.FaultConfig{Seed: 42, Prob: 0.3, MaxConsecutive: 2})
-	want := []byte("paged against distributed swap")
+	mgr, f := faultyHome(store.FaultConfig{Seed: 42, Prob: 0.3, MaxConsecutive: 2})
+	// Count the manager's own retries of home-store reads.
+	var retries atomic.Int64
+	p := store.DefaultPolicy()
+	p.OnRetry = func(int, time.Duration, error) { retries.Add(1) }
+	mgr.SetRetry(p)
+	want := []byte("paged against a failing home store")
 	if err := mgr.Home().WriteAt(0, want); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +43,7 @@ func TestRemoteHomeTransientFaults(t *testing.T) {
 	sites := newCluster(t, mgr, 2, 4)
 	a, b := sites[0], sites[1]
 
-	// Both sites read the preloaded page through the faulty wire.
+	// Both sites read the preloaded page through the faulty store.
 	for i, s := range sites {
 		got := make([]byte, len(want))
 		if err := s.ctx.Read(base, got); err != nil {
@@ -60,7 +54,7 @@ func TestRemoteHomeTransientFaults(t *testing.T) {
 		}
 	}
 	// Ping-pong a page: every coherence transaction (sync, invalidate,
-	// push-out, pull-in) crosses the faulty wire and must ride out the
+	// push-out, pull-in) reaches the faulty store and must ride out the
 	// injected transients.
 	for i := byte(1); i <= 10; i++ {
 		w, r := a, b
@@ -96,19 +90,21 @@ func TestRemoteHomeTransientFaults(t *testing.T) {
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The injected transients were absorbed below the GMI; the retry
-	// counter is the only trace they leave.
-	if after := tier.GlobalCounters(); after.RemoteRetries <= before.RemoteRetries {
-		t.Fatal("no remote retries recorded despite injected faults")
+	// The injected transients were absorbed below the GMI, each by one
+	// retry: the manager's for a page read, the engine's for writeback
+	// and sync. The retry counts are the only trace they leave.
+	total := uint64(retries.Load()) + mgr.Home().Engine().StatsSnapshot().Retries
+	if n := f.Injected(); n == 0 || total != n {
+		t.Fatalf("%d faults injected, %d retried (manager %d)", n, total, retries.Load())
 	}
 }
 
-func TestRemoteHomePermanentFault(t *testing.T) {
+func TestHomeStorePermanentFault(t *testing.T) {
 	leakcheck.Check(t)
 
 	// Every operation fails and the consecutive cap never relents: with a
 	// shrunken retry budget the fault is effectively permanent.
-	mgr := remoteHome(t, store.FaultConfig{Seed: 7, Prob: 1, MaxConsecutive: 1 << 30})
+	mgr, _ := faultyHome(store.FaultConfig{Seed: 7, Prob: 1, MaxConsecutive: 1 << 30})
 	mgr.SetRetry(store.Policy{
 		Attempts: 2,
 		Base:     time.Microsecond,
@@ -134,8 +130,8 @@ func TestRemoteHomePermanentFault(t *testing.T) {
 	if err := s.Detach(); err != nil {
 		t.Fatal(err)
 	}
-	// Close flushes through the still-failing wire; the error is
-	// expected — what matters is that the client, server and backend shut
-	// down without stranding a goroutine (leakcheck above).
+	// Close flushes through the still-failing store; the error is
+	// expected — what matters is that the engine and backend shut down
+	// without stranding a goroutine (leakcheck above).
 	_ = mgr.Close()
 }

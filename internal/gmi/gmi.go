@@ -78,19 +78,9 @@ type SegmentAllocator interface {
 	SegmentCreate(c Cache) (Segment, error)
 }
 
-// UsageAdviser is an optional extension of Segment: the memory manager's
-// downward usage signal. A segment manager whose backing store can act
-// on heat information (a tiered store demoting cold pages) implements
-// it; the memory manager calls it with what the replacement policy
-// learned. Both calls are advisory and must not block — the manager may
-// hold VM locks — so implementations only enqueue.
+// UsageAdviser stays only for the repository benchmark's segment wrapper; nothing calls it.
 type UsageAdviser interface {
-	// NoteEvict reports that [off, off+size) was just evicted from real
-	// memory: the strongest cold signal the policy produces.
 	NoteEvict(off, size int64)
-
-	// NoteIdle reports that [off, off+size) stayed resident but went
-	// unreferenced across a policy tick: cooling, not yet evicted.
 	NoteIdle(off, size int64)
 }
 

@@ -6,15 +6,11 @@
 //
 // Language (one statement per line, '#' comments):
 //
-//	store KIND [dir=PATH] [faults=P] [seed=N] [hot=N] [warm=N] [addr=A]
-//	                                    select the backing store (mem, file,
-//	                                    flate, tiered or remote) for segments
-//	                                    created from now on; faults= injects
-//	                                    transient I/O failures with
-//	                                    probability P; hot=/warm= size the
-//	                                    tiered store's upper tiers in pages;
-//	                                    addr= picks the remote transport
-//	                                    (pipe or tcp)
+//	store KIND [dir=PATH] [faults=P] [seed=N]
+//	                                    select the backing store (mem, file
+//	                                    or flate) for segments created from
+//	                                    now on; faults= injects transient
+//	                                    I/O failures with probability P
 //	cache NAME [pages=N preload=TAG]    create a cache; with preload=, a
 //	                                    segment-backed one holding a
 //	                                    pattern; otherwise a temporary
@@ -233,7 +229,7 @@ func (in *Interp) cmdPolicy(args []string) error {
 
 func (in *Interp) cmdStore(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("store: need KIND [dir=PATH] [faults=P] [seed=N] [hot=N] [warm=N] [addr=A]")
+		return fmt.Errorf("store: need KIND [dir=PATH] [faults=P] [seed=N]")
 	}
 	cfg := store.Config{Kind: args[0]}
 	for _, a := range args[1:] {
@@ -252,20 +248,6 @@ func (in *Interp) cmdStore(args []string) error {
 				return err
 			}
 			cfg.Seed = v
-		case strings.HasPrefix(a, "hot="):
-			v, err := parseNum(strings.TrimPrefix(a, "hot="))
-			if err != nil {
-				return err
-			}
-			cfg.TierHot = int(v)
-		case strings.HasPrefix(a, "warm="):
-			v, err := parseNum(strings.TrimPrefix(a, "warm="))
-			if err != nil {
-				return err
-			}
-			cfg.TierWarm = int(v)
-		case strings.HasPrefix(a, "addr="):
-			cfg.Addr = strings.TrimPrefix(a, "addr=")
 		default:
 			return fmt.Errorf("store: unknown option %q", a)
 		}
@@ -317,7 +299,7 @@ func (in *Interp) cmdCache(args []string) error {
 		}
 		// Preload is setup, not workload: flush it through the engine so
 		// the content is in the backend — not the writeback queue — when
-		// the script starts faulting. Tier/retry counters in a later
+		// the script starts faulting. Retry counters in a later
 		// `stats` must not depend on writeback scheduling.
 		if err := sg.Store().Sync(); err != nil {
 			return err

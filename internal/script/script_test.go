@@ -188,16 +188,11 @@ func TestScriptTraceErrors(t *testing.T) {
 // backend must leave real page files behind.
 func TestScriptStoreStatement(t *testing.T) {
 	dir := t.TempDir()
-	for _, kind := range []string{"mem", "flate", "file", "tiered", "remote"} {
+	for _, kind := range []string{"mem", "flate", "file"} {
 		t.Run(kind, func(t *testing.T) {
 			stmt := "store " + kind
-			switch kind {
-			case "file":
+			if kind == "file" {
 				stmt += " dir=" + dir
-			case "tiered":
-				stmt += " hot=2 warm=4"
-			case "remote":
-				stmt += " hot=2 warm=4 addr=pipe"
 			}
 			in, _ := run(t, stmt+`
 cache src pages=4 preload=0x5a
@@ -215,45 +210,6 @@ expect r 0x2000 0x5a 0x100
 	}
 	if _, err := os.Stat(filepath.Join(dir, "src.pages")); err != nil {
 		t.Fatalf("store file left no page file: %v", err)
-	}
-}
-
-// TestScriptTieredStats overflows a small tiered store so the watermarks
-// demote pages, then refaults them; the migrations must be visible in the
-// stats statement's tier counters.
-func TestScriptTieredStats(t *testing.T) {
-	_, out := run(t, `
-store tiered hot=2 warm=2
-cache src pages=8 preload=0x21
-region r src 0x10000 8
-expect r 0x0 0x21 0x8000
-pageout 16
-expect r 0x0 0x21 0x8000
-stats
-`)
-	if !strings.Contains(out, "tierpromos=") || !strings.Contains(out, "rretries=") {
-		t.Fatalf("stats line missing tier counters:\n%s", out)
-	}
-	if strings.Contains(out, "tierdemos=0 ") {
-		t.Fatalf("tiered store under pressure recorded no demotions:\n%s", out)
-	}
-}
-
-// TestScriptRemoteRetries pages against the remote store through a
-// faulty wire: the injected transients must be absorbed below the GMI
-// (the expect still sees its pattern) and surface only as a nonzero
-// rretries counter. Preload syncs through the engine, so the refaults
-// genuinely cross the wire rather than hitting the writeback queue.
-func TestScriptRemoteRetries(t *testing.T) {
-	_, out := run(t, `
-store remote addr=pipe faults=0.5 seed=3
-cache src pages=4 preload=0x44
-region r src 0x10000 4
-expect r 0x0 0x44 0x4000
-stats
-`)
-	if strings.Contains(out, "rretries=0") {
-		t.Fatalf("faulty wire recorded no retries:\n%s", out)
 	}
 }
 
@@ -283,8 +239,6 @@ func TestScriptStoreErrors(t *testing.T) {
 		{"store file", "need dir=PATH"},
 		{"store mem faults=2", "probability"},
 		{"store mem bogus=1", "unknown option"},
-		{"store tiered hot=-1", "negative tier watermark"},
-		{"store remote addr=carrier-pigeon", "unknown remote transport"},
 	}
 	for _, c := range cases {
 		var out strings.Builder

@@ -178,9 +178,8 @@ type Segment struct {
 }
 
 var (
-	_ gmi.Segment      = (*Segment)(nil)
-	_ gmi.Pager        = (*Segment)(nil)
-	_ gmi.UsageAdviser = (*Segment)(nil)
+	_ gmi.Segment = (*Segment)(nil)
+	_ gmi.Pager   = (*Segment)(nil)
 )
 
 // NewSegment creates a mapper over its own fresh in-memory store.
@@ -329,23 +328,6 @@ func (s *Segment) PushOut(c gmi.Cache, off, size int64) error {
 	}
 	s.tr.Span(obs.KindSegPush, obs.OpSegPush, off, size, start)
 	return nil
-}
-
-// NoteEvict implements gmi.UsageAdviser: forward the eviction signal to
-// the backing store when it can act on it (a tiered backend demotes the
-// page). The Adviser contract is enqueue-only, so this never blocks.
-func (s *Segment) NoteEvict(off, size int64) {
-	if ad, ok := s.store.Backend().(store.Adviser); ok {
-		ad.Advise(off, size, store.AdviseCold)
-	}
-}
-
-// NoteIdle implements gmi.UsageAdviser: the softer unreferenced-across-
-// a-tick signal.
-func (s *Segment) NoteIdle(off, size int64) {
-	if ad, ok := s.store.Backend().(store.Adviser); ok {
-		ad.Advise(off, size, store.AdviseIdle)
-	}
 }
 
 // PullIns returns how many pullIn upcalls the segment served.

@@ -5,98 +5,24 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 )
 
 // Config selects a backend flavour by name — the shared "-store
-// mem|file|flate|tiered|remote" plumbing of the tools (chorusbench,
-// vmtrace, the script language). The zero value means plain in-memory.
-// Kinds beyond the three built-ins are provided by other packages
-// through RegisterKind (internal/tier registers "tiered" and "remote").
+// mem|file|flate" plumbing of the tools (chorusbench, vmtrace, the script
+// language). The zero value means plain in-memory.
 type Config struct {
-	// Kind is "mem" (default), "file" (persistent page files under Dir),
-	// "flate" (compressing), or any kind registered via RegisterKind.
+	// Kind is "mem" (default), "file" (persistent page files under Dir)
+	// or "flate" (compressing).
 	Kind string
 	// Dir is where "file" backends keep their page files (required for
-	// that kind) and where "tiered" backends journal their cold tier
-	// (optional there: without it the cold tier is volatile).
+	// that kind).
 	Dir string
 	// FaultProb, when positive, wraps every backend in a Faulty injector
-	// with this per-operation transient-failure probability. Kinds whose
-	// spec sets WrapsFaults place the injector themselves (the "remote"
-	// kind injects on the wire path, server-side).
+	// with this per-operation transient-failure probability.
 	FaultProb float64
 	// Seed makes the injection deterministic; each named backend derives
 	// its own stream from Seed and its name.
 	Seed int64
-
-	// TierHot and TierWarm are the "tiered" kind's capacity watermarks in
-	// pages (0 means that kind's defaults).
-	TierHot  int
-	TierWarm int
-	// Addr selects the "remote" kind's transport: "" or "pipe" for an
-	// in-process net.Pipe, "tcp" for a TCP loopback connection.
-	Addr string
-}
-
-// KindSpec describes a registered backend kind: how to vet a Config for
-// it up front and how to build a backend under it.
-type KindSpec struct {
-	// Validate vets cfg before any backend is built; nil means any
-	// config is acceptable. Called by Config.Validate.
-	Validate func(c Config) error
-	// New builds one backend named name (the name keys persistent state
-	// and injection streams, like Config.New's).
-	New func(c Config, name string, pageSize int) (Backend, error)
-	// WrapsFaults reports that the kind consumes FaultProb itself (e.g.
-	// injecting on a wire path); Config.New then skips its generic
-	// Faulty wrapper.
-	WrapsFaults bool
-}
-
-var (
-	kindMu sync.RWMutex
-	kinds  = map[string]KindSpec{}
-)
-
-// RegisterKind makes a backend kind available to Config by name.
-// Registering a built-in name or a duplicate panics: kinds are wired at
-// init time and a collision is a programming error.
-func RegisterKind(kind string, spec KindSpec) {
-	if spec.New == nil {
-		panic("store: RegisterKind with nil New")
-	}
-	switch kind {
-	case "", "mem", "file", "flate":
-		panic(fmt.Sprintf("store: RegisterKind(%q): built-in kind", kind))
-	}
-	kindMu.Lock()
-	defer kindMu.Unlock()
-	if _, dup := kinds[kind]; dup {
-		panic(fmt.Sprintf("store: RegisterKind(%q): duplicate", kind))
-	}
-	kinds[kind] = spec
-}
-
-// Kinds lists every usable kind name (built-ins plus registered),
-// sorted; tools print it in usage errors.
-func Kinds() []string {
-	kindMu.RLock()
-	out := []string{"mem", "file", "flate"}
-	for k := range kinds {
-		out = append(out, k)
-	}
-	kindMu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-func lookupKind(kind string) (KindSpec, bool) {
-	kindMu.RLock()
-	defer kindMu.RUnlock()
-	s, ok := kinds[kind]
-	return s, ok
 }
 
 // Validate reports whether the configuration is usable before any
@@ -111,15 +37,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("store file: need dir=PATH")
 		}
 	default:
-		spec, ok := lookupKind(c.Kind)
-		if !ok {
-			return fmt.Errorf("store: unknown store kind %q (want one of %v)", c.Kind, Kinds())
-		}
-		if spec.Validate != nil {
-			if err := spec.Validate(c); err != nil {
-				return err
-			}
-		}
+		return fmt.Errorf("store: unknown store kind %q (want mem, file or flate)", c.Kind)
 	}
 	if c.FaultProb < 0 || c.FaultProb > 1 {
 		return fmt.Errorf("store: fault probability %v out of range [0, 1]", c.FaultProb)
@@ -131,7 +49,6 @@ func (c Config) Validate() error {
 // "file" backends and the injection stream for faulty ones.
 func (c Config) New(name string, pageSize int) (Backend, error) {
 	var b Backend
-	wrapsFaults := false
 	switch c.Kind {
 	case "", "mem":
 		b = NewMem(pageSize)
@@ -150,27 +67,16 @@ func (c Config) New(name string, pageSize int) (Backend, error) {
 		}
 		b = f
 	default:
-		spec, ok := lookupKind(c.Kind)
-		if !ok {
-			return nil, fmt.Errorf("store: unknown store kind %q (want one of %v)", c.Kind, Kinds())
-		}
-		var err error
-		b, err = spec.New(c, name, pageSize)
-		if err != nil {
-			return nil, err
-		}
-		wrapsFaults = spec.WrapsFaults
+		return nil, fmt.Errorf("store: unknown store kind %q (want mem, file or flate)", c.Kind)
 	}
-	if c.FaultProb > 0 && !wrapsFaults {
-		b = NewFaulty(b, FaultConfig{Seed: c.FaultSeed(name), Prob: c.FaultProb})
+	if c.FaultProb > 0 {
+		b = NewFaulty(b, FaultConfig{Seed: c.faultSeed(name), Prob: c.FaultProb})
 	}
 	return b, nil
 }
 
-// FaultSeed derives the deterministic per-name injection seed — the same
-// stream Config.New would wrap with, exposed for kinds that place the
-// injector themselves (WrapsFaults).
-func (c Config) FaultSeed(name string) int64 {
+// faultSeed derives the deterministic per-name injection seed.
+func (c Config) faultSeed(name string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	return c.Seed ^ int64(h.Sum64())

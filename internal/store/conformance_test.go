@@ -9,9 +9,7 @@ import (
 )
 
 // TestConformance runs the shared battery (storetest.Run) over every
-// built-in backend flavour. New backends elsewhere in the tree (the
-// tiered composition, the remote client) run the same battery from
-// their own packages.
+// built-in backend flavour.
 func TestConformance(t *testing.T) {
 	cases := []struct {
 		name string

@@ -143,7 +143,7 @@ func NewEngine(b Backend, o Options) *Engine {
 
 // selfChecking reports whether b verifies every page it returns against
 // a checksum it recorded at write time. Only a bare File or Flate does:
-// a wrapper (Faulty, a tier, a decorator) promises no check of its own.
+// a wrapper (Faulty, a decorator) promises no check of its own.
 func selfChecking(b Backend) bool {
 	switch b.(type) {
 	case *File, *Flate:
@@ -245,14 +245,16 @@ func (e *Engine) pageLocked(po int64) []byte {
 // error the contents of buf are unspecified, as with io.ReaderAt: a
 // page that failed its checksum may already sit in it.
 func (e *Engine) Read(off int64, buf []byte) error {
-	return e.read(off, int64(len(buf)), func(bufOff, n int64) []byte { return buf[bufOff : bufOff+n] })
+	return e.read(off, int64(len(buf)), func(bufOff, n int64) []byte { return buf[bufOff : bufOff+n] }, nil)
 }
 
 // read is Read over [off, off+size) with the destination of each chunk
 // supplied by at: at(bufOff, n) is the n-byte slice that receives the
 // bytes at off+bufOff. Read passes slices of one buffer; ReadAsync
-// passes caller-owned pages.
-func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte) error {
+// passes caller-owned pages. A non-nil retry retries each page's
+// transient backend failures on its own, so a retry keeps the pages
+// already read.
+func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte, retry *Policy) error {
 	start := e.tr.Clock()
 	e.mu.Lock()
 	if e.closed {
@@ -290,6 +292,9 @@ func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte) error {
 				pg = make([]byte, e.ps)
 			}
 			err := e.b.ReadAt(po, pg)
+			if err != nil && retry != nil {
+				err = retry.retry(err, func() error { return e.b.ReadAt(po, pg) })
+			}
 			e.mu.Lock()
 			if err != nil {
 				if errors.Is(err, ErrCorrupt) {
@@ -317,11 +322,12 @@ func (e *Engine) read(off, size int64, at func(bufOff, n int64) []byte) error {
 
 // ReadPages reads the pages starting at the page-aligned offset off
 // straight into dst — dst[i] receives page i, and every dst[i] but the
-// last is exactly one page long — on the calling goroutine, with the
-// engine's retry policy. It is the read a worker performs for ReadAsync,
-// and the demand page-in of the pager protocol: a faulting context waits
-// for it anyway, so it skips the hand-off to a worker and back. On
-// error the contents of dst are unspecified, as with Read.
+// last is exactly one page long — on the calling goroutine, retrying
+// each page's transient failures with the engine's retry policy. It is
+// the read a worker performs for ReadAsync, and the demand page-in of
+// the pager protocol: a faulting context waits for it anyway, so it
+// skips the hand-off to a worker and back. On error the contents of dst
+// are unspecified, as with Read.
 func (e *Engine) ReadPages(off int64, dst [][]byte) error {
 	var size int64
 	for i, d := range dst {
@@ -330,9 +336,7 @@ func (e *Engine) ReadPages(off int64, dst [][]byte) error {
 		}
 		size += int64(len(d))
 	}
-	return e.retry.Load().Do(func() error {
-		return e.read(off, size, func(bufOff, n int64) []byte { return dst[bufOff/e.ps][:n] })
-	})
+	return e.read(off, size, func(bufOff, n int64) []byte { return dst[bufOff/e.ps][:n] }, e.retry.Load())
 }
 
 // asyncRead is one pending ReadAsync request.

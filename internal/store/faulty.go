@@ -119,8 +119,8 @@ func (f *Faulty) Sync() error {
 }
 
 // DiscardPage forwards to the wrapped backend when it supports single-
-// page discard (no injection: discard is tier bookkeeping, not device
-// I/O). A wrapped backend without the extension reports it cleanly.
+// page discard (no injection: discard is bookkeeping, not device I/O).
+// A wrapped backend without the extension reports it cleanly.
 func (f *Faulty) DiscardPage(off int64) error {
 	if d, ok := f.Backend.(Discarder); ok {
 		return d.DiscardPage(off)
@@ -134,14 +134,6 @@ func (f *Faulty) PageOffsets() []int64 {
 		return l.PageOffsets()
 	}
 	return nil
-}
-
-// Advise forwards usage hints to the wrapped backend; hints are never
-// injected against — they are not device I/O.
-func (f *Faulty) Advise(off, size int64, a Advice) {
-	if ad, ok := f.Backend.(Adviser); ok {
-		ad.Advise(off, size, a)
-	}
 }
 
 // Injected returns how many transient failures have been injected.

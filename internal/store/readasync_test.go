@@ -52,42 +52,54 @@ func TestEngineReadAsync(t *testing.T) {
 	}
 }
 
-// TestEngineReadAsyncRetries: async reads own their retry policy — a
-// backend that fails transiently a few times still completes the read
-// successfully.
+// TestEngineReadAsyncRetries: ReadPages, and so ReadAsync, retry each
+// page on its own, keeping the pages already read. Every operation of the
+// device fails twice before it succeeds, so a read that restarted at its
+// first page on each retry would never get past the second page.
 func TestEngineReadAsyncRetries(t *testing.T) {
-	f := NewFaulty(NewMem(psTest), FaultConfig{Seed: 7, Prob: 1, MaxConsecutive: 2})
-	e := NewEngine(f, Options{})
-	pol := DefaultPolicy()
-	pol.Base, pol.Max = time.Microsecond, time.Microsecond
-	e.SetRetry(pol)
-	want := make([]byte, psTest)
-	for i := range want {
-		want[i] = byte(i ^ 0x5A)
-	}
-	if err := e.Write(0, want); err != nil {
-		t.Fatal(err)
-	}
-	e.Barrier()
-	ch := make(chan error, 1)
-	got := make([]byte, psTest)
-	e.ReadAsync(0, [][]byte{got}, func(err error) { ch <- err })
-	select {
-	case err := <-ch:
-		if err != nil {
-			t.Fatalf("ReadAsync with transient faults: %v", err)
+	for _, n := range []int{1, 2, 4, 8} {
+		for _, async := range []bool{false, true} {
+			f := NewFaulty(NewMem(psTest), FaultConfig{Seed: 1, Prob: 1, MaxConsecutive: 2})
+			e := NewEngine(f, Options{})
+			pol := DefaultPolicy()
+			pol.Base, pol.Max = time.Microsecond, time.Microsecond
+			e.SetRetry(pol)
+			want := make([]byte, n*psTest)
+			for i := range want {
+				want[i] = byte(i*7 + n)
+			}
+			if err := e.Write(0, want); err != nil {
+				t.Fatal(err)
+			}
+			e.Barrier()
+			before := e.StatsSnapshot().Retries
+
+			dst := make([][]byte, n)
+			for i := range dst {
+				dst[i] = make([]byte, psTest)
+			}
+			var err error
+			if async {
+				ch := make(chan error, 1)
+				e.ReadAsync(0, dst, func(err error) { ch <- err })
+				err = <-ch
+			} else {
+				err = e.ReadPages(0, dst)
+			}
+			if err != nil {
+				t.Fatalf("%d pages (async %v): %v", n, async, err)
+			}
+			if got := bytes.Join(dst, nil); !bytes.Equal(got, want) {
+				t.Fatalf("%d pages (async %v): wrong bytes", n, async)
+			}
+			// Two retries per page: one for each injected failure.
+			if r := e.StatsSnapshot().Retries - before; r != uint64(2*n) {
+				t.Fatalf("%d pages (async %v): %d retries, want %d", n, async, r, 2*n)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ReadAsync never completed")
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("ReadAsync returned wrong bytes after retries")
-	}
-	if st := e.StatsSnapshot(); st.Retries == 0 {
-		t.Fatal("expected retry activity")
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -48,11 +48,15 @@ func (p Policy) norm() Policy {
 // but by then every layer has given up, so callers treat it as
 // permanent).
 func (p Policy) Do(op func() error) error {
+	return p.retry(op(), op)
+}
+
+// retry continues Do after a first attempt of op that returned err.
+func (p Policy) retry(err error, op func() error) error {
 	p = p.norm()
 	backoff := p.Base
-	var err error
 	for attempt := 1; ; attempt++ {
-		if err = op(); err == nil || !IsTransient(err) {
+		if err == nil || !IsTransient(err) {
 			return err
 		}
 		if attempt >= p.Attempts {
@@ -69,5 +73,6 @@ func (p Policy) Do(op func() error) error {
 		if backoff *= 2; backoff > p.Max {
 			backoff = p.Max
 		}
+		err = op()
 	}
 }

@@ -64,9 +64,8 @@ type Backend interface {
 }
 
 // Discarder is an optional Backend extension: dropping a single
-// materialized page (Truncate can only drop suffixes). A tiered store
-// uses it to remove a page from the tier it is migrating out of. The
-// in-package backends (Mem, File, Flate) all implement it.
+// materialized page (Truncate can only drop suffixes). The in-package
+// backends (Mem, File, Flate) all implement it.
 type Discarder interface {
 	// DiscardPage releases the page at the page-aligned offset off; a
 	// hole there is a no-op. Subsequent reads see zeroes.
@@ -74,31 +73,29 @@ type Discarder interface {
 }
 
 // PageLister is an optional Backend extension: enumerating the
-// materialized page offsets. A tiered store uses it on reopen to learn
-// which pages its persistent cold tier still holds.
+// materialized page offsets.
 type PageLister interface {
 	// PageOffsets returns the page-aligned offsets of every materialized
 	// page, in ascending order.
 	PageOffsets() []int64
 }
 
-// Advice classifies a usage hint flowing down from the VM's replacement
-// policy to an advising backend (see Adviser).
+// Advice classifies a usage hint to an advising backend (see Adviser).
+// The VM no longer sends any; the repository benchmark's backend wrapper
+// and tier.Backend still name the type.
 type Advice int
 
 const (
-	// AdviseCold marks pages the replacement policy just evicted: the VM
-	// gave their frames away, so their backing copies should sink a tier.
+	// AdviseCold marks pages the replacement policy just evicted.
 	AdviseCold Advice = iota
 	// AdviseIdle marks resident pages that went unreferenced across a
-	// whole policy tick — not evicted yet, but cooling.
+	// whole policy tick.
 	AdviseIdle
 )
 
-// Adviser is an optional Backend extension: receiving usage hints from
-// the layers above. Advise is a hint, never a command — implementations
-// MUST NOT block (callers may hold VM-internal locks); they enqueue the
-// hint and act on it later (see tier.Backend's migrator).
+// Adviser is an optional Backend extension: receiving usage hints.
+// Nothing in the VM calls it; it stays for the repository benchmark's
+// backend wrapper, and tier.Backend implements it.
 type Adviser interface {
 	Advise(off, size int64, a Advice)
 }

@@ -1,7 +1,6 @@
 // Package storetest exports the cross-backend conformance battery for
-// store.Backend implementations. Every backend — the built-ins, the
-// tiered composition, the remote client — must pass the same table, so
-// a new backend starts by calling Run from its own test file:
+// store.Backend implementations. Every backend must pass the same
+// table, so a new backend starts by calling Run from its own test file:
 //
 //	func TestConformance(t *testing.T) {
 //		storetest.Run(t, func(t *testing.T, ps int) store.Backend { ... })

@@ -11,9 +11,12 @@
 // that keeps one-hit wonders out of the hot tier, while writes (usually
 // eviction push-outs) stage into the warm tier without displacing
 // proven-hot pages. Capacity watermarks bound the hot and warm tiers,
-// an async migrator drains advice in the background, and the Remote
-// client/server pair (remote.go) puts the whole composition behind a
-// wire so DSM sites can share one store.
+// and an async migrator drains advice in the background.
+//
+// Nothing outside this package's tests builds a Backend: no store kind,
+// tool flag or script option selects it, and the VM sends it no advice.
+// It is kept, with the Journaled store its persistent cold tier uses,
+// until its deletion (ROADMAP.md item 20).
 package tier
 
 import (
@@ -21,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chorusvm/internal/store"
@@ -233,7 +235,6 @@ func (b *Backend) promote(po int64, from int8, pg []byte) error {
 	}
 	b.setLevel(po, to, false)
 	b.promotions++
-	gPromotions.Add(1)
 	return b.rebalanceLocked()
 }
 
@@ -261,7 +262,6 @@ func (b *Backend) rebalanceLocked() error {
 			// back — demotion must preserve the recency order.
 			b.setLevel(po, lv+1, false)
 			b.demotions++
-			gDemotions.Add(1)
 		}
 	}
 	return nil
@@ -489,7 +489,6 @@ func (b *Backend) MigrateNow() error {
 				}
 				b.setLevel(po, Warm, false)
 				b.promotions++
-				gPromotions.Add(1)
 			} else {
 				b.lrus[lv].touch(po)
 			}
@@ -502,7 +501,6 @@ func (b *Backend) MigrateNow() error {
 			}
 			b.setLevel(po, lv+1, true)
 			b.demotions++
-			gDemotions.Add(1)
 		}
 	}
 	return b.rebalanceLocked()
@@ -619,43 +617,6 @@ func (b *Backend) Stats() Stats {
 	s.AdvisedCold, s.AdvisedIdle = b.advisedCold, b.advisedIdle
 	b.adviceMu.Unlock()
 	return s
-}
-
-// ResetStats zeroes the instance counters (residency is state, not a
-// counter, and is unaffected). Benchmarks call it after warm-up so the
-// reported migrations cover only the measured interval. The process-wide
-// GlobalCounters are monotonic and not reset.
-func (b *Backend) ResetStats() {
-	b.mu.Lock()
-	b.promotions, b.demotions = 0, 0
-	b.hotReads, b.warmReads, b.coldReads = 0, 0, 0
-	b.mu.Unlock()
-	b.adviceMu.Lock()
-	b.advisedCold, b.advisedIdle = 0, 0
-	b.adviceMu.Unlock()
-}
-
-// Counters are the process-wide monotonic tier totals, mirrored into
-// core.Stats so every tool's stats line shows migration activity.
-type Counters struct {
-	Promotions    uint64
-	Demotions     uint64
-	RemoteRetries uint64
-}
-
-var (
-	gPromotions    atomic.Uint64
-	gDemotions     atomic.Uint64
-	gRemoteRetries atomic.Uint64
-)
-
-// GlobalCounters snapshots the process-wide tier totals.
-func GlobalCounters() Counters {
-	return Counters{
-		Promotions:    gPromotions.Load(),
-		Demotions:     gDemotions.Load(),
-		RemoteRetries: gRemoteRetries.Load(),
-	}
 }
 
 // lruList is a recency list over page offsets: front is hottest.
