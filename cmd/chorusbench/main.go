@@ -26,10 +26,8 @@
 //	                           # clusters per fault (0 = same workload, off)
 //	chorusbench -fault-around-ablation
 //	                           # the same workload at widths 0/4/8
-//	chorusbench -pressure      # replacement-policy ablation: lru/clock/2q
-//	                           # under Zipf + scan at 0.5x/1x/2x of memory
-//	chorusbench -parallel -policy clock
-//	                           # policy bookkeeping overhead on the fault path
+//	chorusbench -pressure      # 2Q replacement under Zipf + scan at
+//	                           # 0.5x/1x/2x of memory
 package main
 
 import (
@@ -38,14 +36,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"chorusvm/internal/bench"
 	"chorusvm/internal/core"
 	"chorusvm/internal/machvm"
 	"chorusvm/internal/obs"
-	"chorusvm/internal/policy"
 	"chorusvm/internal/store"
 )
 
@@ -75,8 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faultAround := fs.Int("fault-around", -1, "map up to this many resident neighbours per fault (power of two <= 8; 0 disables; setting >= 0 switches -parallel to the warm-resident soft-fault workload)")
 	faAblation := fs.Bool("fault-around-ablation", false, "run the warm-resident fault-around ablation at widths 0/4/8")
 	faWorkers := fs.Int("fault-around-workers", 2, "concurrent workers in the fault-around ablation (the soft-fault workload is CPU-bound, so match the machine, not the device)")
-	policyName := fs.String("policy", "", "page-replacement policy for the -parallel runs: lru, clock or 2q (empty = PVM default)")
-	pressure := fs.Bool("pressure", false, "run the replacement-policy pressure ablation (lru/clock/2q under Zipf + scan bursts at 0.5x/1x/2x of physical memory)")
+	pressure := fs.Bool("pressure", false, "run the replacement pressure benchmark (2Q under Zipf + scan bursts at 0.5x/1x/2x of physical memory)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -106,14 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "chorusbench: -fault-around %d invalid (want a power of two <= 8, or 0 to disable)\n\n", *faultAround)
 		fs.Usage()
 		return 2
-	}
-	if *policyName != "" {
-		if _, err := policy.New(*policyName); err != nil {
-			fmt.Fprintf(stderr, "chorusbench: -policy %q invalid (want one of %s)\n\n",
-				*policyName, strings.Join(policy.Names(), ", "))
-			fs.Usage()
-			return 2
-		}
 	}
 
 	chorus := bench.PVM(core.Options{Frames: *frames, SmallCopyPages: -1})
@@ -155,8 +142,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *pressure {
-		fmt.Fprintln(stdout, "=== Replacement-policy pressure ablation ===")
-		pts := bench.PressureAblation(policy.Names(), []float64{0.5, 1, 2}, bench.DefaultPressureConfig)
+		fmt.Fprintln(stdout, "=== Replacement under memory pressure ===")
+		pts := bench.PressureAblation([]float64{0.5, 1, 2}, bench.DefaultPressureConfig)
 		fmt.Fprintln(stdout, bench.FormatPressure(pts))
 	}
 
@@ -189,7 +176,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, w := range []int{1, 2, 4, 8} {
 			rs = append(rs, bench.ParallelFaultThroughputOpts(bench.ParallelOptions{
 				Workers:        w,
-				Policy:         *policyName,
 				PagesPerWorker: *pages,
 				PullLatency:    200 * time.Microsecond,
 				Tracer:         tracer,

@@ -18,12 +18,27 @@ var update = flag.Bool("update", false, "rewrite the golden files from the curre
 // a change to a paper number. Regenerate with
 // `go test ./cmd/chorusbench -update` and review the diff.
 func TestPaperTablesGolden(t *testing.T) {
-	args := []string{"-iters", "8"}
+	checkGolden(t, "tables.golden", "-iters", "8")
+}
+
+// TestAblationsGolden pins the simulated columns of the ablation
+// benchmarks (crossover, exec cache, collapse, IPC, clustering, DSM,
+// large make, copy policy, MMU portability) byte for byte with
+// testdata/ablations.golden. The section prints no wall-clock time, so
+// the output is a function of the cost model alone.
+func TestAblationsGolden(t *testing.T) {
+	checkGolden(t, "ablations.golden", "-ablations", "-table", "-1", "-derive=false", "-iters", "8")
+}
+
+// checkGolden runs chorusbench with args and compares its stdout with
+// testdata/name, rewriting the file first under -update.
+func checkGolden(t *testing.T, name string, args ...string) {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("chorusbench %s exited %d:\n%s", strings.Join(args, " "), code, stderr.String())
 	}
-	golden := filepath.Join("testdata", "tables.golden")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
 			t.Fatal(err)

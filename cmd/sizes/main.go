@@ -80,11 +80,11 @@ var mmuPaper = exactFiles(mmuFile("mmu.go"), mmuFile("twolevel.go"), mmuFile("in
 var layout = []section{
 	{"Machine-Independent Part (paper components)", []component{
 		{"GMI (generic interface)", internal("gmi"), 423},
-		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 5581},
+		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 5533},
 		{"Nucleus MM part (segment mgr, actors)", internal("nucleus"), 630},
 		{"IPC + transit segment", internal("ipc"), 307},
 		{"MIX process manager", internal("mix"), 555},
-		{"Segment managers (mappers)", internal("seg"), 517},
+		{"Segment managers (mappers)", internal("seg"), 496},
 	}},
 	{"MMU-Dependent Part (paper components)", []component{
 		{"MMU layer: shared", exactFiles(mmuFile("mmu.go")), 204},
@@ -95,7 +95,7 @@ var layout = []section{
 	{"Extensions (not in the paper's Table 5)", []component{
 		{"Backing store (engine, backends)", internal("store"), 2135},
 		{"Tiered store + journal (unreached)", internal("tier"), 1041},
-		{"Replacement policies", internal("policy"), 686},
+		{"Replacement policies", internal("policy"), 265},
 		{"MMU tests", func(p string) bool {
 			return underDir(filepath.Join("internal", "mmu"))(p) && !mmuPaper(p)
 		}, 0},
@@ -105,11 +105,11 @@ var layout = []section{
 	{"Tooling, baselines and harnesses", []component{
 		{"Cost model (simulated clock)", internal("cost"), 365},
 		{"Mach baseline (comparison)", internal("machvm"), 1503},
-		{"Trace-script interpreter", internal("script"), 629},
+		{"Trace-script interpreter", internal("script"), 611},
 		{"GMI conformance suite", internal("conformance"), 0},
-		{"Benchmark harness", internal("bench"), 1777},
+		{"Benchmark harness", internal("bench"), 1759},
 		{"Goroutine leak check (tests)", internal("leakcheck"), 107},
-		{"Commands (cmd/*)", underDir("cmd"), 971},
+		{"Commands (cmd/*)", underDir("cmd"), 947},
 		{"Examples", underDir("examples"), 702},
 		{"Repository benchmark (perfbench)", underDir("perfbench"), 1746},
 		{"Root package (doc, benchmarks)", exactFiles("doc.go", "bench_test.go"), 23},

@@ -24,7 +24,6 @@ import (
 
 	"chorusvm/internal/core"
 	"chorusvm/internal/obs"
-	"chorusvm/internal/policy"
 	"chorusvm/internal/script"
 	"chorusvm/internal/store"
 )
@@ -61,7 +60,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	storeDir := fs.String("store-dir", "", "directory for -store file page files (required with -store file)")
 	storeFaults := fs.Float64("store-faults", 0, "per-op probability of injected transient store faults (0 disables)")
 	faultAround := fs.Int("fault-around", 0, "map up to this many resident neighbours per fault (power of two <= 8, 0 disables)")
-	policyName := fs.String("policy", "", "page-replacement policy: lru, clock or 2q (empty = PVM default; scripts can switch with the `policy` statement)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -83,16 +81,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *policyName != "" {
-		if _, perr := policy.New(*policyName); perr != nil {
-			fmt.Fprintf(stderr, "vmtrace: -policy %q invalid (want one of %s)\n\n",
-				*policyName, strings.Join(policy.Names(), ", "))
-			fs.Usage()
-			return 2
-		}
-	}
 
-	opts := core.Options{Frames: *frames, FaultAroundPages: *faultAround, Policy: *policyName}
+	opts := core.Options{Frames: *frames, FaultAroundPages: *faultAround}
 	if *traceFile != "" || *hist {
 		// The interpreter would otherwise create a disabled tracer that
 		// scripts must `trace on` themselves; these flags ask for the

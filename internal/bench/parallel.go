@@ -104,10 +104,6 @@ type ParallelOptions struct {
 	// FaultAround maps up to this many resident neighbours per fault
 	// (power of two up to 8; 0/1 disables — the classic behaviour).
 	FaultAround int
-	// Policy selects the page-replacement policy ("" = the PVM default).
-	// Frames are sized so the benchmark never evicts, so this only
-	// exercises the policy's bookkeeping overhead on the fault path.
-	Policy string
 	// WarmResident pre-touches every page before the measured interval,
 	// then destroys and recreates the regions: the translations drop but
 	// the pages stay resident in their caches, so every measured fault is
@@ -156,7 +152,6 @@ func ParallelFaultThroughputOpts(o ParallelOptions) ParallelResult {
 		Tracer:           o.Tracer,
 		ReadAheadPages:   o.ReadAhead,
 		FaultAroundPages: o.FaultAround,
-		Policy:           o.Policy,
 	})
 
 	type worker struct {

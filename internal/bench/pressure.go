@@ -13,23 +13,22 @@ import (
 	"chorusvm/internal/seg"
 )
 
-// Pressure is the replacement-policy ablation: a single context runs a
-// Zipf-distributed access stream mixed with periodic sequential scan
-// bursts over a region sized at a multiple of physical memory, with
-// synchronous reclaim and periodic referenced-bit harvests — the
-// steady-state the pageout daemon reaches, made deterministic. At 0.5x
-// the region fits and every policy behaves identically (the control row);
-// at 1x and 2x the policies diverge: the scan bursts flood an LRU list,
-// clock's harvested reference bits spare the re-referenced hot set, and
-// 2Q drains the single-use scan pages from its admission queue before
-// they can displace the protected main queue.
+// Pressure measures the PVM's replacement order (2Q) under memory
+// pressure: a single context runs a Zipf-distributed access stream mixed
+// with periodic sequential scan bursts over a region sized at a multiple
+// of physical memory, with synchronous reclaim and periodic
+// referenced-bit harvests — the steady-state the pageout daemon reaches,
+// made deterministic. At 0.5x the region fits and nothing is evicted
+// (the control row); at 1x and 2x 2Q drains the single-use scan pages
+// from its admission queue before they can displace the protected main
+// queue. This was the ablation that chose 2Q over an exact LRU queue
+// and clock (EXPERIMENTS.md).
 //
 // Fixed seed, fixed access count, single goroutine: two runs of the same
-// (policy, overcommit) cell fault on exactly the same pages.
+// overcommit cell fault on exactly the same pages.
 
 // PressurePoint is one cell of the ablation.
 type PressurePoint struct {
-	Policy      string
 	Overcommit  float64 // region size as a multiple of physical frames
 	RegionPages int
 	Accesses    int
@@ -54,38 +53,34 @@ type PressureConfig struct {
 	Seed     int64
 }
 
-// DefaultPressureConfig keeps a full 3-policy x 3-level ablation in
-// seconds of wall time.
+// DefaultPressureConfig keeps a 3-level run in seconds of wall time.
 var DefaultPressureConfig = PressureConfig{Frames: 256, Accesses: 20000, Seed: 1}
 
 const (
 	// One scan burst of pressureScanBurst sequential pages every
-	// pressureScanEvery Zipf accesses: enough to flood recency-only
-	// policies, sparse enough that the Zipf hot set dominates the stream.
+	// pressureScanEvery Zipf accesses: enough to flood a recency-only
+	// order, sparse enough that the Zipf hot set dominates the stream.
 	pressureScanEvery = 256
 	pressureScanBurst = 128
 	// Harvest cadence in accesses; stands in for the daemon's tick.
 	pressureHarvestEvery = 128
 )
 
-// PressureAblation measures each policy at each overcommit level.
-func PressureAblation(policies []string, overcommits []float64, cfg PressureConfig) []PressurePoint {
+// PressureAblation measures each overcommit level.
+func PressureAblation(overcommits []float64, cfg PressureConfig) []PressurePoint {
 	var pts []PressurePoint
 	for _, oc := range overcommits {
-		for _, pol := range policies {
-			pts = append(pts, pressureRun(pol, oc, cfg))
-		}
+		pts = append(pts, pressureRun(oc, cfg))
 	}
 	return pts
 }
 
-func pressureRun(policyName string, overcommit float64, cfg PressureConfig) PressurePoint {
+func pressureRun(overcommit float64, cfg PressureConfig) PressurePoint {
 	clock := cost.New()
 	swap := seg.NewSwapAllocator(8192, clock)
 	defer mustClose(swap)
 	p := core.New(core.Options{
 		Frames:   cfg.Frames,
-		Policy:   policyName,
 		Clock:    clock,
 		SegAlloc: swap,
 	})
@@ -156,7 +151,6 @@ func pressureRun(policyName string, overcommit float64, cfg PressureConfig) Pres
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	return PressurePoint{
-		Policy:        policyName,
 		Overcommit:    overcommit,
 		RegionPages:   regionPages,
 		Accesses:      cfg.Accesses,
@@ -174,22 +168,15 @@ func pressureRun(policyName string, overcommit float64, cfg PressureConfig) Pres
 	}
 }
 
-// FormatPressure renders the ablation grouped by overcommit level.
+// FormatPressure renders one row per overcommit level.
 func FormatPressure(pts []PressurePoint) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "replacement-policy pressure ablation (Zipf s=1.2 + scan bursts, synchronous reclaim)\n")
-	fmt.Fprintf(&b, "%7s %7s %7s %10s %10s %10s %9s %11s %11s\n",
-		"region", "policy", "faults", "flts/1Kacc", "evictions", "2ndchance", "promos", "p50 sim", "p99 sim")
-	last := -1.0
+	fmt.Fprintf(&b, "2Q replacement (Zipf s=1.2 + scan bursts, synchronous reclaim)\n")
+	fmt.Fprintf(&b, "%7s %7s %10s %10s %10s %9s %11s %11s\n",
+		"region", "faults", "flts/1Kacc", "evictions", "2ndchance", "promos", "p50 sim", "p99 sim")
 	for _, pt := range pts {
-		if pt.Overcommit != last {
-			if last >= 0 {
-				b.WriteByte('\n')
-			}
-			last = pt.Overcommit
-		}
-		fmt.Fprintf(&b, "%6.1fx %7s %7d %10.1f %10d %10d %9d %11s %11s\n",
-			pt.Overcommit, pt.Policy, pt.Faults, pt.FaultsPer1K,
+		fmt.Fprintf(&b, "%6.1fx %7d %10.1f %10d %10d %9d %11s %11s\n",
+			pt.Overcommit, pt.Faults, pt.FaultsPer1K,
 			pt.Evictions, pt.SecondChances, pt.Promotions,
 			fmtSim(pt.P50), fmtSim(pt.P99))
 	}

@@ -146,11 +146,12 @@ func (p *PVM) addPage(c *cache, pg *page) {
 	c.listMu.Unlock()
 	p.gmapSet(pageKey{c, pg.off}, pg)
 	p.clock.Charge(cost.EvGlobalMapOp, 1)
-	p.lruPush(pg)
+	p.policyInsert(pg)
 }
 
 // unlinkPage removes the page from its cache's list, the global map and
-// the LRU, leaving the frame to the caller; p.mu held exclusively.
+// the replacement order, leaving the frame to the caller; p.mu held
+// exclusively.
 func (p *PVM) unlinkPage(pg *page) {
 	c := pg.cache
 	c.listMu.Lock()
@@ -171,7 +172,7 @@ func (p *PVM) unlinkPage(pg *page) {
 		p.gmapDelete(pageKey{c, pg.off})
 		p.clock.Charge(cost.EvGlobalMapOp, 1)
 	}
-	p.lruRemove(pg)
+	p.policyRemove(pg)
 }
 
 // ownPage returns the cache's resident page at off, if any; p.mu held

@@ -372,7 +372,7 @@ func (c *cache) LockInMemory(off, size int64) error {
 				continue
 			}
 			pg.pin++
-			p.lruRemove(pg)
+			p.policyRemove(pg)
 			break
 		}
 	}
@@ -389,7 +389,7 @@ func (c *cache) Unlock(off, size int64) error {
 		if pg := p.ownPage(c, o); pg != nil && pg.pin > 0 {
 			pg.pin--
 			if pg.pin == 0 {
-				p.lruPush(pg)
+				p.policyInsert(pg)
 			}
 		}
 	}

@@ -334,7 +334,7 @@ func (r *region) LockInMemory() error {
 			}
 			pg.pin++
 			r.pins = append(r.pins, pg)
-			p.lruRemove(pg)
+			p.policyRemove(pg)
 			prot := r.prot
 			if mode != gmi.ProtWrite {
 				prot &^= gmi.ProtWrite
@@ -370,7 +370,7 @@ func (r *region) unlockAllLocked() {
 		if pg.pin > 0 {
 			pg.pin--
 			if pg.pin == 0 && pg.frame != nil {
-				p.lruPush(pg)
+				p.policyInsert(pg)
 			}
 		}
 	}

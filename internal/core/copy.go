@@ -440,7 +440,7 @@ func (p *PVM) readAtLocked(c *cache, off int64, buf []byte) error {
 		b := cur - po
 		n := min64(p.pageSize-b, int64(len(buf)-done))
 		copy(buf[done:done+int(n)], pg.frame.Data[b:b+n])
-		p.lruTouch(pg)
+		p.noteReference(pg)
 		done += int(n)
 	}
 	return nil
@@ -460,7 +460,7 @@ func (p *PVM) writeAtLocked(c *cache, off int64, data []byte) error {
 		n := min64(p.pageSize-b, int64(len(data)-done))
 		copy(pg.frame.Data[b:b+n], data[done:done+int(n)])
 		pg.dirty = true
-		p.lruTouch(pg)
+		p.noteReference(pg)
 		done += int(n)
 	}
 	return nil

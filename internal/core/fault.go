@@ -238,7 +238,7 @@ func (p *PVM) fastFaultOnce(ctx *context, va gmi.VA, access gmi.Prot, span *obs.
 		} else {
 			p.mapPage(ctx, r, pva, e, p.readProt(r, e))
 		}
-		p.lruTouch(e)
+		p.noteReference(e)
 		if p.faultAround > 1 {
 			p.faultAroundMap(ctx, r, c, pva, off)
 		}
@@ -411,7 +411,7 @@ func (p *PVM) resolveFault(ctx *context, r *region, pva gmi.VA, c *cache, off in
 			} else {
 				p.mapPage(ctx, r, pva, e, p.readProt(r, e))
 			}
-			p.lruTouch(e)
+			p.noteReference(e)
 			if p.faultAround > 1 && c == r.cache {
 				// Under exclusive p.mu the shard maps are directly
 				// accessible; the cluster scan needs no shard mutex.
@@ -442,7 +442,7 @@ func (p *PVM) resolveFault(ctx *context, r *region, pva gmi.VA, c *cache, off in
 					continue // stub state changed while blocked
 				}
 				p.mapPage(ctx, r, pva, src, r.prot&^gmi.ProtWrite)
-				p.lruTouch(src)
+				p.noteReference(src)
 				return nil
 			}
 			if _, err := p.breakStub(c, off, e, span); err != nil {
@@ -470,7 +470,7 @@ func (p *PVM) resolveFault(ctx *context, r *region, pva gmi.VA, c *cache, off in
 					continue
 				}
 				p.mapPage(ctx, r, pva, src, r.prot&^gmi.ProtWrite)
-				p.lruTouch(src)
+				p.noteReference(src)
 				return nil
 			}
 			// c owns this offset: bring the data in from its segment

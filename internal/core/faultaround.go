@@ -108,7 +108,7 @@ func (p *PVM) faultAroundMap(ctx *context, r *region, c *cache, pva gmi.VA, off 
 
 	if mapped > 0 {
 		for k := 0; k < mapped; k++ {
-			p.lruTouch(touched[k])
+			p.noteReference(touched[k])
 		}
 		atomic.AddUint64(&p.stats.FaultAroundMapped, uint64(mapped))
 	}

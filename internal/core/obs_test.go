@@ -71,10 +71,14 @@ func TestStatsDelta(t *testing.T) {
 // TestHandleFaultDisabledTracerAllocs pins the fault path's zero-cost
 // claim for the disabled tracer (obs package design rule #1): refaulting
 // a resident, already-mapped page must not allocate — neither with no
-// tracer at all nor with a constructed-but-disabled one.
+// tracer at all nor with a constructed-but-disabled one. The refault
+// crosses the KindPolicyWait probe in noteReference, so this also pins
+// that probe at one branch and no allocations. The disabled-2q leg
+// refaults a page 2Q has promoted into its main queue, not one still in
+// the admission queue.
 func TestHandleFaultDisabledTracerAllocs(t *testing.T) {
-	run := func(t *testing.T, tracer *obs.Tracer, opts ...func(*Options)) {
-		p, _ := newTestPVM(t, 64, append([]func(*Options){func(o *Options) { o.Tracer = tracer }}, opts...)...)
+	run := func(t *testing.T, tracer *obs.Tracer, promote bool) {
+		p, _ := newTestPVM(t, 64, func(o *Options) { o.Tracer = tracer })
 		gctx, err := p.ContextCreate()
 		if err != nil {
 			t.Fatal(err)
@@ -87,6 +91,18 @@ func TestHandleFaultDisabledTracerAllocs(t *testing.T) {
 		if err := p.HandleFault(ctx, base, gmi.ProtWrite); err != nil {
 			t.Fatal(err)
 		}
+		if promote {
+			// The refault referenced page 0; page 1 is never re-referenced.
+			// One victim scan promotes page 0 out of the admission queue
+			// and evicts page 1 from it.
+			mustWrite(t, gctx, base+pg, pattern(2, 64))
+			if n := p.PageOut(1); n != 1 {
+				t.Fatalf("PageOut(1) = %d, want 1", n)
+			}
+			if s := p.Stats(); s.PolicyPromotions != 1 {
+				t.Fatalf("PolicyPromotions = %d, want 1", s.PolicyPromotions)
+			}
+		}
 		if n := testing.AllocsPerRun(200, func() {
 			if err := p.HandleFault(ctx, base, gmi.ProtWrite); err != nil {
 				t.Fatal(err)
@@ -95,19 +111,16 @@ func TestHandleFaultDisabledTracerAllocs(t *testing.T) {
 			t.Errorf("resident refault allocates %.1f/op, want 0", n)
 		}
 	}
-	t.Run("nil", func(t *testing.T) { run(t, nil) })
+	t.Run("nil", func(t *testing.T) { run(t, nil, false) })
 	t.Run("disabled", func(t *testing.T) {
 		tr := obs.New(obs.Options{})
 		tr.SetEnabled(false)
-		run(t, tr)
+		run(t, tr, false)
 	})
-	// The refault fast path crosses the KindPolicyWait probe in lruTouch;
-	// with tracing off the probe must cost one branch and no allocations,
-	// and a non-default policy's touch must not add any.
 	t.Run("disabled-2q", func(t *testing.T) {
 		tr := obs.New(obs.Options{})
 		tr.SetEnabled(false)
-		run(t, tr, func(o *Options) { o.Policy = "2q" })
+		run(t, tr, true)
 	})
 }
 

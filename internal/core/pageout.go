@@ -15,11 +15,11 @@ import (
 
 // This file implements physical-memory reclaim: the data-management policy
 // the GMI deliberately places below the interface (section 3.3.3). Victim
-// choice is delegated to the pluggable replacement policy (internal/policy;
-// global LRU by default); dirty victims are pushed out through the pushOut
-// upcall, and unilaterally created caches (temporaries, histories) are
-// declared to the upper layer with segmentCreate when they first need
-// backing store (section 5.1.2).
+// choice is delegated to the replacement order (2Q, internal/policy);
+// dirty victims are pushed out through the pushOut upcall, and
+// unilaterally created caches (temporaries, histories) are declared to
+// the upper layer with segmentCreate when they first need backing store
+// (section 5.1.2).
 
 // reserveFrames guarantees that k subsequent Alloc calls will succeed,
 // evicting pages as needed. It may release and reacquire p.mu; the caller

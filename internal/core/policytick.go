@@ -8,18 +8,20 @@ import (
 
 // This file implements the periodic referenced-bit harvest. Real kernels
 // run exactly this loop from their pageout daemon: clear and collect the
-// hardware referenced/modified bits and feed them to the replacement
-// policy. The GMI keeps all of it below the interface (section 3.3.3):
-// segments and contexts never see policy.
+// hardware referenced bits and feed them to the replacement policy. (The
+// harvest also reports modified bits; the policy ignores them, since the
+// page's own dirty flag is the write-back source of truth.) The GMI keeps
+// all of it below the interface (section 3.3.3): segments and contexts
+// never see policy.
 
 // harvestChunk bounds one HarvestReferenced call, so a huge region is
 // walked in slices instead of one unbounded sweep under the lock.
 const harvestChunk = 512
 
-// PolicyTick runs one harvest tick: referenced/modified bits are collected
-// from every context's MMU (batched per region) and fed to the replacement
-// policy. The pageout daemon calls this whenever it finds the
-// system under pressure; tests and tools may call it directly.
+// PolicyTick runs one harvest tick: referenced bits are collected from
+// every context's MMU (batched per region) and fed to the replacement
+// policy. The pageout daemon calls this whenever it finds the system
+// under pressure; tests and tools may call it directly.
 func (p *PVM) PolicyTick() {
 	p.mu.Lock()
 	defer p.unlock()
@@ -36,7 +38,7 @@ func (p *PVM) policyTickLocked() {
 				va := r.addr + gmi.VA(int64(o)*p.pageSize)
 				base := r.coff + int64(o)*p.pageSize
 				ctx.spaceMu.Lock()
-				ctx.space.HarvestReferenced(va, n, func(i int, dirty bool) {
+				ctx.space.HarvestReferenced(va, n, func(i int, _ bool) {
 					// Feed the policy for pages resident in the region's
 					// own cache. A page shared from an ancestor cache (a
 					// deferred copy not yet broken) is not fed back — the
@@ -44,7 +46,7 @@ func (p *PVM) policyTickLocked() {
 					// acceptable approximation: shared pages are exactly
 					// the ones a write would re-materialize anyway.
 					if pg := p.ownPage(r.cache, base+int64(i)*p.pageSize); pg != nil && pg.pnode.Linked() {
-						p.pol.OnHarvest(&pg.pnode, true, dirty)
+						p.pol.OnTouch(&pg.pnode)
 					}
 				})
 				ctx.spaceMu.Unlock()

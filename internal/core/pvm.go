@@ -16,7 +16,7 @@
 // Layout of this package:
 //
 //	pvm.go       PVM object, options, gmi.MemoryManager implementation
-//	page.go      real-page descriptors, stubs, the global map, LRU
+//	page.go      real-page descriptors, stubs, the global map
 //	cache.go     local-cache descriptors, parent fragments, page lists
 //	context.go   contexts and regions; the simulated load/store path
 //	fault.go     page-fault handling (section 4.1.2) and COW breaking
@@ -81,10 +81,6 @@ type Options struct {
 	// values below 2 disable it. Default 0: off, which keeps the paper's
 	// Table 6/7 simulation at strict one-page-per-fault behaviour.
 	FaultAroundPages int
-	// Policy selects the page-replacement policy: "lru" (the original
-	// global queue, default), "clock" (second-chance, lock-free touch) or
-	// "2q" (scan-resistant two-queue). See internal/policy.
-	Policy string
 	// Tracer, when non-nil, receives trace events and latency
 	// observations from every layer (see internal/obs). The nil default
 	// costs one predictable branch per probe site and zero allocations.
@@ -124,9 +120,6 @@ func (o *Options) fill() {
 	}
 	if o.FaultAroundPages < 2 {
 		o.FaultAroundPages = 0
-	}
-	if o.Policy == "" {
-		o.Policy = "lru"
 	}
 }
 
@@ -172,11 +165,11 @@ type Stats struct {
 	BatchFrees      uint64 // FreeBatch calls of more than one frame
 
 	// Replacement-policy counters. The last two are mirrored from the
-	// Replacer's own counters (internal/policy), like the frame-allocator
-	// counters above.
+	// replacement order's own counters (internal/policy), like the
+	// frame-allocator counters above.
 	PolicyHarvests      uint64 // referenced-bit harvest ticks performed
-	PolicySecondChances uint64 // victims spared by a set reference bit (clock, 2q)
-	PolicyPromotions    uint64 // 2q admission-queue pages promoted on reuse
+	PolicySecondChances uint64 // main-queue victims spared by a set reference bit
+	PolicyPromotions    uint64 // admission-queue pages promoted on reuse
 }
 
 // PVM is a Paged Virtual memory Manager. It implements
@@ -220,13 +213,11 @@ type PVM struct {
 	// is dropped. Guarded by mu.
 	released []gmi.Segment
 
-	// pol is the page-replacement policy. It guards its queues with its
-	// own internal mutex (or a lock-free reference bit for touches), a
-	// leaf ordered strictly after mu/shard locks like the others. pol is
-	// swapped only under exclusive mu (SetPolicy); polBase accumulates
-	// the counters of replaced instances so Stats stays monotonic.
-	pol     policy.Replacer
-	polBase policy.Stats
+	// pol is the page-replacement order (2Q, internal/policy). It guards
+	// its queues with its own internal mutex (a touch is a lock-free
+	// reference bit), a leaf ordered strictly after mu/shard locks like
+	// the others. Set once in New.
+	pol *policy.TwoQ
 
 	// Leaf mutexes, ordered strictly after mu/shard locks: reserveMu
 	// guards the frame-reservation count. Per-cache (listMu) and
@@ -267,13 +258,9 @@ func New(o Options) *PVM {
 		faultAround: o.FaultAroundPages,
 		caches:      make(map[*cache]struct{}),
 		contexts:    make(map[*context]struct{}),
+		pol:         policy.NewTwoQ(),
 		obs:         o.Tracer,
 	}
-	pol, err := policy.New(o.Policy)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	p.pol = pol
 	for ps := int64(o.PageSize); ps > 1; ps >>= 1 {
 		p.clusterShift++
 	}
@@ -330,41 +317,6 @@ func (p *PVM) SetSegmentAllocator(a gmi.SegmentAllocator) {
 // PageSize implements gmi.MemoryManager.
 func (p *PVM) PageSize() int { return int(p.pageSize) }
 
-// Policy returns the active replacement policy's name.
-func (p *PVM) Policy() string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.pol.Name()
-}
-
-// SetPolicy replaces the page-replacement policy at run time, migrating
-// every resident page in one exclusive section: the old instance is
-// drained coldest-first and replayed into a fresh instance of the new
-// policy, so relative page age survives the switch (an LRU tail stays
-// near the new policy's eviction hand). Drain also returns the victims a
-// reclaim pass still holds while their push-out is in flight: a sweep
-// alone skips them, and the pass would later remove or requeue them in
-// the new instance, where they were never linked. Counters accumulate
-// across the switch.
-func (p *PVM) SetPolicy(name string) error {
-	next, err := policy.New(name)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pol.Name() == name {
-		return nil
-	}
-	for _, n := range p.pol.Drain(nil) {
-		n.Reset()
-		next.OnInsert(n)
-	}
-	p.polBase = p.polBase.Add(p.pol.Stats())
-	p.pol = next
-	return nil
-}
-
 // Clock returns the simulated clock.
 func (p *PVM) Clock() *cost.Clock { return p.clock }
 
@@ -417,11 +369,7 @@ func (s Stats) Delta(prev Stats) Stats {
 // field-by-field and is not one consistent cut while the PVM is active.
 func (p *PVM) Stats() Stats {
 	s := &p.stats
-	// The replacer pointer is swapped under exclusive mu (SetPolicy), so
-	// it is the one field the snapshot reads under the shared lock.
-	p.mu.RLock()
-	ps := p.pol.Stats().Add(p.polBase)
-	p.mu.RUnlock()
+	ps := p.pol.Stats()
 	return Stats{
 		Faults:        atomic.LoadUint64(&s.Faults),
 		SoftFaults:    atomic.LoadUint64(&s.SoftFaults),

@@ -97,16 +97,17 @@ func (p *PVM) tryReserveFrames(k int) (release func(), ok bool) {
 	}, true
 }
 
-// lruPush, lruRemove and lruTouch thread pages through the replacement
-// policy (internal/policy). The names survive from the original global
-// LRU; the policy synchronizes internally (a leaf mutex or, for
-// clock-family touches, a lock-free reference bit), so the fast fault
-// path (p.mu.RLock holders) and the structural path both call these
-// directly. Each call is bracketed by a KindPolicyWait span: under
-// contention the duration is dominated by the policy mutex wait, which
-// the probe makes visible. Disabled tracing costs one branch and zero
-// allocations (Clock returns 0, Span no-ops).
-func (p *PVM) lruPush(pg *page) {
+// policyInsert and policyRemove thread pages through the replacement
+// order (internal/policy) as they become and stop being evictable, and
+// noteReference records a fault-time reference to a resident page. The
+// order synchronizes internally (a leaf mutex, or a lock-free reference
+// bit for a reference), so the fast fault path (p.mu.RLock holders) and
+// the structural path both call these directly. Each call is bracketed
+// by a KindPolicyWait span: under contention the duration is dominated
+// by the policy mutex wait, which the probe makes visible. Disabled
+// tracing costs one branch and zero allocations (Clock returns 0, Span
+// no-ops).
+func (p *PVM) policyInsert(pg *page) {
 	if pg.pnode.Owner == nil {
 		// First insertion: the page is not yet visible to any victim
 		// scan, so the one-time back-pointer write cannot race.
@@ -117,13 +118,13 @@ func (p *PVM) lruPush(pg *page) {
 	p.obs.Span(obs.KindPolicyWait, obs.OpPolicyWait, int64(pg.cache.id), pg.off, start)
 }
 
-func (p *PVM) lruRemove(pg *page) {
+func (p *PVM) policyRemove(pg *page) {
 	start := p.obs.Clock()
 	p.pol.OnRemove(&pg.pnode)
 	p.obs.Span(obs.KindPolicyWait, obs.OpPolicyWait, int64(pg.cache.id), pg.off, start)
 }
 
-func (p *PVM) lruTouch(pg *page) {
+func (p *PVM) noteReference(pg *page) {
 	start := p.obs.Clock()
 	p.pol.OnTouch(&pg.pnode)
 	p.obs.Span(obs.KindPolicyWait, obs.OpPolicyWait, int64(pg.cache.id), pg.off, start)

@@ -196,24 +196,25 @@ func TestConcurrentSharedReaders(t *testing.T) {
 // the neighbour translations fault-around installed, not only the
 // faulted page's, so the oracle doubles as the fault-around coherence
 // check: a stale neighbour translation diverges the content.
+// The 2q variant adds a harvest tick to the forced reclaimer, so MMU
+// referenced bits feed 2Q's promotions and second chances while faults
+// touch the same pages, not only when the daemon finds memory low.
 // The pmmu and i386 variants run the baseline fight on the other two MMU
 // ports. pmmu's hash table is shared by every space, so concurrent faults
 // in distinct contexts race on it unless the port locks it (mmu.Space's
 // concurrency contract).
 func TestConcurrentOracleStress(t *testing.T) {
-	t.Run("baseline", func(t *testing.T) { runOracleStress(t) })
-	t.Run("extent", func(t *testing.T) { runOracleStress(t, withExtent) })
-	t.Run("2q", func(t *testing.T) {
-		runOracleStress(t, func(o *Options) { o.Policy = "2q" })
-	})
+	t.Run("baseline", func(t *testing.T) { runOracleStress(t, false) })
+	t.Run("extent", func(t *testing.T) { runOracleStress(t, false, withExtent) })
+	t.Run("2q", func(t *testing.T) { runOracleStress(t, true) })
 	for _, hw := range []string{"pmmu", "i386"} {
 		t.Run(hw, func(t *testing.T) {
-			runOracleStress(t, func(o *Options) { o.MMU = hw })
+			runOracleStress(t, false, func(o *Options) { o.MMU = hw })
 		})
 	}
 }
 
-func runOracleStress(t *testing.T, opts ...func(*Options)) {
+func runOracleStress(t *testing.T, harvest bool, opts ...func(*Options)) {
 	p, _ := newTestPVM(t, 96, opts...)
 
 	const (
@@ -361,6 +362,7 @@ func runOracleStress(t *testing.T, opts ...func(*Options)) {
 	defer stopDaemon()
 	done := make(chan struct{})
 	var reclaimer sync.WaitGroup
+	var ticks uint64
 	reclaimer.Add(1)
 	go func() {
 		defer reclaimer.Done()
@@ -369,6 +371,10 @@ func runOracleStress(t *testing.T, opts ...func(*Options)) {
 			case <-done:
 				return
 			default:
+				if harvest {
+					p.PolicyTick()
+					ticks++
+				}
 				p.PageOut(4)
 				time.Sleep(200 * time.Microsecond)
 			}
@@ -387,6 +393,9 @@ func runOracleStress(t *testing.T, opts ...func(*Options)) {
 	check(t, p)
 	if p.Memory().FreeFrames() != p.Memory().TotalFrames() {
 		t.Fatalf("frames leaked: %d/%d free", p.Memory().FreeFrames(), p.Memory().TotalFrames())
+	}
+	if st := p.Stats(); st.PolicyHarvests < ticks {
+		t.Fatalf("PolicyHarvests = %d, want at least the reclaimer's %d ticks", st.PolicyHarvests, ticks)
 	}
 	if p.faultAround > 1 {
 		// Fault-around must have mapped neighbours, first on worker 0's

@@ -7,9 +7,9 @@ import "sync"
 // promoted to the protected main queue (Am) only on evidence of reuse, so
 // a one-pass scan flows through A1 and out again without displacing the
 // hot set in Am. This variant promotes lazily: a touch is a lock-free
-// reference-bit store (like clock), and the victim scan converts set bits
-// in A1 into promotions — the classic ghost list (A1out) is omitted, so
-// the first reuse must happen while the page is still resident.
+// reference-bit store, and the victim scan converts set bits in A1 into
+// promotions — the classic ghost list (A1out) is omitted, so the first
+// reuse must happen while the page is still resident.
 //
 // Victims come from the A1 tail first (oldest once-touched page); only
 // when A1 is exhausted does the scan fall back to the Am tail, where a
@@ -62,11 +62,8 @@ func (l *nodeList) remove(n *Node) {
 	l.n--
 }
 
-// NewTwoQ creates the policy.
+// NewTwoQ creates an empty replacement order.
 func NewTwoQ() *TwoQ { return &TwoQ{} }
-
-// Name implements Replacer.
-func (t *TwoQ) Name() string { return "2q" }
 
 // queueOf returns the list holding n, or nil; t.mu held.
 func (t *TwoQ) queueOf(n *Node) *nodeList {
@@ -79,8 +76,8 @@ func (t *TwoQ) queueOf(n *Node) *nodeList {
 	return nil
 }
 
-// OnInsert implements Replacer: first residency enters the admission
-// FIFO.
+// OnInsert threads a page that became resident (or was unpinned): it
+// enters the admission FIFO.
 func (t *TwoQ) OnInsert(n *Node) {
 	t.mu.Lock()
 	if l := t.queueOf(n); l != nil {
@@ -93,7 +90,8 @@ func (t *TwoQ) OnInsert(n *Node) {
 	t.mu.Unlock()
 }
 
-// OnRemove implements Replacer.
+// OnRemove unthreads a page leaving residency (evicted, pinned or torn
+// down); a no-op if the node is not linked.
 func (t *TwoQ) OnRemove(n *Node) {
 	t.mu.Lock()
 	if l := t.queueOf(n); l != nil {
@@ -104,26 +102,18 @@ func (t *TwoQ) OnRemove(n *Node) {
 	t.mu.Unlock()
 }
 
-// OnTouch implements Replacer: lock-free, like clock; the promotion the
-// touch earns is applied by the next victim scan.
+// OnTouch records a reference: a fault-time touch or a harvested
+// hardware referenced bit. It is one lock-free reference-bit store; the
+// promotion or second chance it earns is applied by the next victim
+// scan.
 func (t *TwoQ) OnTouch(n *Node) { n.ref.Store(true) }
 
-// OnHarvest implements Replacer.
-func (t *TwoQ) OnHarvest(n *Node, referenced, dirty bool) {
-	if referenced {
-		n.ref.Store(true)
-	}
-	t.mu.Lock()
-	if n.q != 0 {
-		n.dirtyHint = dirty
-	}
-	t.mu.Unlock()
-}
-
-// SelectVictims implements Replacer. The A1 pass walks the admission FIFO
-// from its tail, promoting every referenced page to the Am head and
-// selecting unreferenced usable ones; the Am pass then walks the main
-// queue from its tail with clock-style second chances.
+// SelectVictims appends up to max victims in eviction order to dst and
+// returns it. usable vets each candidate (the PVM skips pinned, busy and
+// unpushable pages); unusable nodes keep their place. The A1 pass walks
+// the admission FIFO from its tail, promoting every referenced page to
+// the Am head and selecting unreferenced usable ones; the Am pass then
+// walks the main queue from its tail with clock-style second chances.
 func (t *TwoQ) SelectVictims(dst []*Node, max int, usable func(*Node) bool) []*Node {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -136,7 +126,6 @@ func (t *TwoQ) SelectVictims(dst []*Node, max int, usable func(*Node) bool) []*N
 		} else if !n.sel && usable(n) {
 			n.sel = true
 			dst = append(dst, n)
-			t.ctr.selected.Add(1)
 		}
 		n = prev
 	}
@@ -149,30 +138,14 @@ func (t *TwoQ) SelectVictims(dst []*Node, max int, usable func(*Node) bool) []*N
 		} else if !n.sel && usable(n) {
 			n.sel = true
 			dst = append(dst, n)
-			t.ctr.selected.Add(1)
 		}
 		n = prev
 	}
 	return dst
 }
 
-// Drain implements Replacer.
-func (t *TwoQ) Drain(dst []*Node) []*Node {
-	var held []*Node
-	t.mu.Lock()
-	for _, l := range []*nodeList{&t.a1, &t.am} {
-		for n := l.tail; n != nil; n = n.prev {
-			if n.sel {
-				held = append(held, n)
-			}
-		}
-	}
-	t.mu.Unlock()
-	return append(t.SelectVictims(dst, len(dst)+t.Len(), anyNode), held...)
-}
-
-// Requeue implements Replacer: the failed victim moves to the head of its
-// queue, the FIFO/LRU equivalent of the original requeue-at-MRU.
+// Requeue sends a victim whose eviction failed to the head of its queue,
+// so other candidates get their turn before it is retried.
 func (t *TwoQ) Requeue(n *Node) {
 	t.mu.Lock()
 	n.sel = false
@@ -184,17 +157,21 @@ func (t *TwoQ) Requeue(n *Node) {
 	t.mu.Unlock()
 }
 
-// Unselect implements Replacer: clear the selection mark only.
+// Unselect abandons a selection without penalizing the candidate: the
+// node keeps its queue position and reference bit and becomes selectable
+// again. Used when reclaim progresses by other means (a segmentCreate
+// upcall) before acting on the victim.
 func (t *TwoQ) Unselect(n *Node) {
 	t.mu.Lock()
 	n.sel = false
 	t.mu.Unlock()
 }
 
-// Len implements Replacer: a lock-free load (see counters).
+// Len returns the number of linked nodes: a lock-free load (see
+// counters).
 func (t *TwoQ) Len() int { return int(t.ctr.n.Load()) }
 
-// Stats implements Replacer: lock-free loads (see counters).
+// Stats returns the cumulative counters: lock-free loads (see counters).
 func (t *TwoQ) Stats() Stats { return t.ctr.snapshot() }
 
 // InMain reports whether n currently sits in the protected main queue;

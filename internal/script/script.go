@@ -31,8 +31,6 @@
 //	clock                               print the simulated clock
 //	trace on|off                        enable/disable the event tracer
 //	hist                                print the latency histograms
-//	policy [NAME]                       print the replacement policy, or
-//	                                    switch to lru, clock or 2q
 //	harvest                             run one referenced-bit harvest
 //	                                    tick (feeds the replacement policy)
 //
@@ -51,7 +49,6 @@ import (
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
 	"chorusvm/internal/obs"
-	"chorusvm/internal/policy"
 	"chorusvm/internal/seg"
 	"chorusvm/internal/store"
 )
@@ -192,8 +189,6 @@ func (in *Interp) exec(raw string) error {
 	case "stats":
 		fmt.Fprintln(in.out, in.pvm.Stats())
 		return nil
-	case "policy":
-		return in.cmdPolicy(args)
 	case "harvest":
 		in.pvm.PolicyTick()
 		return nil
@@ -212,19 +207,6 @@ func (in *Interp) exec(raw string) error {
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-}
-
-// cmdPolicy prints or switches the page-replacement policy; a switch
-// migrates every resident page.
-func (in *Interp) cmdPolicy(args []string) error {
-	switch len(args) {
-	case 0:
-		fmt.Fprintf(in.out, "policy %s\n", in.pvm.Policy())
-		return nil
-	case 1:
-		return in.pvm.SetPolicy(args[0])
-	}
-	return fmt.Errorf("policy: need at most one argument (%s)", strings.Join(policy.Names(), ", "))
 }
 
 func (in *Interp) cmdStore(args []string) error {

@@ -11,9 +11,9 @@
 // speculative reads on its own workers. A Segment owns its Store and the
 // Store owns its engine: closing or releasing the segment stops the
 // engine's workers. The mapper layer adds what the paper's mappers add:
-// the upcall protocol, simulated device cost, and the retry discipline —
-// transient device errors are absorbed here, and only permanent failures
-// travel up the GMI error path as gmi.ErrIO.
+// the upcall protocol and simulated device cost. Transient device errors
+// are absorbed by the engine's per-page retries underneath, and only
+// permanent failures travel up the GMI error path as gmi.ErrIO.
 package seg
 
 import (
@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
@@ -153,8 +152,9 @@ func (s *Store) Close() error { return s.eng.Close() }
 // It answers pullIn by reading the store and calling fillUp, and pushOut
 // by calling copyBack and writing the store — the protocol of section
 // 5.1.2, minus the IPC transport. Transient store failures are retried
-// here with bounded backoff; a failure that survives the retry budget is
-// wrapped in gmi.ErrIO and travels up to the faulting thread.
+// page by page by the store's engine with bounded backoff; a failure
+// that survives the retry budget is wrapped in gmi.ErrIO and travels up
+// to the faulting thread.
 type Segment struct {
 	store *Store
 	name  string
@@ -162,8 +162,6 @@ type Segment struct {
 	// A distributed-coherence mapper would grant read-only and upgrade
 	// in GetWriteAccess.
 	Grant gmi.Prot
-
-	retry store.Policy
 
 	pullIns  atomic.Uint64
 	pushOuts atomic.Uint64
@@ -195,13 +193,7 @@ func NewSegmentOn(name string, b store.Backend, clock *cost.Clock) *Segment {
 
 // NewSegmentWith is NewSegmentOn with its store's engine built from o.
 func NewSegmentWith(name string, b store.Backend, o store.Options, clock *cost.Clock) *Segment {
-	s := &Segment{store: newStore(b, o, clock), name: name, Grant: gmi.ProtRWX}
-	s.retry = store.DefaultPolicy()
-	eng := s.store.Engine()
-	s.retry.OnRetry = func(attempt int, backoff time.Duration, err error) {
-		eng.NoteRetry(backoff)
-	}
-	return s
+	return &Segment{store: newStore(b, o, clock), name: name, Grant: gmi.ProtRWX}
 }
 
 // Store exposes the backing store (tests preload content through it).
@@ -215,34 +207,21 @@ func (s *Segment) SetTracer(t *obs.Tracer) {
 	s.store.SetTracer(t)
 }
 
-// SetRetry replaces the upcall retry schedule (tests shrink it). The
-// engine's retry bookkeeping stays wired in.
-func (s *Segment) SetRetry(p store.Policy) {
-	eng := s.store.Engine()
-	prev := p.OnRetry
-	p.OnRetry = func(attempt int, backoff time.Duration, err error) {
-		eng.NoteRetry(backoff)
-		if prev != nil {
-			prev(attempt, backoff, err)
-		}
-	}
-	s.retry = p
-}
-
 // Name returns the segment's name.
 func (s *Segment) Name() string { return s.name }
 
 // PullIn implements gmi.Segment. The KindSegPull span is the mapper-side
 // service time: store read plus fillUp answer (the simulated device cost
 // is charged to the clock by the store; any wall-clock device latency a
-// wrapper adds shows up in the MM-side pullin span, not here). Transient
-// read failures are retried; corruption and exhausted retries come back
-// as gmi.ErrIO.
+// wrapper adds shows up in the MM-side pullin span, not here). The read
+// goes through the engine's per-page retry, as SubmitPull's does, so a
+// retry keeps the pages already read; corruption and exhausted retries
+// come back as gmi.ErrIO.
 func (s *Segment) PullIn(c gmi.Cache, off, size int64, mode gmi.Prot) error {
 	s.pullIns.Add(1)
 	start := s.tr.Clock()
 	buf := make([]byte, size)
-	if err := s.retry.Do(func() error { return s.store.ReadAt(off, buf) }); err != nil {
+	if err := s.store.ReadPages(off, pageViews(buf, int64(s.store.pageSize))); err != nil {
 		return fmt.Errorf("%w: segment %q pullIn at %#x: %w", gmi.ErrIO, s.name, off, err)
 	}
 	err := c.FillUp(off, buf, s.grant())
@@ -339,9 +318,9 @@ func (s *Segment) PushOuts() uint64 { return s.pushOuts.Load() }
 // Upgrades returns how many getWriteAccess upcalls the segment served.
 func (s *Segment) Upgrades() uint64 { return s.upgrades.Load() }
 
-// Retries returns how many transient store failures were retried on this
-// segment's behalf (upcall retries and the engine's own writeback
-// retries — one number for the whole storage tier).
+// Retries returns how many transient store failures the segment's engine
+// retried, reads and writeback alike — one number for the whole storage
+// tier.
 func (s *Segment) Retries() uint64 { return s.store.Engine().StatsSnapshot().Retries }
 
 // Release is the end of a unilaterally created segment: it frees every

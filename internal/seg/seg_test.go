@@ -182,6 +182,46 @@ func TestSegmentRetriesTransientFaults(t *testing.T) {
 	}
 }
 
+// TestPullInRetriesEachPage: the synchronous pullIn retries each page of
+// a multi-page read on its own, keeping the pages already read. Every
+// device operation fails twice before it succeeds, so a read retried as
+// a whole would restart at its first page and never get past the second.
+func TestPullInRetriesEachPage(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		f := store.NewFaulty(store.NewMem(pg), store.FaultConfig{Seed: 5, Prob: 1, MaxConsecutive: 2})
+		sg := NewSegmentOn("flaky-dev", f, cost.New())
+		pol := store.DefaultPolicy()
+		pol.Base, pol.Max = time.Microsecond, time.Microsecond
+		sg.Store().Engine().SetRetry(pol)
+		want := make([]byte, n*pg)
+		for i := range want {
+			want[i] = byte(i*7 + n)
+		}
+		if err := sg.Store().WriteAt(0, want); err != nil {
+			t.Fatalf("%d pages: preload: %v", n, err)
+		}
+		if err := sg.Store().Sync(); err != nil {
+			t.Fatalf("%d pages: Sync: %v", n, err)
+		}
+		before := sg.Retries()
+
+		fc := &fakeCache{}
+		if err := sg.PullIn(fc, 0, int64(n*pg), gmi.ProtRead); err != nil {
+			t.Fatalf("%d pages: PullIn through transient faults: %v", n, err)
+		}
+		if !bytes.Equal(fc.filled, want) {
+			t.Fatalf("%d pages: pullIn filled wrong bytes", n)
+		}
+		// Two retries per page: one for each injected failure.
+		if r := sg.Retries() - before; r != uint64(2*n) {
+			t.Fatalf("%d pages: %d retries, want %d", n, r, 2*n)
+		}
+		if err := sg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // deadBackend permanently fails every read.
 type deadBackend struct{ store.Backend }
 

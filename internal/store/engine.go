@@ -162,10 +162,10 @@ func (e *Engine) Backend() Backend { return e.b }
 // PageSize returns the page size of the backend.
 func (e *Engine) PageSize() int { return int(e.ps) }
 
-// NoteRetry records one transient-failure retry in the engine's stats
-// and trace stream. The seg layer funnels its upcall retries here too,
-// so "retries" is one number for the whole storage tier.
-func (e *Engine) NoteRetry(backoff time.Duration) {
+// noteRetry records one transient-failure retry in the engine's stats
+// and trace stream. Every retry under a segment is the engine's own, so
+// "retries" is one number for the whole storage tier.
+func (e *Engine) noteRetry(backoff time.Duration) {
 	e.mu.Lock()
 	e.st.Retries++
 	e.mu.Unlock()
@@ -240,10 +240,10 @@ func (e *Engine) pageLocked(po int64) []byte {
 
 // Read fills buf from [off, off+len(buf)), coherently with pending
 // writeback, and verifies each full page that has a recorded checksum.
-// It does not retry transient backend failures — the seg upcall layer
-// owns read retries — but ErrCorrupt is never retried anywhere. On
-// error the contents of buf are unspecified, as with io.ReaderAt: a
-// page that failed its checksum may already sit in it.
+// It does not retry transient backend failures — ReadPages does, page
+// by page — and ErrCorrupt is never retried anywhere. On error the
+// contents of buf are unspecified, as with io.ReaderAt: a page that
+// failed its checksum may already sit in it.
 func (e *Engine) Read(off int64, buf []byte) error {
 	return e.read(off, int64(len(buf)), func(bufOff, n int64) []byte { return buf[bufOff : bufOff+n] }, nil)
 }
@@ -379,7 +379,7 @@ func (e *Engine) ReadAsync(off int64, dst [][]byte, fn func(err error)) {
 func (e *Engine) SetRetry(p Policy) {
 	prev := p.OnRetry
 	p.OnRetry = func(attempt int, backoff time.Duration, err error) {
-		e.NoteRetry(backoff)
+		e.noteRetry(backoff)
 		if prev != nil {
 			prev(attempt, backoff, err)
 		}
