@@ -81,10 +81,10 @@ var layout = []section{
 	{"Machine-Independent Part (paper components)", []component{
 		{"GMI (generic interface)", internal("gmi"), 423},
 		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 5533},
-		{"Nucleus MM part (segment mgr, actors)", internal("nucleus"), 630},
+		{"Nucleus MM part (segment mgr, actors)", internal("nucleus"), 653},
 		{"IPC + transit segment", internal("ipc"), 307},
 		{"MIX process manager", internal("mix"), 555},
-		{"Segment managers (mappers)", internal("seg"), 496},
+		{"Segment managers (mappers)", internal("seg"), 490},
 	}},
 	{"MMU-Dependent Part (paper components)", []component{
 		{"MMU layer: shared", exactFiles(mmuFile("mmu.go")), 204},
@@ -93,24 +93,23 @@ var layout = []section{
 		{"MMU: i386 (flat)", exactFiles(mmuFile("flat.go")), 134},
 	}},
 	{"Extensions (not in the paper's Table 5)", []component{
-		{"Backing store (engine, backends)", internal("store"), 2135},
-		{"Tiered store + journal (unreached)", internal("tier"), 1041},
+		{"Backing store (engine, backends)", internal("store"), 2055},
 		{"Replacement policies", internal("policy"), 265},
 		{"MMU tests", func(p string) bool {
 			return underDir(filepath.Join("internal", "mmu"))(p) && !mmuPaper(p)
 		}, 0},
 		{"Observability (spans, histograms)", internal("obs"), 809},
-		{"DSM extension (coherence manager)", internal("dsm"), 357},
+		{"DSM extension (coherence manager)", internal("dsm"), 340},
 	}},
 	{"Tooling, baselines and harnesses", []component{
 		{"Cost model (simulated clock)", internal("cost"), 365},
 		{"Mach baseline (comparison)", internal("machvm"), 1503},
 		{"Trace-script interpreter", internal("script"), 611},
 		{"GMI conformance suite", internal("conformance"), 0},
-		{"Benchmark harness", internal("bench"), 1759},
+		{"Benchmark harness", internal("bench"), 1761},
 		{"Goroutine leak check (tests)", internal("leakcheck"), 107},
 		{"Commands (cmd/*)", underDir("cmd"), 947},
-		{"Examples", underDir("examples"), 702},
+		{"Examples", underDir("examples"), 705},
 		{"Repository benchmark (perfbench)", underDir("perfbench"), 1746},
 		{"Root package (doc, benchmarks)", exactFiles("doc.go", "bench_test.go"), 23},
 	}},

@@ -42,6 +42,7 @@ func run(w io.Writer) int {
 	site := nucleus.NewSite(clock, func(sa gmi.SegmentAllocator) gmi.MemoryManager {
 		return core.New(core.Options{Frames: 1024, PageSize: pageSize, Clock: clock, SegAlloc: sa})
 	})
+	defer site.Close()
 
 	// A mapper-held segment with recognizable content.
 	files := nucleus.NewMapper(site, "files")

@@ -38,6 +38,7 @@ func run(w io.Writer) int {
 	site := nucleus.NewSite(clock, func(sa gmi.SegmentAllocator) gmi.MemoryManager {
 		return core.New(core.Options{Frames: 2048, PageSize: pageSize, Clock: clock, SegAlloc: sa})
 	})
+	defer site.Close()
 	sys := mix.NewSystem(site)
 	pvm := site.MM.(*core.PVM)
 

@@ -33,6 +33,7 @@ func main() {
 			SegAlloc: sa, SmallCopyPages: 8, // 64 KB messages use per-page stubs
 		})
 	})
+	defer site.Close()
 	sys := mix.NewSystem(site)
 
 	bin, err := sys.InstallBinary("pipetool", bytes.Repeat([]byte{1}, pageSize), nil)

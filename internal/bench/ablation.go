@@ -177,6 +177,7 @@ func ExecSegmentCache(textPages, execs int) ExecCacheResult {
 			res.ColdSim, res.ColdWall = sim, wall
 			_, res.Misses = site.SegMgr.Stats()
 		}
+		site.Close()
 	}
 	return res
 }

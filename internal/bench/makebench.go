@@ -132,6 +132,7 @@ func MakeWorkload(files, textPages int) MakeResult {
 		} else {
 			res.ColdSim, res.ColdWall = sim, wall
 		}
+		site.Close()
 	}
 	return res
 }

@@ -47,11 +47,6 @@ type Manager struct {
 	pages map[int64]*pageDir
 	sites []*Site
 
-	// retry absorbs transient home-store failures; exhaustion surfaces
-	// as gmi.ErrIO to the faulting site.
-	retryMu sync.Mutex
-	retry   store.Policy
-
 	// tr observes coherence-transaction latency (set before use; nil-safe).
 	tr *obs.Tracer
 }
@@ -105,26 +100,12 @@ func NewManagerOn(pageSize int, clock *cost.Clock, b store.Backend) *Manager {
 		pageSize: int64(pageSize),
 		clock:    clock,
 		home:     seg.NewStoreOn(b, clock),
-		retry:    store.DefaultPolicy(),
 		pages:    make(map[int64]*pageDir),
 	}
 }
 
 // Home exposes the home store (tests preload initial contents).
 func (m *Manager) Home() *seg.Store { return m.home }
-
-// SetRetry replaces the home-store retry schedule (tests shrink it).
-func (m *Manager) SetRetry(p store.Policy) {
-	m.retryMu.Lock()
-	m.retry = p
-	m.retryMu.Unlock()
-}
-
-func (m *Manager) retryPolicy() store.Policy {
-	m.retryMu.Lock()
-	defer m.retryMu.Unlock()
-	return m.retry
-}
 
 // Close drains writeback and closes the home store (and with it the
 // backend the manager owns). Call after detaching every site.
@@ -251,10 +232,10 @@ func (m *Manager) fetchFor(s *Site, c gmi.Cache, off int64) error {
 	m.mu.Unlock()
 
 	buf := make([]byte, m.pageSize)
-	// Transient home-store failures are retried here, and only
+	// The home store's engine retries transient failures; only
 	// exhaustion travels up the GMI error path, marked gmi.ErrIO like any
 	// segment I/O failure.
-	if err := m.retryPolicy().Do(func() error { return m.home.ReadAt(off, buf) }); err != nil {
+	if err := m.home.ReadPages(off, [][]byte{buf}); err != nil {
 		return fmt.Errorf("%w: dsm pullIn at %#x: %w", gmi.ErrIO, off, err)
 	}
 	// Grant read-only: writes must come back through getWriteAccess so
@@ -331,7 +312,9 @@ func (ss *siteSegment) PushOut(c gmi.Cache, off, size int64) error {
 	if err := c.CopyBack(off, buf); err != nil {
 		return err
 	}
-	if err := m.retryPolicy().Do(func() error { return m.home.WriteAt(off, buf) }); err != nil {
+	// WriteAt only enqueues: the engine's writeback retries transient
+	// failures, and an error here is one it latched as permanent.
+	if err := m.home.WriteAt(off, buf); err != nil {
 		return fmt.Errorf("%w: dsm pushOut at %#x: %w", gmi.ErrIO, off, err)
 	}
 	return nil

@@ -3,7 +3,6 @@ package dsm
 import (
 	"bytes"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 
 // These tests run the DSM against a home store that fails: a Faulty
 // injector over Mem with a deterministic seed. The transient test must
-// ride out injected failures through the retry policies below the GMI;
+// ride out injected failures through the home store engine's retries;
 // the permanent test must surface gmi.ErrIO to the faulting site and
 // leave no goroutines behind.
 
@@ -30,11 +29,6 @@ func TestHomeStoreTransientFaults(t *testing.T) {
 	leakcheck.Check(t)
 
 	mgr, f := faultyHome(store.FaultConfig{Seed: 42, Prob: 0.3, MaxConsecutive: 2})
-	// Count the manager's own retries of home-store reads.
-	var retries atomic.Int64
-	p := store.DefaultPolicy()
-	p.OnRetry = func(int, time.Duration, error) { retries.Add(1) }
-	mgr.SetRetry(p)
 	want := []byte("paged against a failing home store")
 	if err := mgr.Home().WriteAt(0, want); err != nil {
 		t.Fatal(err)
@@ -91,11 +85,11 @@ func TestHomeStoreTransientFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The injected transients were absorbed below the GMI, each by one
-	// retry: the manager's for a page read, the engine's for writeback
-	// and sync. The retry counts are the only trace they leave.
-	total := uint64(retries.Load()) + mgr.Home().Engine().StatsSnapshot().Retries
-	if n := f.Injected(); n == 0 || total != n {
-		t.Fatalf("%d faults injected, %d retried (manager %d)", n, total, retries.Load())
+	// retry of the home store's engine, page reads and writeback alike.
+	// The retry count is the only trace they leave.
+	retried := mgr.Home().Engine().StatsSnapshot().Retries
+	if n := f.Injected(); n == 0 || retried != n {
+		t.Fatalf("%d faults injected, %d retried", n, retried)
 	}
 }
 
@@ -105,7 +99,7 @@ func TestHomeStorePermanentFault(t *testing.T) {
 	// Every operation fails and the consecutive cap never relents: with a
 	// shrunken retry budget the fault is effectively permanent.
 	mgr, _ := faultyHome(store.FaultConfig{Seed: 7, Prob: 1, MaxConsecutive: 1 << 30})
-	mgr.SetRetry(store.Policy{
+	mgr.Home().Engine().SetRetry(store.Policy{
 		Attempts: 2,
 		Base:     time.Microsecond,
 		Max:      time.Microsecond,

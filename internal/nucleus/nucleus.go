@@ -44,6 +44,9 @@ type Site struct {
 	Clock  *cost.Clock
 	IPC    *ipc.Kernel
 	SegMgr *SegmentManager
+
+	mu      sync.Mutex
+	mappers []*Mapper // started on the site and not yet stopped by Close
 }
 
 // NewSite wires a site together. newMM constructs the memory manager given
@@ -60,6 +63,21 @@ func NewSite(clock *cost.Clock, newMM func(gmi.SegmentAllocator) gmi.MemoryManag
 	site := &Site{MM: mm, Clock: clock, SegMgr: sm, IPC: ipc.NewKernel(mm, clock, 32)}
 	sm.defaultMapper = NewMapper(site, "default-mapper")
 	return site
+}
+
+// Close stops every mapper started on the site, the default mapper
+// included: it destroys their ports and waits until each has closed the
+// stores it held. Segments bound to them can no longer be paged. A
+// second Close stops only mappers started since the first.
+func (s *Site) Close() {
+	s.mu.Lock()
+	ms := s.mappers
+	s.mappers = nil
+	s.mu.Unlock()
+	for _, m := range ms {
+		m.port.Destroy()
+		<-m.done
+	}
 }
 
 // Mapper protocol ops (the read/write interface mappers export, section
@@ -100,16 +118,20 @@ func decodeReq(req []byte) (op byte, key uint64, off, size int64, data []byte, o
 type Mapper struct {
 	site *Site
 	port *ipc.Port
+	done chan struct{} // closed when serve has closed the stores
 
 	mu      sync.Mutex
 	stores  map[uint64]*seg.Store // nil once the port is destroyed
 	nextKey uint64
 }
 
-// NewMapper starts a mapper actor on the site.
+// NewMapper starts a mapper actor on the site; Site.Close stops it.
 func NewMapper(site *Site, name string) *Mapper {
-	m := &Mapper{site: site, stores: make(map[uint64]*seg.Store)}
+	m := &Mapper{site: site, stores: make(map[uint64]*seg.Store), done: make(chan struct{})}
 	m.port = site.IPC.AllocPort(name)
+	site.mu.Lock()
+	site.mappers = append(site.mappers, m)
+	site.mu.Unlock()
 	go m.serve()
 	return m
 }
@@ -117,6 +139,7 @@ func NewMapper(site *Site, name string) *Mapper {
 // serve answers requests until the port is destroyed, then closes every
 // store the mapper still holds.
 func (m *Mapper) serve() {
+	defer close(m.done)
 	m.port.Serve(m.handle)
 	m.mu.Lock()
 	stores := m.stores

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"chorusvm/internal/core"
 	"chorusvm/internal/cost"
 	"chorusvm/internal/gmi"
+	"chorusvm/internal/leakcheck"
 )
 
 const (
@@ -274,7 +274,7 @@ func storeCount(m *Mapper) int {
 // each swap segment it hands out (segmentCreate), and the memory manager
 // releases a swap segment when the cache it was created for dies, so
 // caches that pushed out and were then destroyed leave the mapper
-// holding no store. Destroying the mapper's port closes the rest.
+// holding no store. Closing the site closes the rest.
 func TestMapperDropsReleasedSwapStores(t *testing.T) {
 	s := newSite(t)
 	dm := s.SegMgr.DefaultMapper()
@@ -323,12 +323,43 @@ func TestMapperDropsReleasedSwapStores(t *testing.T) {
 	if got := storeCount(m); got != 2 {
 		t.Fatalf("mapper holds %d stores, want 2", got)
 	}
-	m.port.Destroy()
-	deadline := time.Now().Add(5 * time.Second)
-	for storeCount(m) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("mapper holds %d stores after its port was destroyed, want 0", storeCount(m))
-		}
-		time.Sleep(time.Millisecond)
+	s.Close()
+	if got := storeCount(m); got != 0 {
+		t.Fatalf("mapper holds %d stores after the site closed, want 0", got)
 	}
+}
+
+// TestSiteCloseStopsMappers: Close stops the goroutine of every mapper
+// the site started, the default mapper's included, and each mapper
+// closes its stores (and their engines' workers) before Close returns.
+// A second Close is a no-op.
+func TestSiteCloseStopsMappers(t *testing.T) {
+	leakcheck.Check(t)
+
+	s := newSite(t)
+	m := NewMapper(s, "files")
+	cap := m.CreateSegment()
+	want := pattern(0x42, 2*pg)
+	if err := m.Preload(cap, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.NewActor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.RgnMap(base, 2*pg, gmi.ProtRead, cap, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 2*pg)
+	if err := a.Ctx.Read(base, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("read through the mapper mismatch")
+	}
+	s.Close()
+	if got := storeCount(m); got != 0 {
+		t.Fatalf("mapper holds %d stores after the site closed, want 0", got)
+	}
+	s.Close()
 }

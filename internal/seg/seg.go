@@ -113,16 +113,10 @@ func (s *Store) chargePages(dst [][]byte) {
 	s.clock.Charge(cost.EvDiskRead, int((size+ps-1)/ps))
 }
 
-// DebugWriteHook, when set, observes every store write (test diagnostics).
-var DebugWriteHook func(s *Store, off int64, data []byte)
-
 // WriteAt enqueues data for asynchronous writeback. A nil return means
 // accepted, not durable; a non-nil return is a previously latched
 // permanent writeback failure (see store.Engine's error model).
 func (s *Store) WriteAt(off int64, data []byte) error {
-	if DebugWriteHook != nil {
-		DebugWriteHook(s, off, data)
-	}
 	err := s.eng.Write(off, data)
 	ps := int64(s.pageSize)
 	s.clock.Charge(cost.EvDiskSeek, 1)

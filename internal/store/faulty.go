@@ -118,24 +118,6 @@ func (f *Faulty) Sync() error {
 	return f.Backend.Sync()
 }
 
-// DiscardPage forwards to the wrapped backend when it supports single-
-// page discard (no injection: discard is bookkeeping, not device I/O).
-// A wrapped backend without the extension reports it cleanly.
-func (f *Faulty) DiscardPage(off int64) error {
-	if d, ok := f.Backend.(Discarder); ok {
-		return d.DiscardPage(off)
-	}
-	return fmt.Errorf("store: faulty: wrapped backend cannot discard pages")
-}
-
-// PageOffsets forwards to the wrapped backend (nil when unsupported).
-func (f *Faulty) PageOffsets() []int64 {
-	if l, ok := f.Backend.(PageLister); ok {
-		return l.PageOffsets()
-	}
-	return nil
-}
-
 // Injected returns how many transient failures have been injected.
 func (f *Faulty) Injected() uint64 { return f.injected.Load() }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"sync"
 
 	"chorusvm/internal/obs"
@@ -178,34 +177,6 @@ func (z *Flate) Sync() error {
 		return ErrClosed
 	}
 	return nil
-}
-
-// DiscardPage implements Discarder.
-func (z *Flate) DiscardPage(off int64) error {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if z.closed {
-		return ErrClosed
-	}
-	po := off &^ (z.ps - 1)
-	if blob, ok := z.pages[po]; ok {
-		z.physical -= int64(len(blob))
-		delete(z.pages, po)
-		delete(z.crcs, po)
-	}
-	return nil
-}
-
-// PageOffsets implements PageLister.
-func (z *Flate) PageOffsets() []int64 {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	offs := make([]int64, 0, len(z.pages))
-	for po := range z.pages {
-		offs = append(offs, po)
-	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	return offs
 }
 
 // Pages implements Backend.

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Mem is the in-memory backend: a sparse map of pages standing in for a
 // disk. It is the representation the original seg.Store used, moved
@@ -84,29 +81,6 @@ func (m *Mem) Sync() error {
 		return ErrClosed
 	}
 	return nil
-}
-
-// DiscardPage implements Discarder.
-func (m *Mem) DiscardPage(off int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	delete(m.pages, off&^(m.ps-1))
-	return nil
-}
-
-// PageOffsets implements PageLister.
-func (m *Mem) PageOffsets() []int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	offs := make([]int64, 0, len(m.pages))
-	for po := range m.pages {
-		offs = append(offs, po)
-	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	return offs
 }
 
 // Pages implements Backend.

@@ -2,11 +2,10 @@ package store
 
 import "time"
 
-// Policy is a bounded exponential retry/backoff. It is used in two
-// places: the engine's writeback workers (which have no caller to retry
-// for them) and the segment-manager upcalls in internal/seg (so a pullIn
-// or pushOut survives a transient device error and only reports permanent
-// failures up the GMI error path).
+// Policy is a bounded exponential retry/backoff. The engine is its one
+// user: it retries each page read and each writeback batch and sync, so
+// an upcall above it survives a transient device error and only reports
+// permanent failures up the GMI error path.
 type Policy struct {
 	// Attempts is the total number of tries (first try included).
 	Attempts int

@@ -23,8 +23,8 @@
 //     byte.
 //   - Faulty: a deterministic, seeded fault-injection wrapper (transient
 //     errors and latency spikes) for exercising the retry paths.
-//   - Policy: the bounded exponential retry/backoff used by the engine's
-//     writeback workers and by segment-manager upcalls.
+//   - Policy: the bounded exponential retry/backoff the engine applies to
+//     page reads and writeback.
 package store
 
 import (
@@ -64,8 +64,9 @@ type Backend interface {
 }
 
 // Discarder is an optional Backend extension: dropping a single
-// materialized page (Truncate can only drop suffixes). The in-package
-// backends (Mem, File, Flate) all implement it.
+// materialized page (Truncate can only drop suffixes). File implements
+// it; nothing in the VM calls it, and it stays for the repository
+// benchmark's backend wrapper (perfbench/wrap.go), which forwards it.
 type Discarder interface {
 	// DiscardPage releases the page at the page-aligned offset off; a
 	// hole there is a no-op. Subsequent reads see zeroes.
@@ -73,7 +74,8 @@ type Discarder interface {
 }
 
 // PageLister is an optional Backend extension: enumerating the
-// materialized page offsets.
+// materialized page offsets. File implements it; it stays for the
+// repository benchmark's backend wrapper, which forwards it.
 type PageLister interface {
 	// PageOffsets returns the page-aligned offsets of every materialized
 	// page, in ascending order.
@@ -81,21 +83,13 @@ type PageLister interface {
 }
 
 // Advice classifies a usage hint to an advising backend (see Adviser).
-// The VM no longer sends any; the repository benchmark's backend wrapper
-// and tier.Backend still name the type.
+// The VM sends none; the type stays for the repository benchmark's
+// backend wrapper, which names it.
 type Advice int
 
-const (
-	// AdviseCold marks pages the replacement policy just evicted.
-	AdviseCold Advice = iota
-	// AdviseIdle marks resident pages that went unreferenced across a
-	// whole policy tick.
-	AdviseIdle
-)
-
 // Adviser is an optional Backend extension: receiving usage hints.
-// Nothing in the VM calls it; it stays for the repository benchmark's
-// backend wrapper, and tier.Backend implements it.
+// No backend implements it and nothing in the VM calls it; it stays
+// for the repository benchmark's backend wrapper, which forwards it.
 type Adviser interface {
 	Advise(off, size int64, a Advice)
 }
