@@ -94,6 +94,7 @@ var layout = []section{
 	}},
 	{"Extensions (not in the paper's Table 5)", []component{
 		{"Backing store (engine, backends)", internal("store"), 2055},
+		{"Journaled store (unreached)", internal("tier"), 365},
 		{"Replacement policies", internal("policy"), 265},
 		{"MMU tests", func(p string) bool {
 			return underDir(filepath.Join("internal", "mmu"))(p) && !mmuPaper(p)

@@ -1,3 +1,9 @@
+// Package tier holds Journaled, the crash-consistent page store that
+// was the persistent cold tier of the deleted tiered composition. It is
+// a redo log in front of a store.File. Nothing outside this package's
+// tests builds it: no store kind, tool flag or script option selects
+// it. It is kept, with its tests, until its own deletion (ROADMAP.md
+// item 20).
 package tier
 
 import (

@@ -11,6 +11,8 @@ import (
 	"chorusvm/internal/tier"
 )
 
+const ps = storetest.PageSize
+
 // TestJournaledConformance runs the journaled store through the shared
 // battery and the reopen check on its own, independent of the tier
 // composition.
