@@ -17,8 +17,6 @@
 //	chorusbench -parallel -trace=out.json -trace-format=chrome
 //	chorusbench -parallel -store file -store-dir /tmp/pages
 //	                           # measure against real page files on disk
-//	chorusbench -parallel -sync-pager
-//	                           # synchronous pullIn baseline (protocol ablation)
 //	chorusbench -parallel -store flate -store-faults 0.05
 //	                           # compressing store under injected faults
 //	chorusbench -parallel -fault-around 8
@@ -65,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	storeKind := fs.String("store", "mem", "backing store for the -parallel worker segments: mem, file or flate")
 	storeDir := fs.String("store-dir", "", "directory for -store file page files (required with -store file)")
 	storeFaults := fs.Float64("store-faults", 0, "per-op probability of injected transient store faults (0 disables)")
-	syncPager := fs.Bool("sync-pager", false, "force the synchronous pullIn upcall path in -parallel (protocol ablation baseline)")
 	readAhead := fs.Int("readahead", 1, "cluster -parallel fills over up to this many contiguous pages")
 	pages := fs.Int("pages", 64, "pages each -parallel worker faults (larger runs average out timer noise)")
 	faultAround := fs.Int("fault-around", -1, "map up to this many resident neighbours per fault (power of two <= 8; 0 disables; setting >= 0 switches -parallel to the warm-resident soft-fault workload)")
@@ -183,7 +180,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				// Real backends should serve real content: preload gives
 				// "file" actual disk reads and "flate" actual inflates.
 				Preload:      cfg.Kind != "" && cfg.Kind != "mem",
-				SyncPager:    *syncPager,
 				ReadAhead:    ra,
 				WarmResident: warm,
 				// A single warm sweep lasts low milliseconds; accumulate

@@ -80,7 +80,7 @@ var mmuPaper = exactFiles(mmuFile("mmu.go"), mmuFile("twolevel.go"), mmuFile("in
 var layout = []section{
 	{"Machine-Independent Part (paper components)", []component{
 		{"GMI (generic interface)", internal("gmi"), 423},
-		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 5533},
+		{"PVM: machine-independent", anyOf(internal("core"), internal("phys")), 5531},
 		{"Nucleus MM part (segment mgr, actors)", internal("nucleus"), 653},
 		{"IPC + transit segment", internal("ipc"), 307},
 		{"MIX process manager", internal("mix"), 555},
@@ -94,7 +94,6 @@ var layout = []section{
 	}},
 	{"Extensions (not in the paper's Table 5)", []component{
 		{"Backing store (engine, backends)", internal("store"), 2055},
-		{"Journaled store (unreached)", internal("tier"), 365},
 		{"Replacement policies", internal("policy"), 265},
 		{"MMU tests", func(p string) bool {
 			return underDir(filepath.Join("internal", "mmu"))(p) && !mmuPaper(p)
@@ -107,9 +106,9 @@ var layout = []section{
 		{"Mach baseline (comparison)", internal("machvm"), 1503},
 		{"Trace-script interpreter", internal("script"), 611},
 		{"GMI conformance suite", internal("conformance"), 0},
-		{"Benchmark harness", internal("bench"), 1761},
+		{"Benchmark harness", internal("bench"), 1742},
 		{"Goroutine leak check (tests)", internal("leakcheck"), 107},
-		{"Commands (cmd/*)", underDir("cmd"), 947},
+		{"Commands (cmd/*)", underDir("cmd"), 942},
 		{"Examples", underDir("examples"), 705},
 		{"Repository benchmark (perfbench)", underDir("perfbench"), 1746},
 		{"Root package (doc, benchmarks)", exactFiles("doc.go", "bench_test.go"), 23},

@@ -25,32 +25,21 @@ import (
 // speedup is latency overlap, which does not require multiple CPUs.
 
 // latencySegment wraps a segment with a fixed wall-clock device latency
-// per pullIn, modelling the disk a real mapper would sit on.
+// per fill, modelling the disk a real mapper would sit on.
 type latencySegment struct {
 	*seg.Segment
 	latency time.Duration
 }
 
-func (l *latencySegment) PullIn(c gmi.Cache, off, size int64, mode gmi.Prot) error {
-	time.Sleep(l.latency)
-	return l.Segment.PullIn(c, off, size, mode)
-}
-
-// SubmitPull must be overridden alongside PullIn: the promoted method from
-// the embedded *seg.Segment would skip the simulated device latency
-// entirely. The sleep happens on a private goroutine, so a demand fill and
-// its speculation overlap their latencies; then the driver gets the request.
+// SubmitPull adds the device latency before the embedded driver gets the
+// request. The sleep happens on a private goroutine, so a demand fill and
+// its speculation overlap their latencies.
 func (l *latencySegment) SubmitPull(r *gmi.PageRequest) {
 	go func() {
 		time.Sleep(l.latency)
 		l.Segment.SubmitPull(r)
 	}()
 }
-
-// syncOnly exposes nothing of a segment but gmi.Segment. Hiding
-// SubmitPull opts the segment out of the gmi.Pager protocol, so the PVM
-// drives every fill through the blocking PullIn upcall.
-type syncOnly struct{ gmi.Segment }
 
 // ParallelResult is one row of the parallel fault-throughput table.
 type ParallelResult struct {
@@ -94,10 +83,6 @@ type ParallelOptions struct {
 	// workload where the frame allocator itself — not mapper latency — is
 	// the bottleneck. Store, Preload and PullLatency are ignored.
 	DemandZero bool
-	// SyncPager hides each worker segment's SubmitPull (syncOnly), so
-	// every fill takes the synchronous PullIn upcall — the
-	// pre-submit/complete baseline, kept for the protocol ablation.
-	SyncPager bool
 	// ReadAhead clusters each fill over up to this many contiguous pages
 	// (0 or 1 disables clustering).
 	ReadAhead int
@@ -202,11 +187,7 @@ func ParallelFaultThroughputOpts(o ParallelOptions) ParallelResult {
 					panic(err)
 				}
 			}
-			var cs gmi.Segment = s
-			if o.SyncPager {
-				cs = syncOnly{s}
-			}
-			c = p.CacheCreate(cs)
+			c = p.CacheCreate(s)
 		}
 		base := benchBase + gmi.VA(int64(i)*size*2)
 		reg, err := ctx.RegionCreate(base, size, gmi.ProtRW, c, 0)

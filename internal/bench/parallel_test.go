@@ -64,22 +64,3 @@ func TestParallelOptsFaultInjection(t *testing.T) {
 		t.Fatal("fault injection produced no retries")
 	}
 }
-
-// TestParallelSyncPagerBaseline: the -sync-pager baseline hides each
-// segment's SubmitPull, so every fill is a blocking PullIn and none is
-// submitted; without it the same run submits its fills.
-func TestParallelSyncPagerBaseline(t *testing.T) {
-	for _, sync := range []bool{true, false} {
-		r := ParallelFaultThroughputOpts(ParallelOptions{
-			Workers:        2,
-			PagesPerWorker: 8,
-			SyncPager:      sync,
-		})
-		if r.Faults != 16 || r.Stats.PullIns != 16 {
-			t.Fatalf("sync=%v: run incomplete: %+v", sync, r.Stats)
-		}
-		if got := r.Stats.FillSubmits; (got == 0) != sync {
-			t.Fatalf("sync=%v: FillSubmits = %d", sync, got)
-		}
-	}
-}

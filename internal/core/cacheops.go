@@ -13,10 +13,10 @@ import (
 // setProtection, lockInMemory).
 
 // FillUp implements gmi.Cache: a segment manager provides data for a
-// fragment, normally in response to a pullIn upcall. Data is installed
-// page by page; a trailing partial page is zero-filled. Fragments nobody
-// asked for are installed too (mapper-initiated prefetch). Resident dirty
-// pages are left alone: the cache holds newer data than the segment.
+// fragment (a fill of a pullIn's whole run lands in the request's frames
+// instead, see fillShim). Data is installed page by page; a
+// trailing partial page is zero-filled. Resident dirty pages are left
+// alone: the cache holds newer data than the segment.
 func (c *cache) FillUp(off int64, data []byte, mode gmi.Prot) error {
 	p := c.pvm
 	if !p.pageAligned(off) {
@@ -62,25 +62,15 @@ func (p *PVM) fillPage(c *cache, off int64, chunk []byte, mode gmi.Prot) error {
 				p.waitStub(e, nil)
 				continue
 			}
-			// This is the pull we are answering: install and wake.
-			pg, installed, err := p.installFilled(c, off, chunk, mode)
-			if err != nil {
-				return err
-			}
-			_ = pg
-			if installed && p.gmapGet(pageKey{c, off}) == mapEntry(e) {
-				// Our install must have replaced the stub.
-				panic("core: fill did not replace the stub")
-			}
-			if p.gmapGet(pageKey{c, off}) != mapEntry(e) {
+			// A fill in flight: this explicit fill replaces its stub and
+			// wakes its waiters; the fill's completion frees its frame.
+			err := p.installFilled(c, off, chunk, mode)
+			if err == nil {
 				p.settleStub(e)
 			}
-			return nil
+			return err
 		case nil:
-			if _, _, err := p.installFilled(c, off, chunk, mode); err != nil {
-				return err
-			}
-			return nil
+			return p.installFilled(c, off, chunk, mode)
 		}
 	}
 }
@@ -90,21 +80,20 @@ func (p *PVM) fillPage(c *cache, off int64, chunk []byte, mode gmi.Prot) error {
 // of the fill cost — the frame is private until published, tracked by
 // inFlightFrames for the accounting invariant). The segment explicitly
 // provided this data, which supersedes any inherited view of the offset.
-// installed=false means a competing fill won while the lock was out and
-// its page (returned) stands.
-func (p *PVM) installFilled(c *cache, off int64, chunk []byte, mode gmi.Prot) (pg *page, installed bool, err error) {
+// A competing fill that won while the lock was out stands.
+func (p *PVM) installFilled(c *cache, off int64, chunk []byte, mode gmi.Prot) error {
 	p.supersedeParent(c, off)
 	release, err := p.reserveFrames(1)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	defer release()
-	if pg := p.ownPage(c, off); pg != nil {
-		return pg, false, nil
+	if p.ownPage(c, off) != nil {
+		return nil
 	}
 	f, err := p.mem.Alloc()
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	atomic.AddInt64(&p.inFlightFrames, 1)
 	p.mu.Unlock()
@@ -114,12 +103,12 @@ func (p *PVM) installFilled(c *cache, off int64, chunk []byte, mode gmi.Prot) (p
 	copy(f.Data, chunk)
 	p.clock.Charge(cost.EvBcopyPage, 1)
 	p.mu.Lock()
-	if pg := p.ownPage(c, off); pg != nil {
+	if p.ownPage(c, off) != nil {
 		p.mem.Free(f)
 		atomic.AddInt64(&p.inFlightFrames, -1)
-		return pg, false, nil
+		return nil
 	}
-	pg = &page{frame: f, off: off, granted: mode}
+	pg := &page{frame: f, off: off, granted: mode}
 	if old := p.gmapGet(pageKey{c, off}); old != nil {
 		if st, isStub := old.(*cowStub); isStub {
 			p.removeStub(st)
@@ -130,7 +119,7 @@ func (p *PVM) installFilled(c *cache, off int64, chunk []byte, mode gmi.Prot) (p
 	p.addPage(c, pg)
 	atomic.AddInt64(&p.inFlightFrames, -1)
 	p.afterResident(c, pg)
-	return pg, true, nil
+	return nil
 }
 
 // CopyBack implements gmi.Cache: a segment manager retrieves cached data,

@@ -22,21 +22,23 @@ import (
 // Fast path (fastFaultOnce): p.mu.RLock plus the faulting key's global-map
 // shard mutex. It handles the common cases end to end — mapping a resident
 // page for read, a simple write to an already-writable page, zero-filling
-// a temporary, and a pager fill (submit.go) — so faults on different
-// pages from different contexts proceed in parallel. Page-content work
-// (bzero of a fresh frame) and pager submissions run with no shard lock
-// held: an in-transit fragment is represented by a synchronization stub
-// in the global map, so concurrent access blocks on the fragment, never
-// on a lock. Anything structural — deferred-copy stubs, history pushes,
-// access upgrades, read-through of parent chains, synchronous pullIn
-// upcalls, frame reclaim — makes the fast path bail out wholesale.
+// a temporary, and a segment fill (submit.go: every segment is driven as
+// a gmi.Pager) — so faults on different pages from different contexts
+// proceed in parallel. Page-content work (bzero of a fresh frame) runs
+// with no shard lock held, a fill's device work with no PVM lock at all:
+// an in-transit fragment is represented by a synchronization stub in the
+// global map, so concurrent access blocks on the fragment, never on a
+// lock. Anything structural — deferred-copy stubs, history pushes,
+// access upgrades, read-through of parent chains, frame reclaim — makes
+// the fast path bail out wholesale.
 //
 // Slow path (slowFault/resolveFault): p.mu held exclusively, which
 // excludes every RLock holder and therefore every shard-lock holder.
 // Under it the original big-lock protocol applies unchanged: functions
 // may release and reacquire p.mu (to wait on in-transit fragments, to
-// issue upcalls, or to reclaim frames); they return with the lock held
-// again, and callers re-validate anything they looked up before the call.
+// submit fills, to issue upcalls, or to reclaim frames); they return
+// with the lock held again, and callers re-validate anything they looked
+// up before the call.
 // The outer fault loop simply restarts resolution from the global map
 // after any such step.
 //
@@ -284,23 +286,13 @@ func (p *PVM) fastFaultOnce(ctx *context, va gmi.VA, access gmi.Prot, span *obs.
 			p.mu.RUnlock()
 			return false, false, nil
 		}
+		*worked = true
 		if c.seg == nil {
-			*worked = true
 			return p.fastZeroFill(ctx, r, pva, c, off, key, sh, access, span)
 		}
-		if pager, ok := c.seg.(gmi.Pager); ok {
-			// Submit/complete protocol: park on the stub, a completion
-			// publishes the cluster (submit.go). Read-ahead stays on the
-			// fast path here — each neighbour key is stubbed under its
-			// own shard mutex.
-			*worked = true
-			return p.fastSubmitPull(c, off, r.coff+r.size, key, sh, pager, access, span)
-		}
-		// A synchronous PullIn upcall is answered by FillUp, which takes
-		// p.mu exclusively: the exclusive tier issues it.
-		sh.mu.Unlock()
-		p.mu.RUnlock()
-		return false, false, nil
+		// Park on the stub; a completion publishes the cluster, each
+		// neighbour stubbed under its own shard mutex (submit.go).
+		return p.fastSubmitPull(c, off, r.coff+r.size, key, sh, pagerOf(c.seg), access, span)
 
 	default:
 		sh.mu.Unlock()
@@ -595,7 +587,7 @@ func (p *PVM) ensureResident(c *cache, off int64, access gmi.Prot, span *obs.Fau
 }
 
 // bringIn makes (c, off) resident at its owning cache c: zero-fill for
-// temporaries, a pager fill or a pullIn upcall otherwise. A
+// temporaries, a pager fill (submit.go) otherwise. A
 // synchronization stub blocks concurrent access to each in-transit page
 // (section 4.1.2). When read-ahead is configured, the pull is clustered
 // over the following empty owner-resolved pages, amortizing the
@@ -607,10 +599,6 @@ func (p *PVM) bringIn(c *cache, off int64, access gmi.Prot, span *obs.FaultSpan)
 	stub := &syncStub{done: make(chan struct{})}
 	p.gmapSet(key, stub)
 	p.clock.Charge(cost.EvGlobalMapOp, 1)
-	pager, async := seg.(gmi.Pager)
-	if seg != nil && !async {
-		return p.pullInSync(c, off, seg, stub, access, span)
-	}
 
 	// The primary page's frame is reserved now, evicting if need be; the
 	// lock may have been out, so the stub must still hold the key (an
@@ -657,58 +645,10 @@ func (p *PVM) bringIn(c *cache, off int64, access gmi.Prot, span *obs.FaultSpan)
 	req := p.stubFill(c, off, math.MaxInt64, access|gmi.ProtRead, stub, release)
 	span.Mark(obs.StageResolve)
 	p.mu.Unlock()
-	err = p.awaitFill(pager, c, off, stub, span, req)
+	err = p.awaitFill(pagerOf(seg), c, off, stub, span, req)
 	p.mu.Lock()
 	span.Mark(obs.StageLockWait)
 	return err
-}
-
-// pullInSync fills (c, off), whose stub is installed, with the paper's
-// synchronous pullIn upcall, clustered over the following empty
-// owner-resolved pages; the segment answers with FillUp, which replaces
-// the stubs. p.mu held exclusively; released around the upcall.
-func (p *PVM) pullInSync(c *cache, off int64, seg gmi.Segment, stub *syncStub, access gmi.Prot, span *obs.FaultSpan) error {
-	stubs := []*syncStub{stub}
-	for len(stubs) < p.readAhead {
-		o := off + int64(len(stubs))*p.pageSize
-		if p.gmapGet(pageKey{c, o}) != nil || c.findParent(o) != nil {
-			break
-		}
-		s := &syncStub{done: make(chan struct{})}
-		p.gmapSet(pageKey{c, o}, s)
-		stubs = append(stubs, s)
-	}
-	p.clock.Charge(cost.EvGlobalMapOp, len(stubs)-1)
-
-	atomic.AddUint64(&p.stats.PullIns, 1)
-	p.clock.Charge(cost.EvPullIn, 1)
-	span.Mark(obs.StageResolve)
-	p.mu.Unlock()
-	start := p.obs.Clock()
-	err := seg.PullIn(c, off, int64(len(stubs))*p.pageSize, access|gmi.ProtRead)
-	p.obs.Span(obs.KindPullIn, obs.OpPullIn, int64(c.id), off, start)
-	p.mu.Lock()
-	span.Mark(obs.StageSubmit)
-
-	// Settle whatever the fill did not replace (everything, on error).
-	firstFilled := true
-	for i, s := range stubs {
-		key := pageKey{c, off + int64(i)*p.pageSize}
-		if cur := p.gmapGet(key); cur == mapEntry(s) {
-			p.gmapDelete(key)
-			p.settleStub(s)
-			if i == 0 {
-				firstFilled = false
-			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if !firstFilled {
-		return fmt.Errorf("core: segment did not fill (cache %p, off %#x)", c, off)
-	}
-	return nil
 }
 
 // afterResident applies the bookkeeping a freshly resident own page needs:

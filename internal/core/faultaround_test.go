@@ -167,29 +167,40 @@ func TestSpeculationCancelledUnderFramePressure(t *testing.T) {
 
 // TestReadAheadStopsAtRegionEnd: a region narrower than the read-ahead
 // cluster fills only the pages of its window, on demand and by
-// speculation, though the segment holds data past it.
+// speculation, though the segment holds data past it — whether the
+// segment is a gmi.Pager or implements only PullIn (pullInPager).
 func TestReadAheadStopsAtRegionEnd(t *testing.T) {
-	p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 8 })
-	sg := seg.NewSegment("file", pg, p.Clock())
-	want := pattern(0x3C, 16*pg)
-	sg.Store().WriteAt(0, want)
-	c := p.CacheCreate(sg)
-	ctx, err := p.ContextCreate()
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		wrap func(*seg.Segment) gmi.Segment
+	}{
+		{"pager", func(sg *seg.Segment) gmi.Segment { return sg }},
+		{"pullin", func(sg *seg.Segment) gmi.Segment { return &seg.FlakySegment{Segment: sg} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 8 })
+			sg := seg.NewSegment("file", pg, p.Clock())
+			want := pattern(0x3C, 16*pg)
+			sg.Store().WriteAt(0, want)
+			c := p.CacheCreate(tc.wrap(sg))
+			ctx, err := p.ContextCreate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustRegion(t, ctx, base, 3*pg, gmi.ProtRead, c, 0)
+			if got := mustRead(t, ctx, base, 3*pg); !bytes.Equal(got, want[:3*pg]) {
+				t.Fatal("content mismatch")
+			}
+			if st := p.Stats(); st.PullIns != 1 || st.Faults != 3 {
+				t.Fatalf("PullIns=%d Faults=%d, want 1/3", st.PullIns, st.Faults)
+			}
+			if n := p.Clock().Count(cost.EvDiskRead); n != 3 {
+				t.Fatalf("%d pages read from disk, want 3", n)
+			}
+			if info, _ := p.Describe(c); len(info.Resident) != 3 {
+				t.Fatalf("%d pages resident, want the region's 3", len(info.Resident))
+			}
+			check(t, p)
+		})
 	}
-	mustRegion(t, ctx, base, 3*pg, gmi.ProtRead, c, 0)
-	if got := mustRead(t, ctx, base, 3*pg); !bytes.Equal(got, want[:3*pg]) {
-		t.Fatal("content mismatch")
-	}
-	if st := p.Stats(); st.PullIns != 1 || st.Faults != 3 {
-		t.Fatalf("PullIns=%d Faults=%d, want 1/3", st.PullIns, st.Faults)
-	}
-	if n := p.Clock().Count(cost.EvDiskRead); n != 3 {
-		t.Fatalf("%d pages read from disk, want 3", n)
-	}
-	if info, _ := p.Describe(c); len(info.Resident) != 3 {
-		t.Fatalf("%d pages resident, want the region's 3", len(info.Resident))
-	}
-	check(t, p)
 }

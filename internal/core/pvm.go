@@ -143,7 +143,7 @@ type Stats struct {
 	CowBreaks     uint64 // private pages materialized by deferred copies
 	HistoryPushes uint64 // original pages preserved into history objects
 	StubBreaks    uint64 // per-page stubs resolved by copying
-	PullIns       uint64 // pullIn upcalls issued (sync calls + async submissions)
+	PullIns       uint64 // fill requests submitted to segments (one per pullIn, whatever the driver)
 	FillSubmits   uint64 // async fill requests submitted to pagers
 	FillCompletes uint64 // pager completions processed (inline, on the completing goroutine)
 	PushOuts      uint64 // pushOut upcalls issued

@@ -203,18 +203,31 @@ func TestConcurrentSharedReaders(t *testing.T) {
 // ports. pmmu's hash table is shared by every space, so concurrent faults
 // in distinct contexts race on it unless the port locks it (mmu.Space's
 // concurrency contract).
+// The pullin variant puts every worker cache over a segment that
+// implements only PullIn (a FlakySegment that never fails), with
+// read-ahead, so pullInPager serves every fill, speculation included,
+// while the daemon and the forced PageOut reclaim.
 func TestConcurrentOracleStress(t *testing.T) {
-	t.Run("baseline", func(t *testing.T) { runOracleStress(t, false) })
-	t.Run("extent", func(t *testing.T) { runOracleStress(t, false, withExtent) })
-	t.Run("2q", func(t *testing.T) { runOracleStress(t, true) })
+	t.Run("baseline", func(t *testing.T) { runOracleStress(t, oracleLeg{}) })
+	t.Run("extent", func(t *testing.T) { runOracleStress(t, oracleLeg{}, withExtent) })
+	t.Run("2q", func(t *testing.T) { runOracleStress(t, oracleLeg{harvest: true}) })
 	for _, hw := range []string{"pmmu", "i386"} {
 		t.Run(hw, func(t *testing.T) {
-			runOracleStress(t, false, func(o *Options) { o.MMU = hw })
+			runOracleStress(t, oracleLeg{}, func(o *Options) { o.MMU = hw })
 		})
 	}
+	t.Run("pullin", func(t *testing.T) {
+		runOracleStress(t, oracleLeg{pullIn: true}, func(o *Options) { o.ReadAheadPages = 4 })
+	})
 }
 
-func runOracleStress(t *testing.T, harvest bool, opts ...func(*Options)) {
+// oracleLeg is what a runOracleStress variant adds to the baseline fight.
+type oracleLeg struct {
+	harvest bool // the forced reclaimer also runs a harvest tick
+	pullIn  bool // worker caches sit over PullIn-only segments
+}
+
+func runOracleStress(t *testing.T, leg oracleLeg, opts ...func(*Options)) {
 	p, _ := newTestPVM(t, 96, opts...)
 
 	const (
@@ -247,12 +260,15 @@ func runOracleStress(t *testing.T, harvest bool, opts ...func(*Options)) {
 			}
 			cbase := gmi.VA(0x200_0000) // cluster-aligned: a fill covers whole clusters
 			var c gmi.Cache
-			if p.faultAround > 1 {
+			switch {
+			case leg.pullIn:
+				c = p.CacheCreate(&seg.FlakySegment{Segment: seg.NewSegment(fmt.Sprintf("w%d", w), pg, p.Clock())})
+			case p.faultAround > 1:
 				// Segment-backed caches take the async submit/complete
 				// path, whose clustered fills leave whole clusters
 				// resident for fault-around to map.
 				c = p.CacheCreate(seg.NewSegment(fmt.Sprintf("w%d", w), pg, p.Clock()))
-			} else {
+			default:
 				c = p.TempCacheCreate()
 			}
 			if _, err := ctx.RegionCreate(cbase, pages*pg, gmi.ProtRW, c, 0); err != nil {
@@ -371,7 +387,7 @@ func runOracleStress(t *testing.T, harvest bool, opts ...func(*Options)) {
 			case <-done:
 				return
 			default:
-				if harvest {
+				if leg.harvest {
 					p.PolicyTick()
 					ticks++
 				}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"chorusvm/internal/cost"
@@ -9,19 +11,19 @@ import (
 	"chorusvm/internal/phys"
 )
 
-// This file is the PVM side of the asynchronous pager protocol. A fault
-// on a segment whose driver implements gmi.Pager does not block inside a
-// PullIn upcall: it installs synchronization stubs, takes a frame for
-// every page of the read-ahead cluster, submits one gmi.PageRequest
-// whose Dst points the driver at those frames, and parks on the primary
-// stub's channel. The driver reads each page straight into its frame and
-// completes the request (a demand fill typically inside SubmitPull); the
-// completion runs right there, publishing the frames as resident pages,
-// settling the stubs and waking every context that faulted on them — one
-// device round-trip serves all waiters, no page is copied, and read-ahead
-// pages install without any faulting thread. Each fast-path fill also
-// speculates the next cluster with a second, fire-and-forget request
-// (Speculative) served off the submitter, pipelining sequential reads.
+// This file is the PVM's one fill protocol, submit/complete. A fault on
+// a segment installs synchronization stubs, takes a frame for every page
+// of the read-ahead cluster, submits one gmi.PageRequest whose Dst points
+// the driver at those frames, and parks on the primary stub's channel.
+// The driver (the segment, or pullInPager for a segment that implements
+// only PullIn) reads each page straight into its frame and completes the
+// request, a demand fill typically inside SubmitPull; the completion runs
+// right there, publishing the frames as resident pages, settling the
+// stubs and waking every context that faulted on them — one device
+// round-trip serves all waiters and read-ahead pages install without any
+// faulting thread. Each fast-path fill also speculates the next cluster
+// with a second, fire-and-forget request (Speculative) served off the
+// submitter, pipelining sequential reads.
 //
 // Both fault tiers submit the same way. The fast path (fastSubmitPull)
 // reserves the primary frame without evicting and bails out to the
@@ -117,7 +119,7 @@ func (p *PVM) completeFill(fc *fillCompletion) {
 	p.obs.Emit(obs.KindFillComplete, int64(fc.c.id), fc.off)
 	if fc.err == nil && fc.data != nil {
 		for i, f := range fc.frames {
-			chunk := fillChunk(fc.data, i, p.pageSize)
+			chunk := fc.data[min(int64(i)*p.pageSize, int64(len(fc.data))):]
 			if int64(len(chunk)) < p.pageSize {
 				p.mem.Zero(f)
 			}
@@ -214,17 +216,6 @@ func (p *PVM) publishFill(fc *fillCompletion, shared bool) {
 			sh.mu.Unlock()
 		}
 	}
-}
-
-// fillChunk returns the slice of data covering page i of a clustered
-// fill; short data zero-fills the remainder (the zero-fill-beyond-EOF
-// convention of FillUp).
-func fillChunk(data []byte, i int, ps int64) []byte {
-	lo := int64(i) * ps
-	if lo >= int64(len(data)) {
-		return nil
-	}
-	return data[lo:min64(lo+ps, int64(len(data)))]
 }
 
 // installStubRun installs fresh syncStubs, each with its own non-evicting
@@ -398,9 +389,7 @@ func (p *PVM) awaitFill(pager gmi.Pager, c *cache, off int64, stub *syncStub, sp
 // next cluster, fire-and-forget: no context parks on those stubs, so the
 // completion installs the pages without any faulting thread, and a
 // sequential reader overlaps the next device round-trip with consuming
-// the current cluster. The synchronous PullIn upcall cannot pipeline this
-// way without dedicating a blocked thread to every speculation — it is
-// the capability the submit/complete protocol buys.
+// the current cluster.
 func (p *PVM) fastSubmitPull(c *cache, off, end int64, key pageKey, sh *gmapShard, pager gmi.Pager, access gmi.Prot, span *obs.FaultSpan) (bool, bool, error) {
 	release, ok := p.tryReserveFrames(1)
 	if !ok {
@@ -437,4 +426,84 @@ func (p *PVM) fastSubmitPull(c *cache, off, end int64, key pageKey, sh *gmapShar
 		return true, false, err
 	}
 	return false, true, nil
+}
+
+// pagerOf returns the driver of seg's fills: seg itself when it is a
+// gmi.Pager, otherwise a pullInPager over it.
+func pagerOf(seg gmi.Segment) gmi.Pager {
+	if pager, ok := seg.(gmi.Pager); ok {
+		return pager
+	}
+	return pullInPager{seg}
+}
+
+// pullInPager drives a segment that implements only PullIn as a
+// gmi.Pager: each request is one pullIn upcall, answered through a
+// fillShim. A demand request is served on the submitting goroutine, a
+// speculative one on a goroutine of its own.
+type pullInPager struct{ gmi.Segment }
+
+// SubmitPull implements gmi.Pager.
+func (a pullInPager) SubmitPull(r *gmi.PageRequest) {
+	if r.Speculative {
+		go a.serve(r)
+	} else {
+		a.serve(r)
+	}
+}
+
+// serve issues the upcall. Unless a fill of the whole run completed r,
+// r completes when PullIn returns, with its error or, if it returned
+// nil, with gmi.ErrIO: pages an explicit fill installed stand, and the
+// rest fail rather than publish frames that hold stale bytes.
+func (a pullInPager) serve(r *gmi.PageRequest) {
+	sh := &fillShim{Cache: r.Cache, r: r}
+	err := a.PullIn(sh, r.Off, r.Size, r.Mode)
+	if !sh.claim(r.Off, r.Size) {
+		return
+	}
+	if err == nil {
+		err = fmt.Errorf("%w: segment did not fill %#x+%#x", gmi.ErrIO, r.Off, r.Size)
+	}
+	r.Complete(nil, gmi.ProtNone, err)
+}
+
+// fillShim is the cache a pullInPager passes to PullIn: the real cache,
+// except that a FillUp from the start of the run covering all of it,
+// while r is in flight, is read into the run's frames and completes r
+// before it returns. Any other fill, a partial one of the run included,
+// is a FillUp of the real cache. Either way the pages are resident when
+// FillUp returns, as the GMI promises; a coherence mapper (internal/dsm)
+// relies on that while it holds its directory lock.
+type fillShim struct {
+	gmi.Cache
+	r    *gmi.PageRequest
+	mu   sync.Mutex
+	done bool
+}
+
+// claim reports whether n bytes at off fill the whole run of a request
+// still in flight, and if so marks it completed.
+func (sh *fillShim) claim(off, n int64) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ok := !sh.done && off == sh.r.Off && n >= sh.r.Size
+	sh.done = sh.done || ok
+	return ok
+}
+
+// FillUp implements gmi.Cache.
+func (sh *fillShim) FillUp(off int64, data []byte, mode gmi.Prot) error {
+	r := sh.r
+	if !sh.claim(off, int64(len(data))) {
+		return sh.Cache.FillUp(off, data, mode)
+	}
+	for i, dst := range r.Dst {
+		copy(dst, data[i*len(dst):])
+	}
+	r.Complete(nil, mode, nil)
+	if rest := data[r.Size:]; len(rest) > 0 {
+		return sh.Cache.FillUp(off+r.Size, rest, mode)
+	}
+	return nil
 }

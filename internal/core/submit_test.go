@@ -53,8 +53,8 @@ func (m *manualPager) take() []*gmi.PageRequest {
 }
 
 // slowSegment embeds the gmi.Segment interface (not *seg.Segment), so its
-// method set has no SubmitPull and the PVM takes the synchronous PullIn
-// path — the pre-pager baseline, with a wall-clock device wait.
+// method set has no SubmitPull and the PVM drives its blocking PullIn
+// through pullInPager, with a wall-clock device wait.
 type slowSegment struct {
 	gmi.Segment
 	delay time.Duration
@@ -916,6 +916,179 @@ func TestCorruptPageFaultIsErrIO(t *testing.T) {
 	check(t, p)
 	if got := mustRead(t, ctx, base+2*pg, pg); !bytes.Equal(got, want[2*pg:3*pg]) {
 		t.Fatal("fault on an intact page read wrong bytes")
+	}
+	check(t, p)
+}
+
+// scriptedSegment implements PullIn only (no SubmitPull), so the PVM
+// drives it through pullInPager; its PullIn answers with whatever fills
+// the test scripts. Everything else goes to the embedded segment.
+type scriptedSegment struct {
+	gmi.Segment
+	pullIn func(c gmi.Cache, off, size int64) error
+}
+
+func (s *scriptedSegment) PullIn(c gmi.Cache, off, size int64, mode gmi.Prot) error {
+	return s.pullIn(c, off, size)
+}
+
+// TestPullInPublishesOnlyFilledPages: a PullIn that returns nil without
+// filling every page of its run publishes no frame it did not fill. A
+// page it filled on its own (a partial fill of the run is an explicit
+// fill) is resident with its bytes; an unfilled primary fails the fault
+// with gmi.ErrIO; no frame leaks and the invariants hold.
+func TestPullInPublishesOnlyFilledPages(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		readAhead int
+		fill      []int64 // pages of the run the PullIn fills
+		wantErr   bool
+	}{
+		{"none", 1, nil, true},
+		{"neighbour-only", 4, []int64{1}, true},
+		{"first-of-four", 4, []int64{0}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = tc.readAhead })
+			want := pattern(0x2D, 4*pg)
+			sg := &scriptedSegment{
+				Segment: closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock())),
+				pullIn: func(c gmi.Cache, off, size int64) error {
+					for _, i := range tc.fill {
+						o := off + i*pg
+						if err := c.FillUp(o, want[o:o+pg], gmi.ProtRWX); err != nil {
+							return err
+						}
+					}
+					return nil
+				},
+			}
+			c := p.CacheCreate(sg)
+			ctx, err := p.ContextCreate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustRegion(t, ctx, base, 4*pg, gmi.ProtRead, c, 0)
+			buf := make([]byte, 8)
+			err = ctx.Read(base, buf)
+			if tc.wantErr && !errors.Is(err, gmi.ErrIO) {
+				t.Fatalf("read with the primary unfilled: got %v, want gmi.ErrIO", err)
+			}
+			if !tc.wantErr && (err != nil || !bytes.Equal(buf, want[:8])) {
+				t.Fatalf("read of the filled primary: err %v, bytes %v", err, buf)
+			}
+			info, _ := p.Describe(c)
+			if len(info.Resident) != len(tc.fill) {
+				t.Fatalf("%d pages resident, want only the %d filled", len(info.Resident), len(tc.fill))
+			}
+			for i, r := range info.Resident {
+				got := make([]byte, pg)
+				if err := c.ReadAt(r.Off, got); err != nil || r.Off != tc.fill[i]*pg || !bytes.Equal(got, want[r.Off:r.Off+pg]) {
+					t.Fatalf("resident page %#x: err %v, want page %d with its bytes", r.Off, err, tc.fill[i])
+				}
+			}
+			if free, total := p.Memory().FreeFrames(), p.Memory().TotalFrames(); free != total-len(tc.fill) {
+				t.Fatalf("frames leaked: %d/%d free with %d resident", free, total, len(tc.fill))
+			}
+			check(t, p)
+		})
+	}
+}
+
+// TestPullInFillOutsideRunIsExplicit: a fillUp past the requested run,
+// made while answering the pullIn, is an explicit fill of the real cache:
+// the page is resident afterwards and reading it needs no pullIn.
+func TestPullInFillOutsideRunIsExplicit(t *testing.T) {
+	p, _ := newTestPVM(t, 64)
+	want := pattern(0x4E, 2*pg)
+	sg := &scriptedSegment{
+		Segment: closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock())),
+		pullIn: func(c gmi.Cache, off, size int64) error {
+			return c.FillUp(off, want[off:off+size+pg], gmi.ProtRWX)
+		},
+	}
+	c := p.CacheCreate(sg)
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, 2*pg, gmi.ProtRead, c, 0)
+	if got := mustRead(t, ctx, base, pg); !bytes.Equal(got, want[:pg]) {
+		t.Fatal("faulted page content mismatch")
+	}
+	if info, _ := p.Describe(c); len(info.Resident) != 2 {
+		t.Fatalf("%d pages resident, want the run's page and the explicit fill", len(info.Resident))
+	}
+	before := p.Stats()
+	if got := mustRead(t, ctx, base+pg, pg); !bytes.Equal(got, want[pg:]) {
+		t.Fatal("explicitly filled page content mismatch")
+	}
+	if d := p.Stats().Delta(before); d.PullIns != 0 || d.SoftFaults != 1 {
+		t.Fatalf("reading the explicit fill: PullIns=%d SoftFaults=%d, want 0/1", d.PullIns, d.SoftFaults)
+	}
+	check(t, p)
+}
+
+// TestPullInSpeculationOffSubmitter: with read-ahead, the speculative
+// next cluster of a PullIn-only segment is served off the faulting
+// goroutine — its pullIn blocks here until the test opens the gate, yet
+// the fault returns — and completes with no faulting thread.
+func TestPullInSpeculationOffSubmitter(t *testing.T) {
+	p, _ := newTestPVM(t, 64, func(o *Options) { o.ReadAheadPages = 4 })
+	inner := closeOnCleanup(t, seg.NewSegment("file", pg, p.Clock()))
+	want := pattern(0x6A, 8*pg)
+	if err := inner.Store().WriteAt(0, want); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	open := func() { gateOnce.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	sg := &scriptedSegment{
+		Segment: inner,
+		pullIn: func(c gmi.Cache, off, size int64) error {
+			if off >= 4*pg {
+				<-gate
+			}
+			return inner.PullIn(c, off, size, gmi.ProtRead)
+		},
+	}
+	c := p.CacheCreate(sg)
+	ctx, err := p.ContextCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegion(t, ctx, base, 8*pg, gmi.ProtRead, c, 0)
+
+	read := make(chan error, 1)
+	go func() { read <- ctx.Read(base, make([]byte, 8)) }()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the fault waited for its speculative pullIn")
+	}
+	open()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().FillCompletes < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the speculative fill never completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if info, _ := p.Describe(c); len(info.Resident) != 8 {
+		t.Fatalf("%d pages resident, want both clusters' 8", len(info.Resident))
+	}
+	if st := p.Stats(); st.Faults != 1 || st.PullIns != 2 {
+		t.Fatalf("Faults=%d PullIns=%d, want 1 fault and 2 pullIns", st.Faults, st.PullIns)
+	}
+	if got := mustRead(t, ctx, base, 8*pg); !bytes.Equal(got, want) {
+		t.Fatal("clustered fills read wrong bytes")
+	}
+	if st := p.Stats(); st.PullIns != 2 {
+		t.Fatalf("PullIns=%d after reading both clusters, want still 2", st.PullIns)
 	}
 	check(t, p)
 }

@@ -25,15 +25,19 @@ type testSite struct {
 	ctx gmi.Context
 }
 
-func newCluster(t *testing.T, mgr *Manager, n, pages int) []*testSite {
+func newCluster(t *testing.T, mgr *Manager, n, pages int, opts ...func(*core.Options)) []*testSite {
 	t.Helper()
 	var out []*testSite
 	for i := 0; i < n; i++ {
 		clock := cost.New()
-		mm := core.New(core.Options{
+		o := core.Options{
 			Frames: 128, PageSize: pg, Clock: clock,
 			SegAlloc: seg.NewSwapAllocator(pg, clock),
-		})
+		}
+		for _, f := range opts {
+			f(&o)
+		}
+		mm := core.New(o)
 		s, cache := mgr.Attach(fmt.Sprintf("site%d", i), mm)
 		ctx, err := mm.ContextCreate()
 		if err != nil {
@@ -169,11 +173,21 @@ func TestDetachFlushesHome(t *testing.T) {
 
 // TestConcurrentSites runs disjoint-page writers and cross-page readers in
 // parallel; per-page last-writer contents must be exact and the directory
-// invariant must hold.
+// invariant must hold. With read-ahead a site's fill covers several pages,
+// which the manager fills one at a time under each page's lock, so each
+// fillUp must be resident when it returns, not when the whole fill ends.
 func TestConcurrentSites(t *testing.T) {
+	for _, ra := range []int{1, 4} {
+		t.Run(fmt.Sprintf("readahead%d", ra), func(t *testing.T) {
+			testConcurrentSites(t, func(o *core.Options) { o.ReadAheadPages = ra })
+		})
+	}
+}
+
+func testConcurrentSites(t *testing.T, opt func(*core.Options)) {
 	mgr := NewManager(pg, cost.New())
 	const nsites, pages = 4, 8
-	sites := newCluster(t, mgr, nsites, pages)
+	sites := newCluster(t, mgr, nsites, pages, opt)
 
 	var wg sync.WaitGroup
 	for i, s := range sites {

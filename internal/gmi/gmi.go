@@ -58,7 +58,7 @@ type MemoryManager interface {
 // manager suspends concurrent access to that fragment (section 3.3.3).
 type Segment interface {
 	// PullIn asks the segment to provide [off, off+size) with the given
-	// access mode, by calling c.FillUp.
+	// access mode by calling c.FillUp; nil means every page was filled.
 	PullIn(c Cache, off, size int64, mode Prot) error
 
 	// GetWriteAccess requests write access to data previously pulled in

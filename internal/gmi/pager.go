@@ -77,10 +77,10 @@ func (r *PageRequest) Done() bool { return r.done.Load() }
 // Pager is the submit/complete mapper protocol: a segment that accepts
 // fill requests and completes them itself, on the submitting goroutine
 // or later from its own, instead of answering PullIn with FillUp.
-// Managers probe for it with a type assertion — any Segment that does
-// not implement Pager is driven through the synchronous PullIn path, so
-// wrappers that only forward the Segment interface (fault injectors,
-// decorators) transparently opt their segment out of the protocol.
+// Managers probe for it with a type assertion. The PVM drives a Segment
+// that does not implement Pager (a fault injector that forwards only
+// Segment, say) through an adapter whose SubmitPull issues PullIn; a
+// FillUp of the whole run lands in the request's pages and completes it.
 //
 // Contract:
 //   - A driver may serve a demand request on the calling goroutine,
